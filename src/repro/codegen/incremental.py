@@ -11,7 +11,9 @@ re-solved only when the capacity arithmetic actually changed), and the
 result's ``provenance`` says exactly which artifact was reused vs
 regenerated. Any edit the engine cannot localize (hierarchy
 restructuring, definition churn, renames) falls back to a full
-pipeline run, which still replays per-node cache entries.
+pipeline run, which still replays per-node cache entries and reports
+every artifact equal to the previous result's as reused. So does the
+first call after a revision the engine rejected.
 
 :func:`regenerate` is the legacy diff-then-classify API (full re-run,
 manifests classified afterwards); it keeps working one release cycle
@@ -189,6 +191,30 @@ def _grouping_signature(topology: FactoryTopology, capacity: int,
                          for m in topology.machines)))
 
 
+def _share_unchanged(result: GenerationResult,
+                     previous: GenerationResult) -> None:
+    """Hand a full run's artifacts that came out equal to *previous*'s
+    over to *previous*'s objects, and report them reused."""
+    for kind, current, before in (
+            ("machine", result.machine_configs, previous.machine_configs),
+            ("server", result.server_configs, previous.server_configs),
+            ("manifest", result.manifests, previous.manifests)):
+        for name, value in current.items():
+            if before.get(name) == value:
+                current[name] = before[name]
+                result.provenance[f"{kind}:{name}"] = "reused"
+    for kind, key, current, before in (
+            ("client", "client", result.client_configs,
+             previous.client_configs),
+            ("storage", "historian", result.storage_configs,
+             previous.storage_configs)):
+        by_name = {config[key]: config for config in before}
+        for index, config in enumerate(current):
+            if by_name.get(config[key]) == config:
+                current[index] = by_name[config[key]]
+                result.provenance[f"{kind}:{config[key]}"] = "reused"
+
+
 class IncrementalEngine:
     """Long-lived source-to-manifests generator with dirty-subtree reuse.
 
@@ -211,6 +237,8 @@ class IncrementalEngine:
         self._machine_paths: dict[str, str] = {}
         self._driver_paths: dict[str, str] = {}
         self._signature: tuple | None = None
+        #: True when the session may differ from :attr:`previous`.
+        self._stale = False
 
     @property
     def model(self) -> Model | None:
@@ -219,6 +247,18 @@ class IncrementalEngine:
     def generate(self, *texts: str,
                  filenames: list[str] | None = None) -> GenerationResult:
         """Generate (or regenerate) the full configuration for *texts*."""
+        try:
+            return self._generate(texts, filenames)
+        except BaseException:
+            # The session may already hold this revision (say it
+            # resolved but failed topology validation). Dirty sets of
+            # later revisions are computed against it, not against
+            # `previous`, so the next call runs in full.
+            self._stale = True
+            raise
+
+    def _generate(self, texts: tuple[str, ...],
+                  filenames: list[str] | None) -> GenerationResult:
         if self.session is None:
             self.session = ModelSession(
                 *texts, filenames=filenames, cache=self.pipeline.cache,
@@ -228,7 +268,8 @@ class IncrementalEngine:
             return self._full_run()
         update = self.session.update(*texts, filenames=filenames)
         self.last_update = update
-        if not self.options.incremental or update.full_rebuild:
+        if self._stale or not self.options.incremental \
+                or update.full_rebuild:
             _FULL_RUNS.inc()
             return self._full_run()
         if update.clean:
@@ -250,6 +291,8 @@ class IncrementalEngine:
 
     def _full_run(self) -> GenerationResult:
         result = self.pipeline.run_on_model(self.session.model)
+        if self.previous is not None:
+            _share_unchanged(result, self.previous)
         self._retain(result)
         return result
 
@@ -265,6 +308,7 @@ class IncrementalEngine:
 
     def _retain(self, result: GenerationResult) -> None:
         self.previous = result
+        self._stale = False
         machines = result.topology.machines
         self._machine_paths = {m.name: m.node_path for m in machines
                                if m.node_path}

@@ -4,7 +4,7 @@
 into a long-running concurrent service. Each request travels::
 
     rate limit -> lifecycle admit -> result memo -> admission slot
-        -> parse single-flight -> generation single-flight -> memo put
+        -> generation single-flight -> warm engine -> memo put
 
 * the **rate limiter** charges the caller's token bucket;
 * the **lifecycle** refuses requests once draining has begun;
@@ -13,19 +13,28 @@ into a long-running concurrent service. Each request travels::
   slot at all;
 * the **admission controller** bounds how many requests occupy the
   pipeline concurrently (policy: reject / block / shed-oldest);
-* the **parse single-flight** coalesces concurrent parses of the same
-  sources; the **generation single-flight** coalesces concurrent
-  pipeline runs keyed on ``Model.content_fingerprint`` plus the
-  semantic options, so N identical in-flight requests execute the
-  pipeline exactly once and share one byte-identical payload.
+* the **generation single-flight** coalesces concurrent pipeline runs
+  keyed on the source hash (:func:`content_fingerprint_of_sources`,
+  equal to ``load_model(*sources).content_fingerprint`` without a
+  parse) plus the semantic options, so N identical in-flight requests
+  execute the pipeline exactly once and share one byte-identical
+  payload.
 
-When ``PipelineOptions.incremental`` is on (the default), the leader
-executes through a warm per-option-set :class:`IncrementalEngine`
-instead of a cold pipeline run: an edited source set regenerates only
-the artifacts whose model subtree actually changed, and the response
+When ``PipelineOptions.incremental`` is on (the default, and always
+under ``repro serve``), the leader hands the sources to a warm
+per-option-set :class:`IncrementalEngine`. Its model session reparses
+only the sources that changed, and an edited source set regenerates
+only the artifacts whose model subtree actually changed; the response
 reports the split via ``X-Repro-Reused`` / ``X-Repro-Regenerated``
 headers. The payload itself stays deterministic — provenance travels
 in headers, never in the bundle.
+
+With ``incremental=False`` the service loads the model itself, behind
+a **parse single-flight** that coalesces concurrent parses of the same
+sources, and runs the cold pipeline on it::
+
+    ... admission slot -> parse single-flight
+        -> generation single-flight -> cold pipeline -> memo put
 
 :class:`ServiceHTTPServer` (a stdlib ``ThreadingHTTPServer``) exposes
 the service as::
@@ -57,7 +66,7 @@ from ..faults import FaultInjected, fault_point
 from ..fingerprint import (SERVICE_GENERATE_SALT, SERVICE_MEMO_SALT,
                            SERVICE_PARSE_SALT, fingerprint)
 from ..obs import METRICS, snapshot_delta
-from ..sysml import load_model
+from ..sysml import content_fingerprint_of_sources, load_model
 from ..sysml.errors import SysMLError
 from .admission import (AdmissionController, AdmissionError, POLICY_REJECT,
                         RateLimiter)
@@ -189,6 +198,8 @@ class ConfigurationService:
         #: single-flight keys) differ.
         self._engines: OrderedDict[
             str, tuple[IncrementalEngine, threading.Lock]] = OrderedDict()
+        #: Requests each pooled engine has served, for eviction.
+        self._engine_uses: dict[str, int] = {}
         self._engines_lock = threading.Lock()
         #: Captured by the drain's flush hook — the service's final
         #: telemetry, available after shutdown for reporting.
@@ -228,10 +239,18 @@ class ConfigurationService:
                 role = "memo"
             else:
                 with self.admission.slot():
-                    model = self._load(sources)
+                    if options.incremental:
+                        # the warm engine parses only what changed; the
+                        # source hash is the fingerprint load_model
+                        # would have given the model
+                        model = None
+                        model_fingerprint = content_fingerprint_of_sources(
+                            list(sources))
+                    else:
+                        model = self._load(sources)
+                        model_fingerprint = model.content_fingerprint
                     generate_key = fingerprint(
-                        model.content_fingerprint,
-                        self._semantic(options),
+                        model_fingerprint, self._semantic(options),
                         salt=SERVICE_GENERATE_SALT)
                     (payload, counts), leader = self._generate_flight.do(
                         generate_key,
@@ -269,7 +288,8 @@ class ConfigurationService:
                 for key in REQUEST_OPTION_KEYS}
 
     def _load(self, sources):
-        """Parse + resolve, coalescing concurrent identical parses.
+        """Parse + resolve, coalescing concurrent identical parses
+        (the ``incremental=False`` path only).
 
         The shared :class:`~repro.sysml.elements.Model` is read-only
         after resolution, so handing one instance to several request
@@ -283,9 +303,15 @@ class ConfigurationService:
     def _engine_slot(self, options: PipelineOptions):
         """The warm incremental engine for one semantic-options set.
 
-        A small LRU: each engine carries a full model session, so a
-        service seeing many distinct option sets cycles the oldest
-        out rather than accumulating sessions without bound.
+        A small pool: each engine carries a full model session, so a
+        service seeing many distinct option sets evicts engines rather
+        than accumulating sessions without bound. The victim is the
+        least recently used engine that has served a single request,
+        or the least recently used engine when every other one has
+        served more. A stream of one-off option sets (a new
+        namespace per tenant, say) then churns through one slot
+        instead of evicting the engine a returning client keeps warm,
+        whose next edit would otherwise pay a cold rebuild.
         """
         key = fingerprint(self._semantic(options),
                           salt=SERVICE_GENERATE_SALT)
@@ -294,16 +320,28 @@ class ConfigurationService:
             if slot is None:
                 slot = (IncrementalEngine(options), threading.Lock())
                 self._engines[key] = slot
+                self._engine_uses[key] = 1
                 while len(self._engines) > MAX_ENGINES:
-                    self._engines.popitem(last=False)
+                    others = [other for other in self._engines
+                              if other != key]
+                    victim = next((other for other in others
+                                   if self._engine_uses[other] == 1),
+                                  others[0])
+                    del self._engines[victim]
+                    del self._engine_uses[victim]
             else:
                 self._engines.move_to_end(key)
+                self._engine_uses[key] += 1
             return slot
 
     def _execute(self, model, options: PipelineOptions,
-                 sources: list[str] | None = None
+                 sources: list[str]
                  ) -> tuple[bytes, tuple[int, int] | None]:
         """One real pipeline execution (the single-flight leader path).
+
+        With ``options.incremental`` *model* is ``None``: the warm
+        engine builds the model from *sources* itself. Otherwise
+        *model* is the loaded model and a cold pipeline runs on it.
 
         Returns ``(payload, counts)`` where *counts* is the
         ``(reused, regenerated)`` artifact provenance pair when the
@@ -312,13 +350,14 @@ class ConfigurationService:
         followers see the leader's reuse counts too.
         """
         _EXECUTIONS.inc()
-        if sources is not None and options.incremental:
+        if options.incremental:
             engine, lock = self._engine_slot(options)
             with lock:
                 result = engine.generate(*sources)
             states = list(result.provenance.values())
             counts = (states.count("reused"), states.count("regenerated"))
-            return (bundle_bytes(result, model.content_fingerprint,
+            return (bundle_bytes(result,
+                                 content_fingerprint_of_sources(sources),
                                  options), counts)
         pipeline = self.pipeline if options is self.options \
             else GenerationPipeline(options)

@@ -21,7 +21,8 @@ needed to absorb source edits without a cold reload:
 
 Any failure mid-update falls back to a cold rebuild, so the session is
 never left half-merged; if the *cold* rebuild also fails the error
-propagates exactly as a fresh :func:`load_model` would have raised it.
+propagates exactly as a fresh :func:`load_model` would have raised it,
+and the next update rebuilds cold as well.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from ..obs import span as _span
 from .builder import ModelBuilder
 from .depgraph import (NodeIndex, NodeKey, _name_of, anchor_key,
                        deep_fingerprint, elements_anchored_in, node_key,
-                       own_signature, DepGraph, DepRecorder)
+                       own_signature, subtree_anchor_keys, DepGraph,
+                       DepRecorder)
 from .elements import (Alias, Assignment, BindingConnector, Connector,
                        Element, Import, Model, Package, PerformAction,
                        RedefinitionUsage, Type, Usage)
@@ -211,6 +213,10 @@ class _Merger:
         #: elements, newly-taken subtrees, and parents whose member
         #: list changed. Their anchors form ``edited_anchors``.
         self.changed: list[Element] = []
+        #: Subtrees taken wholesale from a fragment. Every element in
+        #: them is fresh and unresolved, even where its deep hash equals
+        #: that of a dropped element (a package moved between sources).
+        self.taken: list[Element] = []
 
     def merge_lists(self, old_list: list[Element], new_list: list[Element],
                     parent: Element) -> tuple[list[Element], bool, bool]:
@@ -245,6 +251,7 @@ class _Merger:
             new.owner = parent
             merged.append(new)
             self.changed.append(new)
+            self.taken.append(new)
             any_changed = True
 
         for leftovers in named.values():
@@ -311,6 +318,7 @@ class ModelSession:
         self._names: list[str] = []
         self._source_fps: list[str] = []
         self._slice_counts: list[int] = []
+        self._half_merged = False
         self._load_cold(list(texts), list(filenames or []))
 
     # -- cold path -----------------------------------------------------------
@@ -370,12 +378,18 @@ class ModelSession:
         sources, names = self._with_stdlib(list(texts),
                                            list(filenames or []))
         try:
+            if self._half_merged:
+                raise IncrementalFallback("last update failed mid-merge")
             with _span("incremental-update"):
                 return self._update_incremental(sources, names)
         except Exception:  # noqa: BLE001 - safety valve
             # Cold rebuild; if the *sources* are broken this raises the
-            # same error a fresh load would.
+            # same error a fresh load would. A failed merge may already
+            # have changed the live model, so until a cold rebuild
+            # succeeds every update takes this path.
+            self._half_merged = True
             self._load_cold(list(texts), list(filenames or []))
+            self._half_merged = False
             return ModelUpdate(
                 changed_sources=tuple(names[1:]
                                       if self.include_stdlib else names),
@@ -401,11 +415,18 @@ class ModelSession:
         trees = self._parse_changed(sources, names, changed)
         merger = _Merger()
         self._merge_root(trees, changed, len(sources), merger)
-        edited = frozenset(anchor_key(element)
-                           for element in merger.changed)
+        # anchors inside wholesale-taken subtrees count as edited even
+        # when their deep hash is unchanged: their objects are new and
+        # unresolved, and consumers still point at the dropped ones
+        taken: set[NodeKey] = set()
+        for element in merger.taken:
+            taken |= subtree_anchor_keys(element)
+        edited = frozenset(taken.union(anchor_key(element)
+                                       for element in merger.changed))
 
         new_index = NodeIndex.of_model(self.model)
         deep_changed, scope_changed = new_index.changed_since(self.index)
+        deep_changed |= taken
         removed = frozenset(key for key in self.index.deep
                             if key not in new_index.deep)
         self.graph.drop_consumers(removed)

@@ -11,13 +11,18 @@ import copy
 
 import pytest
 
+from fixtures import rejected_revision
+
 from repro.codegen import (GenerationPipeline, IncrementalEngine,
                            PipelineOptions)
 from repro.icelab.model_gen import icelab_sources
 from repro.isa95.levels import VariableSpec
 from repro.machines.specs import ICE_LAB_SPECS
 from repro.obs import METRICS
+from repro.service import bundle_bytes
 from repro.sysml import load_model
+from repro.sysml.errors import ValidationError
+from repro.testkit.corpus import generate_scenario
 
 OPTIONS = PipelineOptions(namespace="icelab")
 
@@ -164,8 +169,13 @@ class TestMachineAddRemove:
         specs = [copy.deepcopy(s) for s in ICE_LAB_SPECS
                  if s.name != "spea"]
         sources = icelab_sources(specs)
+        before = counters()
         result = engine.generate(*sources)
-        assert engine.last_update.full_rebuild
+        # the session absorbs the shifted source slices in place; the
+        # engine cannot localize a removal and runs in full
+        assert not engine.last_update.full_rebuild
+        assert engine.last_update.removed_anchors
+        assert counters()["full_runs"] == before["full_runs"] + 1
         assert "workcell01-opcua-server.yaml" not in result.manifests
         assert result.manifests == cold_manifests(sources).manifests
 
@@ -179,6 +189,37 @@ class TestMachineAddRemove:
         cold = cold_manifests(sources)
         assert "conveyor2" in result.machine_configs
         assert result.manifests == cold.manifests
+
+
+class TestRejectedRevision:
+    def test_next_revision_is_not_diffed_against_the_rejected_one(
+            self, engine):
+        rejected, restored = rejected_revision(icelab_sources())
+        with pytest.raises(ValidationError, match="unresolved-driver"):
+            engine.generate(*rejected)
+        before = counters()
+        result = engine.generate(*restored)
+        assert counters()["full_runs"] == before["full_runs"] + 1
+        cold = cold_manifests(restored)
+        assert result.machine_configs == cold.machine_configs
+        assert result.manifests == cold.manifests
+        assert any("77777" in text for text in result.manifests.values())
+
+
+class TestUnrelatedFactories:
+    def test_package_moved_between_sources_matches_cold(self):
+        # KiloOvenLib sits in another source slice in the second
+        # factory, so the session rebuilds it from scratch
+        options = PipelineOptions(namespace="tenant")
+        first = generate_scenario(221769903).sources
+        second = generate_scenario(436425901).sources
+        engine = IncrementalEngine(options)
+        engine.generate(*first)
+        result = engine.generate(*second)
+        model = load_model(*second)
+        cold = GenerationPipeline(options).run_on_model(model)
+        assert bundle_bytes(result, model.content_fingerprint, options) \
+            == bundle_bytes(cold, model.content_fingerprint, options)
 
 
 class TestEngineOptions:

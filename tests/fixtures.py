@@ -137,3 +137,27 @@ part emcoDriver : EMCO::EMCODriver {
 
 EMCO_WORKCELL_SOURCE = (ISA95_BASE_SOURCE + EMCO_LIBRARY_SOURCE
                         + EMCO_INSTANCE_SOURCE)
+
+
+def rejected_revision(sources):
+    """Revisions B and C of an ICE-lab source list (revision A).
+
+    B raises the first driver's ``session_timeout_ms`` to 77777 and
+    points ``siemensPlc``'s driver reference at a part that does not
+    exist: it resolves, then fails topology validation with
+    ``unresolved-driver``. C is B with the reference restored, so a
+    cold run of C carries the 77777.
+    """
+    b_sources = list(sources)
+    timeout = next(i for i, text in enumerate(sources)
+                   if ":>> session_timeout_ms = 30000;" in text)
+    b_sources[timeout] = sources[timeout].replace(
+        ":>> session_timeout_ms = 30000;",
+        ":>> session_timeout_ms = 77777;", 1)
+    reference = next(i for i, text in enumerate(sources)
+                     if "= siemensPlcDriverInstance;" in text)
+    b_sources[reference] = sources[reference].replace(
+        "= siemensPlcDriverInstance;", "= siemensPlcDriverInstanceGone;")
+    c_sources = list(b_sources)
+    c_sources[reference] = sources[reference]
+    return b_sources, c_sources

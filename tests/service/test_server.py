@@ -13,14 +13,16 @@ import time
 
 import pytest
 
-from fixtures import EMCO_WORKCELL_SOURCE
+from fixtures import EMCO_WORKCELL_SOURCE, rejected_revision
 
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from repro.obs import METRICS, snapshot_delta
 from repro.service import (ConfigurationService, ServiceClient,
                            ServiceError, ServiceHTTPServer, bundle_bytes)
-from repro.sysml import load_model
+from repro.service.server import MAX_ENGINES
+from repro.icelab.model_gen import icelab_sources
+from repro.sysml import content_fingerprint_of_sources, load_model
 from repro.testkit import wait_until
 
 SOURCES = [EMCO_WORKCELL_SOURCE]
@@ -222,6 +224,71 @@ class TestIncrementalServing:
             _, headers, _ = client.generate_raw(SOURCES)
         assert headers["x-repro-singleflight"] == "memo"
         assert "x-repro-reused" not in headers
+
+    def test_incremental_path_never_loads_a_model(self, serve,
+                                                  monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("load_model on the incremental path")
+
+        monkeypatch.setattr("repro.service.server.load_model", refuse)
+        server, _ = serve()
+        edited = [EMCO_WORKCELL_SOURCE.replace("10.197.12.11",
+                                               "10.197.12.99")]
+        with ServiceClient(port=server.port) as client:
+            for sources in (SOURCES, edited):
+                status, _, _ = client.generate_raw(sources)
+                assert status == 200
+            # the engine's own model session rejects invalid sources
+            with pytest.raises(ServiceError) as info:
+                client.generate(["part broken : Nowhere;"])
+        assert info.value.status == 400
+        assert info.value.code == "invalid-model"
+
+    def test_bundle_fingerprint_is_the_source_hash(self, serve):
+        server, _ = serve()
+        edited = [EMCO_WORKCELL_SOURCE.replace("10.197.12.11",
+                                               "10.197.12.99")]
+        requests = [(SOURCES, None), (edited, None), (SOURCES, None),
+                    (edited, {"namespace": "plant-b"})]
+        with ServiceClient(port=server.port) as client:
+            for sources, options in requests:
+                bundle = client.generate(sources, options=options)
+                assert bundle["fingerprint"] \
+                    == content_fingerprint_of_sources(sources)
+
+    def test_rejected_revision_then_fix_matches_cold(self, serve):
+        server, service = serve()
+        accepted = icelab_sources()
+        rejected, restored = rejected_revision(accepted)
+        with ServiceClient(port=server.port) as client:
+            assert client.generate_raw(accepted)[0] == 200
+            with pytest.raises(ServiceError) as info:
+                client.generate(rejected)
+            status, _, body = client.generate_raw(restored)
+        assert info.value.status == 400
+        assert info.value.code == "invalid-model"
+        assert "unresolved-driver" in str(info.value)
+        assert status == 200
+        model = load_model(*restored)
+        cold = GenerationPipeline(service.options).run_on_model(model)
+        assert body == bundle_bytes(cold, model.content_fingerprint,
+                                    service.options)
+
+    def test_one_off_namespaces_keep_the_warm_engine(self):
+        service = ConfigurationService(PipelineOptions())
+        service.generate(SOURCES)
+        service.generate([EMCO_WORKCELL_SOURCE.replace("10.197.12.11",
+                                                       "10.197.12.99")])
+        # more one-off option sets than the pool holds
+        for number in range(MAX_ENGINES + 1):
+            service.generate(SOURCES, {"namespace": f"tenant-{number}"})
+        before = METRICS.snapshot()
+        service.generate([EMCO_WORKCELL_SOURCE.replace("10.197.12.11",
+                                                       "10.197.12.98")])
+        delta = snapshot_delta(before, METRICS.snapshot())
+        assert delta.get("incremental.full_runs", 0) == 0
+        assert delta.get("incremental.partial_runs", 0) == 1
+        assert len(service._engines) == MAX_ENGINES
 
     def test_incremental_off_serves_identical_bytes(self, serve):
         server, _ = serve(PipelineOptions(incremental=False))

@@ -108,3 +108,36 @@ class TestStructuralChange:
         with pytest.raises(Exception, match="Nowhere9"):
             live.update(LIBRARY, PLANT.replace("Widget", "Nowhere9"),
                         filenames=NAMES)
+
+    def test_rejected_revision_does_not_linger_in_the_model(self):
+        live = session()
+        broken = PLANT.replace("= 3", "= 9").replace(
+            "part w2 : Widget", "part w2 : Nowhere9")
+        with pytest.raises(Exception, match="Nowhere9"):
+            live.update(LIBRARY, broken, filenames=NAMES)
+        # the original text again: the failed merge must not survive
+        update = live.update(LIBRARY, PLANT, filenames=NAMES)
+        assert update.full_rebuild
+        size = find_by_path(live.model, "Plant::w1::size")
+        assert size.value.value == 3
+        assert find_by_path(live.model, "Plant::w2").typ is \
+            find_by_path(live.model, "Lib::Widget")
+
+
+class TestMovedPackage:
+    """A package that moves to another source slice is rebuilt from
+    scratch; its deep hash is unchanged, but its objects are new."""
+
+    def test_moved_package_is_resolved_again(self):
+        live = session()
+        update = live.update(PLANT, LIBRARY,
+                             filenames=["plant.sysml", "lib.sysml"])
+        assert not update.full_rebuild
+        assert {"Lib::Widget", "Lib::Gadget"} <= set(
+            paths(update.edited_anchors))
+        widget = find_by_path(live.model, "Lib::Widget")
+        gadget = find_by_path(live.model, "Lib::Gadget")
+        assert widget.specializations == [gadget]
+        # consumers follow the package to its new objects
+        assert find_by_path(live.model, "Plant::w1").typ is widget
+        assert find_by_path(live.model, "Plant::w2").typ is widget
