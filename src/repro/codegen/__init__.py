@@ -13,8 +13,7 @@ Three backends consume the extracted ISA-95 topology:
 
 from .client_config import client_config, topic_root
 from .docs_gen import generate_handbook
-from .incremental import (IncrementalEngine, IncrementalResult,
-                          changed_machine_names, regenerate)
+from .incremental import IncrementalEngine
 from .grouping import (ClientGroup, DEFAULT_CLIENT_CAPACITY,
                        GROUPING_ALGORITHMS, GroupingError, group_machines,
                        grouping_stats, lower_bound_clients)
@@ -34,9 +33,7 @@ __all__ = [
     "CODEGEN_BACKENDS",
     "COMPONENT_IMAGES", "ClientGroup", "DEFAULT_CLIENT_CAPACITY",
     "GROUPING_ALGORITHMS",
-    "IncrementalEngine", "IncrementalResult", "changed_machine_names",
-    "generate_handbook",
-    "regenerate", "PipelineOptions",
+    "IncrementalEngine", "generate_handbook", "PipelineOptions",
     "GenerationPipeline", "GenerationResult", "GroupingError",
     "WORKCELL_SERVER_PORT", "client_config", "generate_configuration",
     "group_machines", "grouping_stats", "lower_bound_clients",

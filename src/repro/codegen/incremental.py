@@ -1,10 +1,8 @@
 """Incremental regeneration.
 
-Two generations of API live here.
-
-:class:`IncrementalEngine` is the current one: it owns a
-:class:`~repro.sysml.ModelSession` and turns each source revision into
-a :class:`~repro.codegen.pipeline.GenerationResult` by re-elaborating
+:class:`IncrementalEngine` owns a :class:`~repro.sysml.ModelSession`
+and turns each source revision into a
+:class:`~repro.codegen.pipeline.GenerationResult` by re-elaborating
 only the machines whose anchors the session reported dirty — untouched
 artifacts are byte-reused from the previous result (grouping is
 re-solved only when the capacity arithmetic actually changed), and the
@@ -15,28 +13,25 @@ pipeline run, which still replays per-node cache entries and reports
 every artifact equal to the previous result's as reused. So does the
 first call after a revision the engine rejected.
 
-:func:`regenerate` is the legacy diff-then-classify API (full re-run,
-manifests classified afterwards); it keeps working one release cycle
-behind a :class:`DeprecationWarning`.
+The session's :class:`~repro.sysml.ModelUpdate` is the engine's only
+change detector.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from ..isa95.levels import FactoryTopology, MachineInfo, WorkcellInfo
-from ..isa95.topology import TopologyExtractor, extract_topology
-from ..obs import METRICS, Summarizable, span
+from ..isa95.levels import FactoryTopology, WorkcellInfo
+from ..isa95.topology import TopologyExtractor
+from ..obs import METRICS, span
 from ..sysml.depgraph import find_by_path
-from ..sysml.diff import ModelDiff, diff_models
 from ..sysml.elements import Model, PartUsage
 from ..sysml.incremental import ModelSession, ModelUpdate
 from .client_config import client_config
 from .grouping import ClientGroup, group_machines
 from .machine_config import workcell_server_config
-from .options import PipelineOptions, options_from_legacy_kwargs
+from .options import PipelineOptions
 from .pipeline import GenerationPipeline, GenerationResult
 from .storage_config import storage_config
 
@@ -46,134 +41,6 @@ _PARTIAL_RUNS = METRICS.counter("incremental.partial_runs")
 _FULL_RUNS = METRICS.counter("incremental.full_runs")
 _CLEAN_RUNS = METRICS.counter("incremental.clean_runs")
 
-
-@dataclass
-class IncrementalResult(Summarizable):
-    """Outcome of an incremental regeneration."""
-
-    result: GenerationResult
-    diff: ModelDiff
-    changed_machines: list[str] = field(default_factory=list)
-    regenerated_manifests: list[str] = field(default_factory=list)
-    reused_manifests: list[str] = field(default_factory=list)
-
-    @property
-    def fully_reused(self) -> bool:
-        return not self.regenerated_manifests
-
-    def summary(self) -> dict[str, object]:
-        return {
-            "model_changes": len(self.diff),
-            "changed_machines": list(self.changed_machines),
-            "regenerated": len(self.regenerated_manifests),
-            "reused": len(self.reused_manifests),
-        }
-
-
-def _machine_signature(machine: MachineInfo) -> tuple:
-    driver = machine.driver
-    return (
-        machine.name,
-        machine.workcell,
-        tuple((v.name, v.data_type, v.category) for v in machine.variables),
-        tuple((s.name,
-               tuple((a.name, a.data_type) for a in s.inputs),
-               tuple((a.name, a.data_type) for a in s.outputs))
-              for s in machine.services),
-        (driver.protocol, tuple(sorted(
-            (k, str(v)) for k, v in driver.parameters.items())))
-        if driver else None,
-    )
-
-
-def changed_machine_names(old_topology: FactoryTopology,
-                          new_topology: FactoryTopology) -> list[str]:
-    """Machines whose extracted content differs between two topologies."""
-    old_signatures = {m.name: _machine_signature(m)
-                      for m in old_topology.machines}
-    new_signatures = {m.name: _machine_signature(m)
-                      for m in new_topology.machines}
-    changed = set()
-    for name in old_signatures.keys() | new_signatures.keys():
-        if old_signatures.get(name) != new_signatures.get(name):
-            changed.add(name)
-    return sorted(changed)
-
-
-def regenerate(previous: GenerationResult, old_model: Model,
-               new_model: Model,
-               pipeline: GenerationPipeline | None = None
-               ) -> IncrementalResult:
-    """Regenerate configuration for *new_model*, reusing what it can.
-
-    The returned :class:`GenerationResult` is complete (fresh topology,
-    fresh groups); what "incremental" buys is the classification of
-    manifests into regenerated vs reused, with reused manifest text
-    taken byte-identical from *previous* so unchanged components do not
-    redeploy.
-
-    .. deprecated:: this full-re-run API is superseded by
-       :class:`IncrementalEngine`, which skips the re-run entirely for
-       clean subtrees.
-    """
-    warnings.warn(
-        "regenerate() re-runs the full pipeline and only classifies "
-        "manifests afterwards; use IncrementalEngine for true "
-        "dirty-subtree regeneration", DeprecationWarning, stacklevel=2)
-    pipeline = pipeline or GenerationPipeline()
-    with span("incremental") as inc:
-        diff = diff_models(old_model, new_model)
-        new_topology = extract_topology(new_model)
-        changed = changed_machine_names(previous.topology, new_topology)
-        fresh = pipeline.run_on_topology(new_topology)
-
-        changed_set = set(changed)
-        changed_workcells = {m.workcell for m in new_topology.machines
-                             if m.name in changed_set}
-        changed_workcells |= {m.workcell
-                              for m in previous.topology.machines
-                              if m.name in changed_set}
-        # groups whose membership or member contents changed
-        changed_groups: set[str] = set()
-        previous_membership = {tuple(c["machines"] and
-                                     [m["machine"]
-                                      for m in c["machines"]]):
-                               c["client"]
-                               for c in previous.client_configs}
-        for config in fresh.client_configs:
-            members = tuple(m["machine"] for m in config["machines"])
-            if previous_membership.get(members) != config["client"] or \
-                    changed_set.intersection(members):
-                changed_groups.add(config["client"])
-
-        regenerated: list[str] = []
-        reused: list[str] = []
-        merged_manifests: dict[str, str] = {}
-        for filename, text in fresh.manifests.items():
-            previous_text = previous.manifests.get(filename)
-            if previous_text == text:
-                merged_manifests[filename] = previous_text
-                reused.append(filename)
-            else:
-                merged_manifests[filename] = text
-                regenerated.append(filename)
-        fresh.manifests = merged_manifests
-        fresh.invalidate_size_cache()
-        _REUSED.inc(len(reused))
-        _REGENERATED.inc(len(regenerated))
-        inc.set("changed_machines", len(changed))
-        inc.set("regenerated", len(regenerated))
-        inc.set("reused", len(reused))
-    return IncrementalResult(
-        result=fresh,
-        diff=diff,
-        changed_machines=changed,
-        regenerated_manifests=sorted(regenerated),
-        reused_manifests=sorted(reused),
-    )
-
-
-# -- the incremental engine --------------------------------------------------
 
 class _EngineFallback(Exception):
     """Raised internally when an edit cannot be localized to machines."""
@@ -226,9 +93,8 @@ class IncrementalEngine:
     with earlier results — treat them as read-only.
     """
 
-    def __init__(self, options: PipelineOptions | None = None, **legacy):
-        self.options = options_from_legacy_kwargs(
-            options, legacy, api="IncrementalEngine")
+    def __init__(self, options: PipelineOptions | None = None):
+        self.options = options if options is not None else PipelineOptions()
         self.pipeline = GenerationPipeline(self.options)
         self.session: ModelSession | None = None
         #: The :class:`ModelUpdate` behind the last :meth:`generate`.

@@ -1,19 +1,17 @@
 """The canonical pipeline configuration object.
 
-:class:`PipelineOptions` replaces the keyword-argument sprawl that used
-to live on :class:`~repro.codegen.pipeline.GenerationPipeline` and
-:func:`~repro.codegen.pipeline.generate_configuration`. It is frozen
-(safe to share between pipelines and threads), round-trips through
-``to_dict``/``from_dict``, and carries the optional
-:class:`~repro.obs.Tracer` that turns on pipeline telemetry.
-
-The old per-call keyword arguments keep working through a shim that
-emits :class:`DeprecationWarning`; see :func:`options_from_legacy_kwargs`.
+:class:`PipelineOptions` is the one configuration surface of
+:class:`~repro.codegen.pipeline.GenerationPipeline`,
+:func:`~repro.codegen.pipeline.generate_configuration` and
+:class:`~repro.codegen.incremental.IncrementalEngine`; none of them
+takes per-knob keyword arguments. It is frozen (safe to share between
+pipelines and threads), round-trips through ``to_dict``/``from_dict``,
+and carries the optional :class:`~repro.obs.Tracer` that turns on
+pipeline telemetry.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from ..cache import DEFAULT_CACHE_MAX_BYTES
@@ -81,32 +79,3 @@ class PipelineOptions:
                 f"unknown pipeline option(s): {', '.join(sorted(unknown))}")
         return cls(tracer=tracer, **data)  # type: ignore[arg-type]
 
-
-_LEGACY_KEYS = ("capacity", "namespace", "broker_url", "database_url",
-                "validate", "tracer")
-
-
-def options_from_legacy_kwargs(options: PipelineOptions | None,
-                               kwargs: dict[str, object], *,
-                               api: str) -> PipelineOptions:
-    """Resolve the ``options=`` parameter against deprecated kwargs.
-
-    Passing bare keyword arguments (the pre-``PipelineOptions`` API)
-    still works but warns; mixing both styles is an error.
-    """
-    if not kwargs:
-        return options if options is not None else PipelineOptions()
-    unknown = set(kwargs) - set(_LEGACY_KEYS)
-    if unknown:
-        raise TypeError(
-            f"{api}() got unexpected keyword argument(s): "
-            f"{', '.join(sorted(unknown))}")
-    if options is not None:
-        raise TypeError(
-            f"{api}() takes either 'options' or legacy keyword "
-            f"arguments, not both")
-    warnings.warn(
-        f"passing {', '.join(sorted(kwargs))} to {api}() directly is "
-        f"deprecated; pass options=PipelineOptions(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return PipelineOptions(**kwargs)  # type: ignore[arg-type]

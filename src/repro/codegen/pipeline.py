@@ -9,9 +9,8 @@ Step 2: intermediate JSON -> Kubernetes YAML via templates.
 time, and reports the same quantities as the last row of Table I
 (generation time, #OPC UA servers, #clients, configuration size).
 
-The canonical entry point is ``generate_configuration(model,
-options=PipelineOptions(...))``; the old keyword arguments keep working
-through a :class:`DeprecationWarning` shim. When the options carry a
+The entry point is ``generate_configuration(model,
+options=PipelineOptions(...))``. When the options carry a
 :class:`~repro.obs.Tracer` (or one is ambiently active), every phase is
 recorded as a span — ``generate`` > ``topology`` / ``validate`` /
 ``step1`` (per machine, grouping) / ``step2`` (per rendered template) —
@@ -29,6 +28,9 @@ Two execution accelerators hang off :class:`PipelineOptions`:
   source fingerprint, and each machine config / manifest is keyed on
   its own inputs, so warm runs replay artifacts instead of recomputing
   (hits/misses surface as ``cache.*`` counters in ``repro trace``).
+  A machine config has exactly one key: the machine node's
+  ``(node_fp, deps_fp)`` pair when the model carries a dependency graph
+  (:class:`repro.sysml.ModelSession`), else the machine's whole spec.
 
 **Reentrancy.** A :class:`GenerationPipeline` holds no per-run mutable
 state — every run builds a fresh :class:`GenerationResult`, and the
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -64,7 +65,7 @@ from ..templates.library import get_template, template_source
 from .client_config import client_config
 from .grouping import ClientGroup, group_machines
 from .machine_config import machine_config, workcell_server_config
-from .options import PipelineOptions, options_from_legacy_kwargs
+from .options import PipelineOptions
 from .storage_config import storage_config
 
 #: Container images of the deployed software stack components.
@@ -208,42 +209,15 @@ def _write_json(path: Path, config: dict) -> Path:
 
 
 class GenerationPipeline:
-    """Configurable pipeline instance.
+    """Configurable pipeline instance; :class:`PipelineOptions` is its
+    only configuration."""
 
-    Construct with a :class:`PipelineOptions`; the old per-keyword form
-    (``GenerationPipeline(capacity=..., namespace=...)``) still works
-    but emits a :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, options: PipelineOptions | None = None, **legacy):
-        self.options = options_from_legacy_kwargs(
-            options, legacy, api="GenerationPipeline")
+    def __init__(self, options: PipelineOptions | None = None):
+        self.options = options if options is not None else PipelineOptions()
         self.cache: ArtifactCache | None = None
         if self.options.cache_dir is not None:
             self.cache = ArtifactCache(self.options.cache_dir,
                                        self.options.cache_max_bytes)
-
-    # -- legacy attribute surface -----------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return self.options.capacity
-
-    @property
-    def namespace(self) -> str:
-        return self.options.namespace
-
-    @property
-    def broker_url(self) -> str:
-        return self.options.broker_url
-
-    @property
-    def database_url(self) -> str:
-        return self.options.database_url
-
-    @property
-    def validate(self) -> bool:
-        return self.options.validate
 
     # -- entry points ---------------------------------------------------------
 
@@ -436,59 +410,43 @@ class GenerationPipeline:
         return {"enterprise": topology.enterprise, "site": topology.site,
                 "area": topology.area, "production_line": line}
 
-    def _legacy_machine_key(self, machine: MachineInfo,
-                            hierarchy: dict[str, str]) -> str:
-        # the pre-node-key payload: the machine's full spec minus the
-        # node paths (which exist only for the incremental engine), so
-        # entries written by earlier releases keep matching
-        payload = asdict(machine)
-        payload.pop("node_path", None)
-        if payload.get("driver"):
-            payload["driver"].pop("node_path", None)
-        return fingerprint({"machine": payload, "hierarchy": hierarchy},
+    def _machine_key(self, machine: MachineInfo, topology: FactoryTopology,
+                     node_keys: dict[str, tuple[str, str]] | None) -> str:
+        """The one cache key of a machine's intermediate JSON.
+
+        With a dependency graph: the machine node's ``(node_fp,
+        deps_fp)`` pair plus the hierarchy context that flows into the
+        JSON — stable under edits elsewhere in the model. Without one:
+        the machine's whole spec, minus the node paths (they locate the
+        node in the model and do not shape the JSON).
+        """
+        hierarchy = self._hierarchy_of(machine, topology)
+        if node_keys and machine.name in node_keys:
+            node_fp, deps_fp = node_keys[machine.name]
+            return fingerprint(
+                {"node": node_fp, "deps": deps_fp,
+                 "workcell": machine.workcell, "hierarchy": hierarchy},
+                salt=STEP1_NODE_SALT)
+        spec = asdict(machine)
+        spec.pop("node_path", None)
+        if spec.get("driver"):
+            spec["driver"].pop("node_path", None)
+        return fingerprint({"machine": spec, "hierarchy": hierarchy},
                            salt=STEP1_SALT)
 
     def _machine_config_cached(
             self, machine: MachineInfo, topology: FactoryTopology,
             node_keys: dict[str, tuple[str, str]] | None = None
     ) -> tuple[dict, bool]:
-        """The machine's intermediate JSON plus whether it was replayed.
-
-        Preferred key: the machine node's ``(node_fp, deps_fp)`` pair
-        plus the hierarchy context that flows into the JSON — stable
-        under edits elsewhere in the model. The legacy whole-spec key
-        is still consulted (and written) one release cycle; a hit there
-        migrates the entry to the node key.
-        """
+        """The machine's intermediate JSON plus whether it was replayed."""
         if self.cache is None:
             return machine_config(machine, topology), False
-        hierarchy = self._hierarchy_of(machine, topology)
-        node_key = None
-        if node_keys and machine.name in node_keys:
-            node_fp, deps_fp = node_keys[machine.name]
-            node_key = fingerprint(
-                {"node": node_fp, "deps": deps_fp,
-                 "workcell": machine.workcell, "hierarchy": hierarchy},
-                salt=STEP1_NODE_SALT)
-            cached = self.cache.get_json(node_key)
-            if isinstance(cached, dict):
-                return cached, True
-        legacy_key = self._legacy_machine_key(machine, hierarchy)
-        cached = self.cache.get_json(legacy_key)
+        key = self._machine_key(machine, topology, node_keys)
+        cached = self.cache.get_json(key)
         if isinstance(cached, dict):
-            if node_key is not None:
-                warnings.warn(
-                    "machine-config cache hit under the legacy "
-                    "whole-spec key; migrating the entry to the "
-                    "node-fingerprint key (legacy keys stop being "
-                    "consulted next release)",
-                    DeprecationWarning, stacklevel=2)
-                self.cache.put_json(node_key, cached)
             return cached, True
         config = machine_config(machine, topology)
-        if node_key is not None:
-            self.cache.put_json(node_key, config)
-        self.cache.put_json(legacy_key, config)
+        self.cache.put_json(key, config)
         return config, False
 
     # -- step 2: Kubernetes YAML -----------------------------------------------------
@@ -557,14 +515,7 @@ class GenerationPipeline:
 
 
 def generate_configuration(model: Model,
-                           options: PipelineOptions | None = None,
-                           **legacy) -> GenerationResult:
-    """Run the full two-step pipeline on a resolved SysML model.
-
-    Canonical form: ``generate_configuration(model, options=...)``.
-    Legacy keyword arguments (``capacity=``, ``namespace=``, ...) are
-    still accepted but emit a :class:`DeprecationWarning`.
-    """
-    resolved = options_from_legacy_kwargs(options, legacy,
-                                          api="generate_configuration")
-    return GenerationPipeline(resolved).run_on_model(model)
+                           options: PipelineOptions | None = None
+                           ) -> GenerationResult:
+    """Run the full two-step pipeline on a resolved SysML model."""
+    return GenerationPipeline(options).run_on_model(model)

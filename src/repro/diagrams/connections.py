@@ -46,15 +46,34 @@ def _count_ports(node, *, conjugated: bool) -> int:
                if n.kind == "port" and n.conjugated == conjugated)
 
 
+def _is_machine(usage: PartUsage) -> bool:
+    typ = usage.effective_type()
+    return typ is not None and any(
+        t.name == "Machine" for t in [typ, *typ.all_supertypes()])
+
+
+def _group(path: str) -> str:
+    """The port group a port lives in: the first segment below the root.
+
+    Machine ports sit under ``<name>Data`` / ``<name>Services`` and
+    driver ports under ``driverVariables`` / ``driverMethods``; the root
+    (the machine's own name) is skipped so a machine named ``services``
+    does not classify every port as a service port.
+    """
+    return path.split(".")[1]
+
+
 def measure_connections(model: Model, machine_name: str,
                         driver_instance_name: str) -> ConnectionFigure:
     """Measure the Figure-2 structure for one machine."""
-    # skip `ref part` placeholders (e.g. ISA95::Machine::driver): a
-    # machine named like one of those must resolve to its concrete part
+    # skip `ref part` placeholders (e.g. ISA95::Machine::driver) and
+    # parts that are not machines (e.g. a driver's `data` variable
+    # group): a machine named like one of those must resolve to its
+    # concrete workcell part
     machine_usage = next(
         (e for e in model.all_elements()
          if isinstance(e, PartUsage) and e.name == machine_name
-         and not e.is_reference), None)
+         and not e.is_reference and _is_machine(e)), None)
     driver_usage = next(
         (e for e in model.owned_elements
          if isinstance(e, PartUsage) and e.name == driver_instance_name),
@@ -69,8 +88,7 @@ def measure_connections(model: Model, machine_name: str,
     data_connectors = service_connectors = bindings = 0
     for node in machine_tree.walk():
         if node.kind == "port":
-            owner_chain = node.path
-            if "Services" in owner_chain or "services" in owner_chain:
+            if _group(node.path).endswith("Services"):
                 machine_service_ports += 1
             else:
                 machine_data_ports += 1
@@ -85,7 +103,7 @@ def measure_connections(model: Model, machine_name: str,
     driver_variable_ports = driver_method_ports = 0
     for node in driver_tree.walk():
         if node.kind == "port":
-            if "Methods" in node.path or "methods" in node.path.lower():
+            if _group(node.path).endswith("Methods"):
                 driver_method_ports += 1
             else:
                 driver_variable_ports += 1

@@ -20,12 +20,7 @@ Anything that can answer "what is your content hash?" implements the
 :class:`Fingerprintable` protocol; :func:`fingerprint_of` dispatches on
 it, so composite keys can mix plain values and fingerprintable objects.
 
-This module used to be spread over ``repro.cache.fingerprint`` plus
-ad-hoc salt constants in ``resolver.py``, ``codegen/pipeline.py`` and
-``service/server.py``. The ``repro.cache`` re-exports are gone (their
-one-release deprecation window has elapsed); the renamed salt constants
-on ``resolver.py`` remain importable for one more release behind a
-:class:`DeprecationWarning`.
+Every salt lives here and nowhere else.
 """
 
 from __future__ import annotations
@@ -59,12 +54,14 @@ DEPS_SALT = "sysml-deps/1"
 #: model node path for incremental re-elaboration.)
 TOPOLOGY_SALT = "isa95-topology/2"
 
-#: Per-machine intermediate JSON keyed on the *whole machine record*
-#: (legacy; superseded by :data:`STEP1_NODE_SALT`).
+#: Per-machine intermediate JSON keyed on the *whole machine record* —
+#: the key when the model carries no dependency graph (a plain
+#: ``load_model``, or ``PipelineOptions(incremental=False)``).
 STEP1_SALT = "machine-config/1"
 
 #: Per-machine intermediate JSON keyed on ``(node_fingerprint,
-#: deps_fingerprint)`` of the machine's model subtree.
+#: deps_fingerprint)`` of the machine's model subtree — the key
+#: whenever the model carries a dependency graph.
 STEP1_NODE_SALT = "machine-config-node/1"
 
 #: Rendered Kubernetes manifests.

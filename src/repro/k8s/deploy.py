@@ -14,9 +14,10 @@ from ..resilience import RetryPolicy, retry_call
 from ..som.components import (FactoryWorld, HistorianComponent,
                               UaBrokerBridgeComponent,
                               WorkcellServerComponent)
+from ..templates.engine import k8s_name
 from ..yamlgen import parse_documents
 from .cluster import Cluster, ClusterError
-from .resources import Pod
+from .resources import Deployment, Pod
 
 _DOCUMENTS_APPLIED = METRICS.counter("k8s.documents_applied")
 _DEPLOYS = METRICS.counter("k8s.deployments_run")
@@ -66,6 +67,12 @@ def _apply_order(document: dict) -> tuple[int, int, str]:
     return (kind_rank, component_rank, name)
 
 
+def _deployment_order(deployment: Deployment) -> tuple[int, str]:
+    """Re-creation order: servers before the clients that dial them."""
+    component = deployment.pod_labels.get("component", "")
+    return (_COMPONENT_ORDER.get(component, 3), deployment.metadata.name)
+
+
 def heal(cluster: Cluster) -> dict[str, int]:
     """Self-heal after a failure: reschedule missing pods in dependency
     order, cascading restarts to downstream components.
@@ -75,11 +82,6 @@ def heal(cluster: Cluster) -> dict[str, int]:
     they are restarted too — the behaviour a liveness probe gives a real
     deployment.
     """
-    def deployment_order(deployment):
-        component = deployment.pod_labels.get("component", "")
-        return (_COMPONENT_ORDER.get(component, 3),
-                deployment.metadata.name)
-
     missing_servers = any(
         len(cluster.pods_for(d.metadata.name, d.metadata.namespace))
         < d.replicas
@@ -91,37 +93,41 @@ def heal(cluster: Cluster) -> dict[str, int]:
             component="opcua-client")
         restarted_downstream += cluster.restart_pods(component="historian")
     before = len(cluster.running_pods())
-    cluster.reconcile_all(order=deployment_order)
+    cluster.reconcile_all(order=_deployment_order)
     after = len(cluster.running_pods())
     return {"rescheduled": after - before + restarted_downstream,
             "restarted_downstream": restarted_downstream,
             "running": after}
 
 
-def apply_incremental(cluster: Cluster, incremental) -> dict[str, object]:
-    """Apply only an incremental result's regenerated manifests.
+def apply_incremental(cluster: Cluster, result) -> dict[str, object]:
+    """Roll a :class:`~repro.codegen.GenerationResult` onto *cluster*.
 
-    Changed ConfigMaps roll their deployments automatically; if any
-    OPC UA *server* rolled, downstream bridges/historians are restarted
-    (they hold sessions into the old server instance).
+    Applies the manifests whose provenance is ``"regenerated"``, plus
+    any whose deployment the cluster does not run yet (a cold result
+    replayed from the artifact cache reports its manifests reused).
+    Changed ConfigMaps roll their deployments automatically; if an
+    OPC UA *server* that was already running rolled, downstream
+    bridges/historians are restarted (they hold sessions into the old
+    server instance). A first deploy therefore restarts nothing.
     """
-    regenerated = {name: incremental.result.manifests[name]
-                   for name in incremental.regenerated_manifests}
-    applied = deploy_manifests(cluster, regenerated)
-    server_rolled = any("opcua-server" in name for name in regenerated)
+    running = {deployment.metadata.name
+               for deployment in cluster.deployments.values()}
+    to_apply = {
+        name: text for name, text in result.manifests.items()
+        if result.provenance.get(f"manifest:{name}") == "regenerated"
+        or k8s_name(name.removesuffix(".yaml")) not in running}
+    applied = deploy_manifests(cluster, to_apply) if to_apply else []
     restarted = 0
-    if server_rolled:
+    if any(isinstance(resource, Deployment)
+           and resource.pod_labels.get("component") == "opcua-server"
+           and resource.metadata.name in running
+           for resource in applied):
         restarted += cluster.restart_pods(component="opcua-client")
         restarted += cluster.restart_pods(component="historian")
-
-    def deployment_order(deployment):
-        component = deployment.pod_labels.get("component", "")
-        return (_COMPONENT_ORDER.get(component, 3),
-                deployment.metadata.name)
-
-    cluster.reconcile_all(order=deployment_order)
+    cluster.reconcile_all(order=_deployment_order)
     return {"applied": len(applied),
-            "manifests": sorted(regenerated),
+            "manifests": sorted(to_apply),
             "restarted_downstream": restarted,
             "running": len(cluster.running_pods())}
 

@@ -45,7 +45,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from ..codegen.options import PipelineOptions
@@ -58,8 +58,8 @@ from .admission import AdmissionError
 from .client import RetriableServiceError, ServiceClient
 from .lifecycle import DrainReport, ServiceLifecycle
 from .ring import DEFAULT_VNODES, HashRing, RingEmpty
-from .server import (BadRequest, REQUEST_OPTION_KEYS, _STATUS_BY_CODE,
-                     parse_generate_body)
+from .server import (BadRequest, JSONRequestHandler, REQUEST_OPTION_KEYS,
+                     _STATUS_BY_CODE, parse_generate_body)
 from .worker import WorkerEndpoint
 
 _REQUESTS = METRICS.counter("router.requests")
@@ -473,15 +473,12 @@ class RouterService:
 # -- HTTP front end ------------------------------------------------------
 
 
-class RouterRequestHandler(BaseHTTPRequestHandler):
+class RouterRequestHandler(JSONRequestHandler):
     """The router's HTTP face — same wire contract as a worker, plus
     ``X-Repro-Worker`` on responses and ``GET /workers``."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-router/1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib name
-        pass
+    error_counter = _ERRORS
 
     @property
     def router(self) -> RouterService:
@@ -509,11 +506,10 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         if path != "/v1/generate":
             self._send_error(404, "not-found", f"no route for {path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
         content_type = self.headers.get("Content-Type") \
             or "text/plain"
         try:
+            body = self._read_body()
             sources, overrides = parse_generate_body(body, content_type)
         except BadRequest as exc:
             self._send_error(400, "bad-request", str(exc))
@@ -550,42 +546,6 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                 content_type=headers.get("content-type",
                                          "application/json"),
                 extra_headers=passthrough)
-
-    # -- responses -------------------------------------------------------
-
-    def _send_bytes(self, status: int, payload: bytes, *,
-                    content_type: str = "application/json",
-                    extra_headers: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_json(self, status: int, document: object, *,
-                   extra_headers: dict[str, str] | None = None) -> None:
-        self._send_bytes(
-            status, json.dumps(document, indent=2,
-                               default=str).encode("utf-8"),
-            extra_headers=extra_headers)
-
-    def _send_error(self, status: int, code: str, message: str, *,
-                    retriable: bool | None = None,
-                    retry_after: float | None = None) -> None:
-        _ERRORS.inc()
-        headers = {}
-        if retry_after is not None:
-            headers["Retry-After"] = str(retry_after)
-        self._send_json(status, {
-            "error": {
-                "code": code,
-                "message": message,
-                "retriable": bool(retriable) if retriable is not None
-                else status in (429, 503),
-            },
-        }, extra_headers=headers)
 
 
 class RouterHTTPServer(ThreadingHTTPServer):

@@ -427,14 +427,66 @@ _STATUS_BY_CODE = {
 }
 
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes the four endpoints onto the service object."""
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """The HTTP plumbing the worker and router front ends share: one
+    request-body reader and the JSON response / typed-error writers."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-service/1"
+    #: Counter bumped by every error response.
+    error_counter = _ERRORS
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # request logging is the metrics registry's job
+
+    def _read_body(self) -> bytes:
+        """The request body; :class:`BadRequest` for a ``Content-Length``
+        that is not a string of ASCII digits. The unread body would
+        desynchronize the connection, so that error also closes it."""
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise BadRequest(f"invalid Content-Length: {header!r}")
+        return self.rfile.read(int(header))
+
+    def _send_bytes(self, status: int, payload: bytes, *,
+                    content_type: str = "application/json",
+                    extra_headers: dict[str, str] | None = None) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra_headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _send_json(self, status: int, document: object, *,
+                   extra_headers: dict[str, str] | None = None) -> None:
+        self._send_bytes(
+            status, json.dumps(document, indent=2,
+                               default=str).encode("utf-8"),
+            extra_headers=extra_headers)
+
+    def _send_error(self, status: int, code: str, message: str, *,
+                    retriable: bool | None = None,
+                    retry_after: float | None = None) -> None:
+        self.error_counter.inc()
+        headers = {}
+        if retry_after is not None:
+            headers["Retry-After"] = str(retry_after)
+        self._send_json(status, {
+            "error": {
+                "code": code,
+                "message": message,
+                "retriable": bool(retriable) if retriable is not None
+                else status in (429, 503),
+            },
+        }, extra_headers=headers)
+
+
+class ServiceRequestHandler(JSONRequestHandler):
+    """Routes the four endpoints onto the service object."""
+
+    server_version = "repro-service/1"
 
     @property
     def service(self) -> ConfigurationService:
@@ -463,7 +515,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_error(404, "not-found", f"no route for {path}")
             return
         try:
-            sources, overrides = self._parse_request_body()
+            sources, overrides = parse_generate_body(
+                self._read_body(), self.headers.get("Content-Type"))
         except BadRequest as exc:
             self._send_error(400, "bad-request", str(exc))
             return
@@ -497,47 +550,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 headers["X-Repro-Reused"] = str(info["reused"])
                 headers["X-Repro-Regenerated"] = str(info["regenerated"])
             self._send_bytes(200, payload, extra_headers=headers)
-
-    def _parse_request_body(self) -> tuple[list[str], dict | None]:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
-        return parse_generate_body(body, self.headers.get("Content-Type"))
-
-    # -- responses -------------------------------------------------------
-
-    def _send_bytes(self, status: int, payload: bytes, *,
-                    content_type: str = "application/json",
-                    extra_headers: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_json(self, status: int, document: object, *,
-                   extra_headers: dict[str, str] | None = None) -> None:
-        self._send_bytes(
-            status, json.dumps(document, indent=2,
-                               default=str).encode("utf-8"),
-            extra_headers=extra_headers)
-
-    def _send_error(self, status: int, code: str, message: str, *,
-                    retriable: bool | None = None,
-                    retry_after: float | None = None) -> None:
-        _ERRORS.inc()
-        headers = {}
-        if retry_after is not None:
-            headers["Retry-After"] = str(retry_after)
-        self._send_json(status, {
-            "error": {
-                "code": code,
-                "message": message,
-                "retriable": bool(retriable) if retriable is not None
-                else status in (429, 503),
-            },
-        }, extra_headers=headers)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

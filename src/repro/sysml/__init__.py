@@ -21,7 +21,6 @@ from .builder import build_model
 from .depgraph import (DepGraph, DepRecorder, NodeIndex, NodeKey, ROOT_KEY,
                        anchor_key, deep_fingerprint, node_key, node_path,
                        scope_fingerprint)
-from .diff import Change, ModelDiff, diff_models
 from .files import (convert_model_file, load_model_file, load_model_files,
                     save_model_file)
 from .elements import (Alias, Assignment, AttributeDefinition,
@@ -63,11 +62,11 @@ __all__ = [
     "Model", "Namespace", "Package", "ParseError", "PartDefinition",
     "PartUsage", "PerformAction", "PortDefinition", "PortUsage",
     "RedefinitionUsage", "ResolutionError", "SourceLocation", "SysMLError",
-    "Change", "DepGraph", "DepRecorder", "ModelDiff", "ModelSession",
+    "DepGraph", "DepRecorder", "ModelSession",
     "ModelUpdate", "NodeIndex", "NodeKey", "ROOT_KEY", "anchor_key",
     "clear_resolved_state", "content_fingerprint_of_sources",
     "convert_model_file", "deep_fingerprint",
-    "diff_models", "load_model_file", "load_model_files", "node_key",
+    "load_model_file", "load_model_files", "node_key",
     "node_path", "save_model_file", "scope_fingerprint",
     "Type", "Usage", "ValidationError", "build_model",
     "count_definition_closure", "definitions_in", "elaborate",

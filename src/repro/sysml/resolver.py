@@ -565,27 +565,6 @@ def resolve_model(model: Model) -> Model:
     return Resolver(model).resolve()
 
 
-_DEPRECATED_SALTS = {
-    # moved to repro.fingerprint under new names
-    "PARSE_CACHE_SALT": "PARSE_TREE_SALT",
-    "MODEL_FINGERPRINT_SALT": "MODEL_SALT",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SALTS:
-        import warnings
-
-        from .. import fingerprint as _fp_module
-        replacement = _DEPRECATED_SALTS[name]
-        warnings.warn(
-            f"repro.sysml.resolver.{name} is deprecated; use "
-            f"repro.fingerprint.{replacement} instead",
-            DeprecationWarning, stacklevel=2)
-        return getattr(_fp_module, replacement)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _parse_source(payload: tuple[str, str]):
     """Parse one (text, filename) payload — module-level so process
     pools can ship it to workers."""

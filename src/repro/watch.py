@@ -3,12 +3,11 @@
 ``repro-factory watch`` keeps an :class:`~repro.codegen.IncrementalEngine`
 warm over a set of on-disk ``.sysml`` sources. Each poll it compares the
 files' ``(mtime, size)`` signatures; when one changes it re-runs only the
-dirty model subtrees, diffs the generated artifacts against the previous
-generation, writes only the files whose bytes actually changed, and —
-with a cluster attached — issues a rolling apply of just the regenerated
-manifests (the :func:`repro.k8s.deploy.apply_incremental` semantics:
-changed ConfigMaps roll their deployments; a rolled OPC UA server
-restarts its downstream bridges and historians).
+dirty model subtrees, writes only the files whose bytes actually
+changed, and — with a cluster attached — rolls the result out through
+:func:`repro.k8s.deploy.apply_incremental` (changed ConfigMaps roll
+their deployments; a rolled OPC UA server restarts its downstream
+bridges and historians).
 
 The session is built for testing: clock and sleep are injectable and
 :meth:`WatchSession.poll` performs exactly one check-and-rebuild step,
@@ -31,9 +30,6 @@ from .yamlgen import parse_documents
 _POLLS = METRICS.counter("watch.polls")
 _REBUILDS = METRICS.counter("watch.rebuilds")
 _FILES_WRITTEN = METRICS.counter("watch.files_written")
-
-#: Restart order mirrored from :mod:`repro.k8s.deploy`.
-_COMPONENT_ORDER = {"opcua-server": 0, "opcua-client": 1, "historian": 2}
 
 
 @dataclass
@@ -152,7 +148,8 @@ class WatchSession:
         if self.out_dir is not None:
             event.written = self._write_changed(result)
         if self.cluster is not None:
-            event.deployed = self._apply_rolling(result, regenerated)
+            from .k8s.deploy import apply_incremental
+            event.deployed = apply_incremental(self.cluster, result)
         self.iterations += 1
         event.seconds = self._clock() - started
         return event
@@ -206,37 +203,6 @@ class WatchSession:
             written.append(path)
         _FILES_WRITTEN.inc(len(written))
         return written
-
-    # -- rolling deploy --------------------------------------------------
-
-    def _apply_rolling(self, result, regenerated) -> dict[str, object]:
-        """Apply changed manifests; restart downstream of rolled servers."""
-        from .k8s.deploy import deploy_manifests
-
-        if self.iterations == 0:
-            to_apply = dict(result.manifests)
-        else:
-            names = {artifact.split(":", 1)[1] for artifact in regenerated
-                     if artifact.startswith("manifest:")}
-            to_apply = {name: result.manifests[name] for name in names}
-        applied = deploy_manifests(self.cluster, to_apply) if to_apply \
-            else []
-        restarted = 0
-        if self.iterations and any("opcua-server" in name
-                                   for name in to_apply):
-            restarted += self.cluster.restart_pods(component="opcua-client")
-            restarted += self.cluster.restart_pods(component="historian")
-
-        def deployment_order(deployment):
-            component = deployment.pod_labels.get("component", "")
-            return (_COMPONENT_ORDER.get(component, 3),
-                    deployment.metadata.name)
-
-        self.cluster.reconcile_all(order=deployment_order)
-        return {"applied": len(applied),
-                "manifests": sorted(to_apply),
-                "restarted_downstream": restarted,
-                "running": len(self.cluster.running_pods())}
 
     # -- the loop --------------------------------------------------------
 

@@ -7,10 +7,14 @@ every produced byte stays identical to the plain serial run.
 
 import pytest
 
-from repro.codegen import GenerationPipeline, PipelineOptions
+from repro.cache import ArtifactCache
+from repro.codegen import (GenerationPipeline, IncrementalEngine,
+                           PipelineOptions)
 from repro.codegen.pipeline import GenerationResult
 from repro.icelab import icelab_model, icelab_topology
+from repro.icelab.model_gen import icelab_sources
 from repro.obs import METRICS
+from repro.sysml import load_model
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,61 @@ class TestCacheReplay:
         first = GenerationPipeline(options).run_on_topology(topology)
         second = GenerationPipeline(options).run_on_topology(topology)
         _same_bytes(first, second)
+
+
+@pytest.fixture()
+def machine_config_puts(monkeypatch):
+    """Keys of every machine-config cache write (step 1 is the only
+    ``put_json`` caller)."""
+    keys = []
+    real = ArtifactCache.put_json
+
+    def spy(self, key, value):
+        keys.append(key)
+        real(self, key, value)
+
+    monkeypatch.setattr(ArtifactCache, "put_json", spy)
+    return keys
+
+
+def _all_machines_reused(result):
+    return all(result.provenance[f"machine:{name}"] == "reused"
+               for name in result.machine_configs)
+
+
+class TestMachineConfigKey:
+    """A machine config is cached under exactly one key: its node key
+    when the model carries a dependency graph, else its spec key."""
+
+    def test_session_run_writes_one_entry_per_machine(
+            self, tmp_path, machine_config_puts):
+        options = PipelineOptions(namespace="icelab",
+                                  cache_dir=str(tmp_path / "cache"))
+        cold = IncrementalEngine(options).generate(*icelab_sources())
+        assert len(cold.machine_configs) == 10
+        assert len(machine_config_puts) == len(set(machine_config_puts)) \
+            == len(cold.machine_configs)
+        # the namespace shapes manifests, not machine JSON: a fresh
+        # engine in another namespace misses the whole-result layer
+        # and replays every machine config
+        machine_config_puts.clear()
+        warm = IncrementalEngine(options.replace(namespace="other")) \
+            .generate(*icelab_sources())
+        assert machine_config_puts == []
+        assert _all_machines_reused(warm)
+
+    def test_spec_key_without_dep_graph(self, tmp_path,
+                                        machine_config_puts):
+        options = PipelineOptions(namespace="icelab", incremental=False,
+                                  cache_dir=str(tmp_path / "cache"))
+        model = load_model(*icelab_sources())
+        cold = GenerationPipeline(options).run_on_model(model)
+        assert len(machine_config_puts) == len(cold.machine_configs)
+        machine_config_puts.clear()
+        warm = GenerationPipeline(options.replace(namespace="other")) \
+            .run_on_model(model)
+        assert machine_config_puts == []
+        assert _all_machines_reused(warm)
 
 
 class TestWriteToSanitization:

@@ -230,7 +230,6 @@ class TestEngineOptions:
         engine.generate(*icelab_sources())
         assert counters()["full_runs"] == before["full_runs"] + 1
 
-    def test_legacy_kwargs_still_accepted(self):
-        with pytest.deprecated_call():
-            engine = IncrementalEngine(namespace="icelab")
-        assert engine.options.namespace == "icelab"
+    def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            IncrementalEngine(namespace="icelab")

@@ -161,3 +161,34 @@ def rejected_revision(sources):
     c_sources = list(b_sources)
     c_sources[reference] = sources[reference]
     return b_sources, c_sources
+
+
+#: ``Content-Length`` values neither front end may take as a body size.
+MALFORMED_CONTENT_LENGTHS = ("abc", "-5", "1e3", "1_0")
+
+
+def post_with_content_length(port, value, body=b"part def X;"):
+    """``POST /v1/generate`` over a raw socket with a verbatim
+    ``Content-Length: value`` header; returns ``(status, document)``.
+
+    A client library would refuse to send a malformed length, so the
+    request is written by hand.
+    """
+    import json
+    import socket
+
+    request = (b"POST /v1/generate HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+               b"Content-Type: text/plain\r\n"
+               b"Content-Length: " + value.encode("ascii") + b"\r\n\r\n"
+               + body)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        response = sock.makefile("rb")
+        status_line = response.readline()
+        assert status_line, "connection closed without a response"
+        headers = {}
+        while (line := response.readline()) not in (b"\r\n", b""):
+            name, _, field_value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = field_value.strip()
+        payload = response.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), json.loads(payload)

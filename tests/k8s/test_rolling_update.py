@@ -11,14 +11,12 @@ import json
 
 import pytest
 
-from repro.codegen import (GenerationPipeline, PipelineOptions,
-                           regenerate)
+from repro.codegen import IncrementalEngine, PipelineOptions
 from repro.icelab import run_icelab
 from repro.icelab.model_gen import icelab_sources
 from repro.isa95.levels import VariableSpec
 from repro.k8s import Cluster, apply_incremental
 from repro.machines.specs import ICE_LAB_SPECS
-from repro.sysml import load_model
 
 from test_resources import deployment_manifest
 
@@ -90,14 +88,13 @@ class TestLiveModelChange:
         warehouse_spec = next(s for s in specs if s.name == "warehouse")
         warehouse_spec.categories["Storage"].append(
             VariableSpec("humidity", "Real", unit="%"))
-        new_model = load_model(*icelab_sources(specs))
-        with pytest.deprecated_call():
-            incremental = regenerate(deployed.generation, deployed.model,
-                                     new_model,
-                                     GenerationPipeline(
-                                         PipelineOptions(
-                                             namespace="icelab")))
-        assert incremental.changed_machines == ["warehouse"]
+        engine = IncrementalEngine(PipelineOptions(namespace="icelab"))
+        engine.generate(*icelab_sources())
+        result = engine.generate(*icelab_sources(specs))
+        assert sorted(artifact for artifact, state
+                      in result.provenance.items()
+                      if artifact.startswith("machine:")
+                      and state == "regenerated") == ["machine:warehouse"]
 
         # 2. the plant itself gains the sensor (new machine firmware)
         from repro.machines import MachineSimulator
@@ -105,7 +102,11 @@ class TestLiveModelChange:
             warehouse_spec, seed=77)
 
         # 3. apply only the regenerated manifests
-        outcome = apply_incremental(deployed.cluster, incremental)
+        outcome = apply_incremental(deployed.cluster, result)
+        assert outcome["manifests"] == sorted(
+            artifact.split(":", 1)[1]
+            for artifact, state in result.provenance.items()
+            if artifact.startswith("manifest:") and state == "regenerated")
         assert outcome["running"] == 14
         assert outcome["restarted_downstream"] >= 8  # server rolled
 

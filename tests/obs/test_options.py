@@ -1,7 +1,8 @@
 """PipelineOptions: the one configuration object for the pipeline.
 
-Covers the frozen dataclass semantics, dict round-trips, and the
-legacy-kwargs deprecation shim (old call sites keep working, warn).
+Covers the frozen dataclass semantics, dict round-trips, and that the
+pre-``PipelineOptions`` keyword arguments are gone (they raise a plain
+``TypeError``).
 """
 
 import dataclasses
@@ -70,8 +71,7 @@ class TestPipelineIntegration:
         options = PipelineOptions(capacity=600, namespace="icelab")
         pipeline = GenerationPipeline(options)
         assert pipeline.options is options
-        assert pipeline.capacity == 600
-        assert pipeline.namespace == "icelab"
+        assert not hasattr(pipeline, "capacity")
 
     def test_default_pipeline(self):
         pipeline = GenerationPipeline()
@@ -84,22 +84,18 @@ class TestPipelineIntegration:
 
 
 class TestLegacyShim:
-    def test_generate_configuration_kwargs_warn_but_work(self, model):
-        with pytest.warns(DeprecationWarning, match="PipelineOptions"):
-            result = generate_configuration(model, capacity=600)
-        assert result.opcua_client_count == 1
+    """The keyword shim is gone: only ``options=`` configures a run."""
 
-    def test_pipeline_kwargs_warn_but_work(self, model):
-        with pytest.warns(DeprecationWarning, match="PipelineOptions"):
-            pipeline = GenerationPipeline(namespace="legacy",
-                                          capacity=240)
-        assert pipeline.options.namespace == "legacy"
-        assert pipeline.options.capacity == 240
-        result = pipeline.run_on_model(model)
-        assert result.opcua_server_count == 6
+    def test_generate_configuration_kwargs_raise_type_error(self, model):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            generate_configuration(model, capacity=600)
+
+    def test_pipeline_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            GenerationPipeline(namespace="legacy", capacity=240)
 
     def test_mixing_options_and_kwargs_is_an_error(self, model):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             generate_configuration(
                 model, options=PipelineOptions(), capacity=600)
 

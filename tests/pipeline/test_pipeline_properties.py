@@ -117,6 +117,22 @@ def test_port_identity_for_reserved_machine_names():
     whose name collides with those placeholders must still resolve to
     its concrete workcell part (Hypothesis-discovered regression).
     """
+    _assert_port_identity(["driver", "machines"])
+
+
+def test_port_identity_for_machine_names_shadowing_port_groups():
+    """Machines named like port groups or driver members still measure.
+
+    A driver instance owns a ``data`` variable group, and ports are
+    grouped under ``...Services`` / ``driverMethods``; machines named
+    ``data``, ``services`` or ``methods`` must neither resolve to the
+    driver's part nor have every port counted as a service/method port
+    (Hypothesis-discovered regression).
+    """
+    _assert_port_identity(["data", "services", "methods"])
+
+
+def _assert_port_identity(machine_names):
     from repro.diagrams import measure_connections
     specs = [MachineSpec(
         name=name,
@@ -128,7 +144,7 @@ def test_port_identity_for_reserved_machine_names():
                                       f"opc.tcp://10.9.{i}.1:4840"}),
         categories={"Data": [VariableSpec("v0", "Real")]},
         services=[simple_service("svc0")],
-    ) for i, name in enumerate(["driver", "machines"])]
+    ) for i, name in enumerate(machine_names)]
     model = load_icelab_model(specs)
     for spec in specs:
         figure = measure_connections(

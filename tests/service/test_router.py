@@ -11,7 +11,8 @@ import threading
 
 import pytest
 
-from fixtures import EMCO_WORKCELL_SOURCE
+from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
+                      post_with_content_length)
 
 from repro.codegen import PipelineOptions
 from repro.faults import FaultPlan, FaultSpec
@@ -260,6 +261,15 @@ class TestHTTPFrontEnd:
         assert headers.get("x-repro-worker") in router.worker_names
         direct, _ = workers[0].service.generate(SOURCES)
         assert body == direct
+
+    @pytest.mark.parametrize("length", MALFORMED_CONTENT_LENGTHS)
+    def test_malformed_content_length_is_a_typed_400(self, front, length):
+        server, _, _ = front
+        status, document = post_with_content_length(server.port, length)
+        assert status == 400
+        assert document["error"]["code"] == "bad-request"
+        with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
 
     def test_workers_endpoint_reports_health(self, front):
         server, router, workers = front

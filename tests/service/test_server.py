@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from fixtures import EMCO_WORKCELL_SOURCE, rejected_revision
+from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
+                      post_with_content_length, rejected_revision)
 
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
@@ -151,6 +152,18 @@ class TestGenerateEndpoint:
         with ServiceClient(port=server.port) as client:
             status, _, _ = client.request("GET", "/v2/nope")
         assert status == 404
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("length", MALFORMED_CONTENT_LENGTHS)
+    def test_typed_400_then_the_server_keeps_serving(self, serve, length):
+        server, _ = serve()
+        status, document = post_with_content_length(server.port, length)
+        assert status == 400
+        assert document["error"]["code"] == "bad-request"
+        assert length in document["error"]["message"]
+        with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
 
 
 class TestSingleFlightOverHTTP:

@@ -1,8 +1,12 @@
-"""Model-diff tests."""
+"""Change detection between two model revisions.
 
-import pytest
+:meth:`ModelSession.update` is the model diff: its
+:class:`ModelUpdate` names the anchors (top-level definitions and
+usages, packages, machine subtrees) whose content changed, which is
+what every downstream consumer invalidates on.
+"""
 
-from repro.sysml import diff_models, load_model
+from repro.sysml import ModelSession
 
 BASE = """
 package Lib {
@@ -17,78 +21,78 @@ part m : Lib::Machine {
 """
 
 
-def load(text=BASE):
-    return load_model(text)
+def update(old, new):
+    return ModelSession(old).update(new)
+
+
+def paths(keys):
+    return sorted(key.path for key in keys)
 
 
 class TestNoChanges:
     def test_identical_models_empty_diff(self):
-        diff = diff_models(load(), load())
-        assert diff.is_empty
-        assert len(diff) == 0
-        assert diff.render() == "(no changes)"
+        change = update(BASE, BASE)
+        assert change.clean
+        assert not change.changed_anchors
+        assert not change.full_rebuild
 
     def test_stdlib_excluded_by_default(self):
-        diff = diff_models(load(), load())
-        assert not diff.touching("ScalarValues")
+        change = update(BASE, BASE.replace("10.0", "99.5"))
+        assert not any(key.is_under("ScalarValues")
+                       for key in change.dirty_anchors)
 
 
 class TestAdditions:
     def test_added_attribute(self):
-        new = load(BASE.replace(
+        change = update(BASE, BASE.replace(
             "attribute mode : String;",
             "attribute mode : String;\n        attribute temp : Real;"))
-        diff = diff_models(load(), new)
-        assert [c.path for c in diff.added] == ["Lib::Machine::temp"]
-        assert diff.removed == [] and diff.modified == []
+        assert paths(change.edited_anchors) == ["Lib::Machine"]
+        assert not change.removed_anchors
+        # the usage typed by the edited definition is re-resolved
+        assert "m" in paths(change.dirty_anchors)
 
     def test_added_machine_part(self):
-        new = load(BASE + "\npart m2 : Lib::Machine;")
-        diff = diff_models(load(), new)
-        assert [c.path for c in diff.added] == ["m2"]
+        change = update(BASE, BASE + "\npart m2 : Lib::Machine;")
+        assert "m2" in paths(change.edited_anchors)
+        assert not change.removed_anchors
 
     def test_touching_filter(self):
-        new = load(BASE + "\npart m2 : Lib::Machine;")
-        diff = diff_models(load(), new)
-        assert diff.touching("m2")
-        assert not diff.touching("Lib")
+        change = update(BASE, BASE + "\npart m2 : Lib::Machine;")
+        assert any(key.is_under("m2") for key in change.changed_anchors)
+        assert not any(key.is_under("Lib")
+                       for key in change.changed_anchors)
 
 
 class TestRemovals:
     def test_removed_attribute(self):
-        new = load(BASE.replace("        attribute mode : String;\n", ""))
-        diff = diff_models(load(), new)
-        assert [c.path for c in diff.removed] == ["Lib::Machine::mode"]
+        change = update(BASE, BASE.replace(
+            "        attribute mode : String;\n", ""))
+        assert paths(change.edited_anchors) == ["Lib::Machine"]
+        assert "m" in paths(change.dirty_anchors)
 
 
 class TestModifications:
     def test_changed_value(self):
-        new = load(BASE.replace("10.0", "99.5"))
-        diff = diff_models(load(), new)
-        assert len(diff.modified) == 1
-        change = diff.modified[0]
-        assert change.path == "m::speed"
-        assert "99.5" in change.detail
+        change = update(BASE, BASE.replace("10.0", "99.5"))
+        assert paths(change.changed_anchors) == ["m"]
 
     def test_changed_type(self):
-        new = load(BASE.replace("attribute speed : Real;",
-                                "attribute speed : Integer;"))
-        diff = diff_models(load(), new)
-        assert any(c.path == "Lib::Machine::speed"
-                   for c in diff.modified)
+        change = update(BASE, BASE.replace("attribute speed : Real;",
+                                           "attribute speed : Integer;"))
+        assert "Lib::Machine" in paths(change.changed_anchors)
 
     def test_changed_direction(self):
         base = """
         port def P { in attribute value : Real; }
         """
-        new_text = base.replace("in attribute", "out attribute")
-        diff = diff_models(load(base), load(new_text))
-        assert any("direction" in c.detail for c in diff.modified)
+        change = update(base, base.replace("in attribute",
+                                           "out attribute"))
+        assert paths(change.changed_anchors) == ["P"]
 
     def test_abstract_toggle(self):
-        diff = diff_models(load("part def D;"),
-                           load("abstract part def D;"))
-        assert any("abstract" in c.detail for c in diff.modified)
+        change = update("part def D;", "abstract part def D;")
+        assert paths(change.changed_anchors) == ["D"]
 
 
 class TestAnonymousConnectors:
@@ -102,39 +106,33 @@ class TestAnonymousConnectors:
     """
 
     def test_added_bind_detected(self):
-        old = load(self.SOURCE % "")
-        new = load(self.SOURCE % "bind p.value = x;")
-        diff = diff_models(old, new)
-        assert any(c.kind == "added" and c.element_type == "Connector"
-                   and "p.value" in str(c.detail) for c in diff.changes)
+        change = update(self.SOURCE % "", self.SOURCE % "bind p.value = x;")
+        assert paths(change.edited_anchors) == ["M"]
 
     def test_removed_bind_detected(self):
-        old = load(self.SOURCE % "bind p.value = x;")
-        new = load(self.SOURCE % "")
-        diff = diff_models(old, new)
-        assert any(c.kind == "removed" for c in diff.changes)
+        change = update(self.SOURCE % "bind p.value = x;", self.SOURCE % "")
+        assert paths(change.edited_anchors) == ["M"]
 
     def test_same_binds_no_diff(self):
-        old = load(self.SOURCE % "bind p.value = x;")
-        new = load(self.SOURCE % "bind p.value = x;")
-        assert diff_models(old, new).is_empty
+        assert update(self.SOURCE % "bind p.value = x;",
+                      self.SOURCE % "bind p.value = x;").clean
 
 
 class TestIceLabDiff:
     def test_icelab_self_diff_empty(self):
-        from repro.icelab import icelab_model
-        assert diff_models(icelab_model(), icelab_model()).is_empty
+        from repro.icelab.model_gen import icelab_sources
+        session = ModelSession(*icelab_sources())
+        assert session.update(*icelab_sources()).clean
 
     def test_icelab_machine_edit_localized(self):
-        from repro.icelab import icelab_model
+        import copy
+
         from repro.icelab.model_gen import icelab_sources
         from repro.machines.specs import ICE_LAB_SPECS
-        import copy
         specs = [copy.deepcopy(s) for s in ICE_LAB_SPECS]
         emco = next(s for s in specs if s.name == "emco")
         emco.driver.parameters["ip"] = "10.197.99.99"
-        old = icelab_model()
-        new = load_model(*icelab_sources(specs))
-        diff = diff_models(old, new)
-        assert 0 < len(diff) <= 3
-        assert all("emco" in c.path for c in diff.changes)
+        session = ModelSession(*icelab_sources())
+        change = session.update(*icelab_sources(specs))
+        assert 0 < len(change.changed_anchors) <= 3
+        assert all("emco" in key.path for key in change.changed_anchors)

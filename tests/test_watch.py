@@ -134,6 +134,42 @@ class TestRollingDeploy:
         # a rolled server restarts its downstream bridges/historians
         assert event.deployed["restarted_downstream"] > 0
 
+    def test_rollouts_go_through_apply_incremental(self, source_file,
+                                                   monkeypatch):
+        import repro.k8s.deploy as deploy
+        real = deploy.apply_incremental
+        calls = []
+
+        def spy(cluster, result):
+            outcome = real(cluster, result)
+            calls.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(deploy, "apply_incremental", spy)
+        session = WatchSession([source_file], cluster=Cluster())
+        first = session.poll()
+        assert first.deployed["manifests"] \
+            == sorted(session.engine.previous.manifests)
+        assert first.deployed["restarted_downstream"] == 0
+        edit(source_file, "10.197.12.11", EDITED_IP)
+        event = session.poll()
+        assert event.deployed["restarted_downstream"] > 0
+        assert calls == [first.deployed, event.deployed]
+
+    def test_first_poll_over_a_warm_cache_deploys_everything(
+            self, source_file, tmp_path):
+        # a cold engine over a warm artifact cache reports its
+        # manifests reused; the empty cluster still gets all of them
+        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
+        WatchSession([source_file], options=options).poll()
+        session = WatchSession([source_file], options=options,
+                               cluster=Cluster())
+        event = session.poll()
+        assert event.reused > 0
+        assert event.deployed["manifests"] \
+            == sorted(session.engine.previous.manifests)
+        assert event.deployed["restarted_downstream"] == 0
+
 
 class TestRunLoop:
     def test_run_counts_rebuilds_not_polls(self, source_file):
