@@ -9,9 +9,9 @@ re-solved only when the capacity arithmetic actually changed), and the
 result's ``provenance`` says exactly which artifact was reused vs
 regenerated. Any edit the engine cannot localize (hierarchy
 restructuring, definition churn, renames) falls back to a full
-pipeline run, which still replays per-node cache entries and reports
-every artifact equal to the previous result's as reused. So does the
-first call after a revision the engine rejected.
+pipeline run, which reports an artifact reused exactly when it equals
+the previous result's and regenerated otherwise. So does the first
+call after a revision the engine rejected.
 
 The session's :class:`~repro.sysml.ModelUpdate` is the engine's only
 change detector.
@@ -30,7 +30,7 @@ from ..sysml.elements import Model, PartUsage
 from ..sysml.incremental import ModelSession, ModelUpdate
 from .client_config import client_config
 from .grouping import ClientGroup, group_machines
-from .machine_config import workcell_server_config
+from .machine_config import machine_config, workcell_server_config
 from .options import PipelineOptions
 from .pipeline import GenerationPipeline, GenerationResult
 from .storage_config import storage_config
@@ -60,8 +60,11 @@ def _grouping_signature(topology: FactoryTopology, capacity: int,
 
 def _share_unchanged(result: GenerationResult,
                      previous: GenerationResult) -> None:
-    """Hand a full run's artifacts that came out equal to *previous*'s
-    over to *previous*'s objects, and report them reused."""
+    """Report a full run's provenance relative to *previous*: an
+    artifact equal to *previous*'s is handed over to *previous*'s
+    object and reported reused, any other one regenerated — whatever
+    the pipeline said (a cache replay is not "unchanged since the
+    last result")."""
     for kind, current, before in (
             ("machine", result.machine_configs, previous.machine_configs),
             ("server", result.server_configs, previous.server_configs),
@@ -70,6 +73,8 @@ def _share_unchanged(result: GenerationResult,
             if before.get(name) == value:
                 current[name] = before[name]
                 result.provenance[f"{kind}:{name}"] = "reused"
+            else:
+                result.provenance[f"{kind}:{name}"] = "regenerated"
     for kind, key, current, before in (
             ("client", "client", result.client_configs,
              previous.client_configs),
@@ -80,6 +85,8 @@ def _share_unchanged(result: GenerationResult,
             if by_name.get(config[key]) == config:
                 current[index] = by_name[config[key]]
                 result.provenance[f"{kind}:{config[key]}"] = "reused"
+            else:
+                result.provenance[f"{kind}:{config[key]}"] = "regenerated"
 
 
 class IncrementalEngine:
@@ -134,8 +141,7 @@ class IncrementalEngine:
             return self._full_run()
         update = self.session.update(*texts, filenames=filenames)
         self.last_update = update
-        if self._stale or not self.options.incremental \
-                or update.full_rebuild:
+        if self._stale or update.full_rebuild:
             _FULL_RUNS.inc()
             return self._full_run()
         if update.clean:
@@ -262,20 +268,17 @@ class IncrementalEngine:
         dirty = self._dirty_machines(update)
         topology = self._reextract(dirty)
         self.pipeline._validate(topology)
-        node_keys = self.pipeline._node_fingerprints(self.session.model,
-                                                     topology)
         result = GenerationResult(topology=topology)
 
         step1_started = time.perf_counter()
         for machine in topology.machines:
             if machine.name in dirty:
-                config, cached = self.pipeline._machine_config_cached(
-                    machine, topology, node_keys)
+                config = machine_config(machine, topology)
                 if config == previous.machine_configs.get(machine.name):
                     config = previous.machine_configs[machine.name]
                     state = "reused"
                 else:
-                    state = "reused" if cached else "regenerated"
+                    state = "regenerated"
             else:
                 config = previous.machine_configs[machine.name]
                 state = "reused"
@@ -365,8 +368,7 @@ class IncrementalEngine:
                 result.provenance[f"manifest:{filename}"] = "reused"
                 reused_count += 1
                 continue
-            text, _cached = self.pipeline._render(kind, name, config,
-                                                  port=port)
+            text = self.pipeline._render(kind, name, config, port=port)
             if text == previous_text:
                 # regenerated config happened to render identically
                 result.manifests[filename] = previous_text

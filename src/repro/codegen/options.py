@@ -8,6 +8,10 @@ takes per-knob keyword arguments. It is frozen (safe to share between
 pipelines and threads), round-trips through ``to_dict``/``from_dict``,
 and carries the optional :class:`~repro.obs.Tracer` that turns on
 pipeline telemetry.
+
+Reuse across edits is not an option: an
+:class:`~repro.codegen.incremental.IncrementalEngine` always reuses
+what an edit left unchanged, a plain pipeline run never does.
 """
 
 from __future__ import annotations
@@ -40,12 +44,6 @@ class PipelineOptions:
     cache_dir: str | None = None
     #: LRU size bound of the artifact cache.
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    #: Allow incremental recomputation: when the model carries a node
-    #: index / dependency graph (:class:`repro.sysml.ModelSession`),
-    #: step-1 artifacts are keyed per node and the
-    #: :class:`~repro.codegen.incremental.IncrementalEngine` may reuse
-    #: artifacts across edits. Output bytes are identical either way.
-    incremental: bool = True
     #: Tracer collecting the run's :class:`~repro.obs.PipelineTrace`;
     #: ``None`` leaves telemetry off (or inherits an ambient tracer).
     tracer: Tracer | None = field(default=None, compare=False)
@@ -66,7 +64,6 @@ class PipelineOptions:
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
             "cache_max_bytes": self.cache_max_bytes,
-            "incremental": self.incremental,
         }
 
     @classmethod

@@ -23,14 +23,14 @@ Two execution accelerators hang off :class:`PipelineOptions`:
   per-manifest renders in step 2) out over a worker pool via
   :mod:`repro.parallel` — results keep input order, so parallel output
   is byte-for-byte identical to serial;
-* ``cache_dir`` enables the :mod:`repro.cache` artifact cache: the
-  extracted topology and the whole result set are keyed on the model's
-  source fingerprint, and each machine config / manifest is keyed on
-  its own inputs, so warm runs replay artifacts instead of recomputing
-  (hits/misses surface as ``cache.*`` counters in ``repro trace``).
-  A machine config has exactly one key: the machine node's
-  ``(node_fp, deps_fp)`` pair when the model carries a dependency graph
-  (:class:`repro.sysml.ModelSession`), else the machine's whole spec.
+* ``cache_dir`` enables the :mod:`repro.cache` artifact cache for the
+  work that costs more to compute than to read back: the extracted
+  topology and the whole result set, both keyed on the model's source
+  fingerprint (parse trees are cached one layer down, by
+  :func:`repro.sysml.load_model`). Machine configs and manifests are
+  cheaper to regenerate than to replay one by one, so they are never
+  cached on their own. Hits/misses surface as ``cache.*`` counters in
+  ``repro trace``.
 
 **Reentrancy.** A :class:`GenerationPipeline` holds no per-run mutable
 state — every run builds a fresh :class:`GenerationResult`, and the
@@ -46,22 +46,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cache import ArtifactCache
-from ..fingerprint import (RESULT_SALT, STEP1_NODE_SALT, STEP1_SALT,
-                           STEP2_SALT, TOPOLOGY_SALT, fingerprint)
+from ..fingerprint import RESULT_SALT, TOPOLOGY_SALT, fingerprint
 from ..isa95.levels import FactoryTopology, MachineInfo
 from ..isa95.topology import extract_topology
 from ..isa95.validation import validate_topology
 from ..obs import PipelineTrace, Summarizable, activation, span
 from ..parallel import map_ordered
-from ..sysml.depgraph import node_dependency_fingerprints
 from ..sysml.elements import Model
 from ..sysml.errors import ValidationError
 from ..templates.engine import k8s_name
-from ..templates.library import get_template, template_source
+from ..templates.library import get_template
 from .client_config import client_config
 from .grouping import ClientGroup, group_machines
 from .machine_config import machine_config, workcell_server_config
@@ -140,10 +138,6 @@ class GenerationResult(Summarizable):
     @property
     def config_size_kb(self) -> float:
         return self.config_size_bytes / 1024.0
-
-    def invalidate_size_cache(self) -> None:
-        """Call after mutating configs/manifests in place."""
-        self._size_cache = None
 
     def _all_json_configs(self) -> list[dict]:
         return (list(self.machine_configs.values())
@@ -234,13 +228,11 @@ class GenerationPipeline:
                              generate_span) -> GenerationResult:
         source_fp = getattr(model, "content_fingerprint", None)
         topology = self._extract_topology(model, source_fp)
-        node_keys = self._node_fingerprints(model, topology)
         if self.cache is None or source_fp is None:
-            return self._run(topology, extraction_started=started,
-                             node_keys=node_keys)
+            return self._run(topology, extraction_started=started)
         # Whole-result layer: when the sources and every output-shaping
         # option are unchanged, reuse the complete artifact set in one
-        # read instead of probing the per-unit layers.
+        # read instead of regenerating it.
         key = fingerprint(source_fp, self._semantic_options(),
                           _render_environment(), salt=RESULT_SALT)
         bundle = self.cache.get_object(key)
@@ -252,8 +244,7 @@ class GenerationPipeline:
             result.generation_seconds = time.perf_counter() - started
             generate_span.set("result_cache", "hit")
             return result
-        result = self._run(topology, extraction_started=started,
-                           node_keys=node_keys)
+        result = self._run(topology, extraction_started=started)
         self.cache.put_object(key, {
             "machine_configs": result.machine_configs,
             "server_configs": result.server_configs,
@@ -289,32 +280,6 @@ class GenerationPipeline:
             "database_url": self.options.database_url,
         }
 
-    def _node_fingerprints(self, model: Model, topology: FactoryTopology
-                           ) -> dict[str, tuple[str, str]] | None:
-        """Per-machine ``(node_fp, deps_fp)`` pairs, available when the
-        model carries a dependency graph (loaded through
-        :class:`repro.sysml.ModelSession` or
-        ``load_model(record_deps=True)``) — they key step-1 artifacts
-        per node instead of per whole spec."""
-        if not self.options.incremental or self.cache is None:
-            return None
-        graph = getattr(model, "dep_graph", None)
-        index = getattr(model, "node_index", None)
-        if graph is None or index is None:
-            return None
-        keys: dict[str, tuple[str, str]] = {}
-        for machine in topology.machines:
-            if not machine.node_path:
-                continue
-            paths = [machine.node_path]
-            if machine.driver is not None and machine.driver.node_path:
-                paths.append(machine.driver.node_path)
-            parts = node_dependency_fingerprints(model, graph, index,
-                                                 *paths)
-            if parts is not None:
-                keys[machine.name] = parts
-        return keys or None
-
     def run_on_topology(self, topology: FactoryTopology
                         ) -> GenerationResult:
         with activation(self.options.tracer) as tracer:
@@ -334,14 +299,13 @@ class GenerationPipeline:
                 "topology validation failed: "
                 + "; ".join(str(d) for d in report.errors))
 
-    def _run(self, topology: FactoryTopology, extraction_started: float,
-             node_keys: dict[str, tuple[str, str]] | None = None
+    def _run(self, topology: FactoryTopology, extraction_started: float
              ) -> GenerationResult:
         self._validate(topology)
         result = GenerationResult(topology=topology)
         step1_started = time.perf_counter()
         with span("step1") as s:
-            self._step1(topology, result, node_keys)
+            self._step1(topology, result)
             s.set("machines", len(result.machine_configs))
             s.set("servers", len(result.server_configs))
             s.set("clients", len(result.client_configs))
@@ -357,23 +321,20 @@ class GenerationPipeline:
 
     # -- step 1: intermediate JSON ------------------------------------------------
 
-    def _step1(self, topology: FactoryTopology, result: GenerationResult,
-               node_keys: dict[str, tuple[str, str]] | None = None
-               ) -> None:
-        def build(machine: MachineInfo) -> tuple[dict, bool]:
+    def _step1(self, topology: FactoryTopology,
+               result: GenerationResult) -> None:
+        def build(machine: MachineInfo) -> dict:
             with span(f"machine:{machine.name}",
                       points=machine.point_count):
-                return self._machine_config_cached(machine, topology,
-                                                   node_keys)
+                return machine_config(machine, topology)
 
         built = map_ordered(
             build, topology.machines, jobs=self.options.jobs,
             span_label=lambda machine, _i: f"machine:{machine.name}",
             pool_span="step1-pool")
-        for machine, (config, reused) in zip(topology.machines, built):
+        for machine, config in zip(topology.machines, built):
             result.machine_configs[machine.name] = config
-            result.provenance[f"machine:{machine.name}"] = \
-                "reused" if reused else "regenerated"
+            result.provenance[f"machine:{machine.name}"] = "regenerated"
         with span("servers") as s:
             for workcell in topology.workcells:
                 if not workcell.machines:
@@ -403,52 +364,6 @@ class GenerationPipeline:
                     "regenerated"
             s.set("groups", len(result.groups))
 
-    def _hierarchy_of(self, machine: MachineInfo,
-                      topology: FactoryTopology) -> dict[str, str]:
-        line = next((wc.production_line for wc in topology.workcells
-                     if wc.name == machine.workcell), "")
-        return {"enterprise": topology.enterprise, "site": topology.site,
-                "area": topology.area, "production_line": line}
-
-    def _machine_key(self, machine: MachineInfo, topology: FactoryTopology,
-                     node_keys: dict[str, tuple[str, str]] | None) -> str:
-        """The one cache key of a machine's intermediate JSON.
-
-        With a dependency graph: the machine node's ``(node_fp,
-        deps_fp)`` pair plus the hierarchy context that flows into the
-        JSON — stable under edits elsewhere in the model. Without one:
-        the machine's whole spec, minus the node paths (they locate the
-        node in the model and do not shape the JSON).
-        """
-        hierarchy = self._hierarchy_of(machine, topology)
-        if node_keys and machine.name in node_keys:
-            node_fp, deps_fp = node_keys[machine.name]
-            return fingerprint(
-                {"node": node_fp, "deps": deps_fp,
-                 "workcell": machine.workcell, "hierarchy": hierarchy},
-                salt=STEP1_NODE_SALT)
-        spec = asdict(machine)
-        spec.pop("node_path", None)
-        if spec.get("driver"):
-            spec["driver"].pop("node_path", None)
-        return fingerprint({"machine": spec, "hierarchy": hierarchy},
-                           salt=STEP1_SALT)
-
-    def _machine_config_cached(
-            self, machine: MachineInfo, topology: FactoryTopology,
-            node_keys: dict[str, tuple[str, str]] | None = None
-    ) -> tuple[dict, bool]:
-        """The machine's intermediate JSON plus whether it was replayed."""
-        if self.cache is None:
-            return machine_config(machine, topology), False
-        key = self._machine_key(machine, topology, node_keys)
-        cached = self.cache.get_json(key)
-        if isinstance(cached, dict):
-            return cached, True
-        config = machine_config(machine, topology)
-        self.cache.put_json(key, config)
-        return config, False
-
     # -- step 2: Kubernetes YAML -----------------------------------------------------
 
     def _step2(self, result: GenerationResult) -> None:
@@ -464,32 +379,16 @@ class GenerationPipeline:
             self._render_task, tasks, jobs=self.options.jobs,
             span_label=lambda task, _i: f"render:{k8s_name(task[1])}",
             pool_span="step2-pool")
-        for (_, name, _, _), (text, reused) in zip(tasks, rendered):
+        for (_, name, _, _), text in zip(tasks, rendered):
             result.manifests[f"{name}.yaml"] = text
-            result.provenance[f"manifest:{name}.yaml"] = \
-                "reused" if reused else "regenerated"
+            result.provenance[f"manifest:{name}.yaml"] = "regenerated"
 
-    def _render_task(self, task: tuple[str, str, dict, int | None]
-                     ) -> tuple[str, bool]:
+    def _render_task(self, task: tuple[str, str, dict, int | None]) -> str:
         kind, name, config, port = task
         return self._render(kind, name, config, port=port)
 
     def _render(self, kind: str, name: str, config: dict,
-                *, port: int | None = None) -> tuple[str, bool]:
-        key = None
-        if self.cache is not None:
-            key = fingerprint(
-                {"kind": kind, "name": name, "port": port or 0,
-                 "config": config, "image": COMPONENT_IMAGES[kind],
-                 "template": template_source(kind),
-                 **self._semantic_options()},
-                salt=STEP2_SALT)
-            cached = self.cache.get_text(key)
-            if cached is not None:
-                with span(f"render:{k8s_name(name)}", template=kind,
-                          cached=True):
-                    pass
-                return cached, True
+                *, port: int | None = None) -> str:
         context = {
             "namespace": self.options.namespace,
             "broker_url": self.options.broker_url,
@@ -509,9 +408,7 @@ class GenerationPipeline:
             text = get_template(kind).render(context)
             s.set("template", kind)
             s.set("bytes", len(text))
-        if key is not None:
-            self.cache.put_text(key, text)
-        return text, False
+        return text
 
 
 def generate_configuration(model: Model,

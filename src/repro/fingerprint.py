@@ -6,8 +6,8 @@ inputs plus a salt. The salt has two components:
 
 * :data:`CACHE_SCHEMA_VERSION` — bumped whenever the on-disk artifact
   layout changes, invalidating every entry at once;
-* a per-layer salt string — it names the producing layer (``parse``,
-  ``machine-config``, ``manifest``, ...) and embeds that layer's own
+* a per-layer salt string — it names the producing layer (parse
+  trees, topology, whole result, ...) and embeds that layer's own
   version, so evolving one generator never serves stale artifacts from
   another. The per-layer salts are collected here as module constants
   so the key schema of the whole system is visible in one screen.
@@ -20,7 +20,8 @@ Anything that can answer "what is your content hash?" implements the
 :class:`Fingerprintable` protocol; :func:`fingerprint_of` dispatches on
 it, so composite keys can mix plain values and fingerprintable objects.
 
-Every salt lives here and nowhere else.
+Every salt lives here and nowhere else. A deleted layer takes its salt
+along; the entries it left on disk age out through the cache's LRU.
 """
 
 from __future__ import annotations
@@ -46,33 +47,15 @@ MODEL_SALT = "sysml-model/1"
 #: keys of the incremental engine.
 NODE_SALT = "sysml-node/1"
 
-#: Per-node dependency fingerprints (a node's deep fingerprint plus the
-#: fingerprints of everything it resolved through).
-DEPS_SALT = "sysml-deps/1"
-
 #: The extracted ISA-95 topology pickle. (v2: machines carry their
 #: model node path for incremental re-elaboration.)
 TOPOLOGY_SALT = "isa95-topology/2"
-
-#: Per-machine intermediate JSON keyed on the *whole machine record* —
-#: the key when the model carries no dependency graph (a plain
-#: ``load_model``, or ``PipelineOptions(incremental=False)``).
-STEP1_SALT = "machine-config/1"
-
-#: Per-machine intermediate JSON keyed on ``(node_fingerprint,
-#: deps_fingerprint)`` of the machine's model subtree — the key
-#: whenever the model carries a dependency graph.
-STEP1_NODE_SALT = "machine-config-node/1"
-
-#: Rendered Kubernetes manifests.
-STEP2_SALT = "manifest/1"
 
 #: The whole-result bundle of one pipeline run. (v2: pickled groups
 #: carry machine node paths.)
 RESULT_SALT = "generation-result/2"
 
 #: Service-layer single-flight and memo keys.
-SERVICE_PARSE_SALT = "service-parse/1"
 SERVICE_GENERATE_SALT = "service-generate/1"
 SERVICE_MEMO_SALT = "service-memo/1"
 
@@ -154,12 +137,9 @@ def fingerprint_of(value: object, *, salt: str = "") -> str:
 
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION", "DEPS_SALT", "Fingerprintable", "MODEL_SALT",
-    "NODE_SALT", "PARSE_TREE_SALT", "PLAN_SALT", "RESULT_SALT",
-    "ROUTER_RING_SALT",
-    "SERVICE_GENERATE_SALT",
-    "SERVICE_MEMO_SALT", "SERVICE_PARSE_SALT", "SIM_BRIEFING_SALT",
-    "SIM_REPORT_SALT", "STEP1_NODE_SALT", "STEP1_SALT", "STEP2_SALT",
-    "TOPOLOGY_SALT", "WORKLOAD_SALT", "canonical_json", "fingerprint",
-    "fingerprint_of",
+    "CACHE_SCHEMA_VERSION", "Fingerprintable", "MODEL_SALT", "NODE_SALT",
+    "PARSE_TREE_SALT", "PLAN_SALT", "RESULT_SALT", "ROUTER_RING_SALT",
+    "SERVICE_GENERATE_SALT", "SERVICE_MEMO_SALT", "SIM_BRIEFING_SALT",
+    "SIM_REPORT_SALT", "TOPOLOGY_SALT", "WORKLOAD_SALT", "canonical_json",
+    "fingerprint", "fingerprint_of",
 ]

@@ -191,16 +191,16 @@ class ServiceClient:
                           policy=self.retry,
                           describe="service.generate")
 
-    def _get_json(self, path: str) -> dict:
+    def _get_document(self, path: str) -> dict:
         _, _, body = self.request("GET", path)
         return json.loads(body)
 
     def health(self) -> dict:
         """``GET /healthz`` (parsed body, whatever the status)."""
-        return self._get_json("/healthz")
+        return self._get_document("/healthz")
 
     def metrics(self) -> dict:
-        return self._get_json("/metrics")
+        return self._get_document("/metrics")
 
     def cache_stats(self) -> dict:
-        return self._get_json("/cache/stats")
+        return self._get_document("/cache/stats")

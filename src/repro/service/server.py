@@ -18,23 +18,15 @@ into a long-running concurrent service. Each request travels::
   equal to ``load_model(*sources).content_fingerprint`` without a
   parse) plus the semantic options, so N identical in-flight requests
   execute the pipeline exactly once and share one byte-identical
-  payload.
-
-When ``PipelineOptions.incremental`` is on (the default, and always
-under ``repro serve``), the leader hands the sources to a warm
-per-option-set :class:`IncrementalEngine`. Its model session reparses
-only the sources that changed, and an edited source set regenerates
-only the artifacts whose model subtree actually changed; the response
-reports the split via ``X-Repro-Reused`` / ``X-Repro-Regenerated``
-headers. The payload itself stays deterministic — provenance travels
-in headers, never in the bundle.
-
-With ``incremental=False`` the service loads the model itself, behind
-a **parse single-flight** that coalesces concurrent parses of the same
-sources, and runs the cold pipeline on it::
-
-    ... admission slot -> parse single-flight
-        -> generation single-flight -> cold pipeline -> memo put
+  payload;
+* the **warm engine** is the service's only generator: the leader
+  hands the sources to a warm per-option-set
+  :class:`IncrementalEngine`. Its model session reparses only the
+  sources that changed, and an edited source set regenerates only the
+  artifacts whose model subtree actually changed; the response reports
+  the split via ``X-Repro-Reused`` / ``X-Repro-Regenerated`` headers.
+  The payload itself stays deterministic — provenance travels in
+  headers, never in the bundle.
 
 :class:`ServiceHTTPServer` (a stdlib ``ThreadingHTTPServer``) exposes
 the service as::
@@ -59,14 +51,15 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
+from ..cache import ArtifactCache
 from ..codegen.incremental import IncrementalEngine
 from ..codegen.options import PipelineOptions
-from ..codegen.pipeline import GenerationPipeline, GenerationResult
+from ..codegen.pipeline import GenerationResult
 from ..faults import FaultInjected, fault_point
 from ..fingerprint import (SERVICE_GENERATE_SALT, SERVICE_MEMO_SALT,
-                           SERVICE_PARSE_SALT, fingerprint)
+                           fingerprint)
 from ..obs import METRICS, snapshot_delta
-from ..sysml import content_fingerprint_of_sources, load_model
+from ..sysml import content_fingerprint_of_sources
 from ..sysml.errors import SysMLError
 from .admission import (AdmissionController, AdmissionError, POLICY_REJECT,
                         RateLimiter)
@@ -178,7 +171,10 @@ class ConfigurationService:
             # sharing one would interleave, so the service drops it
             base = base.replace(tracer=None)
         self.options = base
-        self.pipeline = GenerationPipeline(base)
+        #: The artifact cache behind ``/cache/stats`` (``None`` without
+        #: a ``cache_dir``); the engines open the same directory.
+        self.cache = ArtifactCache(base.cache_dir, base.cache_max_bytes) \
+            if base.cache_dir is not None else None
         self.admission = AdmissionController(
             max_inflight, policy=policy, block_deadline=block_deadline,
             max_queue=max_queue)
@@ -186,7 +182,6 @@ class ConfigurationService:
         self.lifecycle = ServiceLifecycle()
         self.drain_deadline = drain_deadline
         self.started_monotonic = time.monotonic()
-        self._parse_flight = SingleFlight()
         self._generate_flight = SingleFlight()
         self._memo: OrderedDict[str, bytes] = OrderedDict()
         self._memo_entries = memo_entries
@@ -239,23 +234,18 @@ class ConfigurationService:
                 role = "memo"
             else:
                 with self.admission.slot():
-                    if options.incremental:
-                        # the warm engine parses only what changed; the
-                        # source hash is the fingerprint load_model
-                        # would have given the model
-                        model = None
-                        model_fingerprint = content_fingerprint_of_sources(
-                            list(sources))
-                    else:
-                        model = self._load(sources)
-                        model_fingerprint = model.content_fingerprint
+                    # the warm engine parses only what changed; the
+                    # source hash is the fingerprint load_model would
+                    # have given the model
+                    model_fingerprint = content_fingerprint_of_sources(
+                        list(sources))
                     generate_key = fingerprint(
                         model_fingerprint, self._semantic(options),
                         salt=SERVICE_GENERATE_SALT)
                     (payload, counts), leader = self._generate_flight.do(
                         generate_key,
-                        lambda: self._execute(model, options,
-                                              list(sources)))
+                        lambda: self._execute(options, list(sources),
+                                              model_fingerprint))
                     role = "leader" if leader else "follower"
                 self._memo_put(memo_key, payload)
             seconds = time.perf_counter() - started
@@ -286,19 +276,6 @@ class ConfigurationService:
     def _semantic(self, options: PipelineOptions) -> dict[str, object]:
         return {key: getattr(options, key)
                 for key in REQUEST_OPTION_KEYS}
-
-    def _load(self, sources):
-        """Parse + resolve, coalescing concurrent identical parses
-        (the ``incremental=False`` path only).
-
-        The shared :class:`~repro.sysml.elements.Model` is read-only
-        after resolution, so handing one instance to several request
-        threads is safe.
-        """
-        key = fingerprint(list(sources), salt=SERVICE_PARSE_SALT)
-        model, _ = self._parse_flight.do(
-            key, lambda: load_model(*sources, cache=self.pipeline.cache))
-        return model
 
     def _engine_slot(self, options: PipelineOptions):
         """The warm incremental engine for one semantic-options set.
@@ -334,36 +311,24 @@ class ConfigurationService:
                 self._engine_uses[key] += 1
             return slot
 
-    def _execute(self, model, options: PipelineOptions,
-                 sources: list[str]
-                 ) -> tuple[bytes, tuple[int, int] | None]:
-        """One real pipeline execution (the single-flight leader path).
-
-        With ``options.incremental`` *model* is ``None``: the warm
-        engine builds the model from *sources* itself. Otherwise
-        *model* is the loaded model and a cold pipeline runs on it.
+    def _execute(self, options: PipelineOptions, sources: list[str],
+                 model_fingerprint: str
+                 ) -> tuple[bytes, tuple[int, int]]:
+        """One real pipeline execution (the single-flight leader path):
+        the warm engine builds the model from *sources* itself.
 
         Returns ``(payload, counts)`` where *counts* is the
-        ``(reused, regenerated)`` artifact provenance pair when the
-        incremental engine served the request, else ``None``. The
-        whole tuple is the single-flight value, so coalesced
-        followers see the leader's reuse counts too.
+        ``(reused, regenerated)`` artifact provenance pair. The whole
+        tuple is the single-flight value, so coalesced followers see
+        the leader's reuse counts too.
         """
         _EXECUTIONS.inc()
-        if options.incremental:
-            engine, lock = self._engine_slot(options)
-            with lock:
-                result = engine.generate(*sources)
-            states = list(result.provenance.values())
-            counts = (states.count("reused"), states.count("regenerated"))
-            return (bundle_bytes(result,
-                                 content_fingerprint_of_sources(sources),
-                                 options), counts)
-        pipeline = self.pipeline if options is self.options \
-            else GenerationPipeline(options)
-        result = pipeline.run_on_model(model)
-        return (bundle_bytes(result, model.content_fingerprint, options),
-                None)
+        engine, lock = self._engine_slot(options)
+        with lock:
+            result = engine.generate(*sources)
+        states = list(result.provenance.values())
+        counts = (states.count("reused"), states.count("regenerated"))
+        return (bundle_bytes(result, model_fingerprint, options), counts)
 
     # -- result memo -----------------------------------------------------
 
@@ -400,8 +365,7 @@ class ConfigurationService:
         }
 
     def cache_stats(self) -> dict[str, object] | None:
-        cache = self.pipeline.cache
-        return cache.stats() if cache is not None else None
+        return self.cache.stats() if self.cache is not None else None
 
     # -- shutdown --------------------------------------------------------
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..fingerprint import DEPS_SALT, NODE_SALT, fingerprint
+from ..fingerprint import NODE_SALT, fingerprint
 from .elements import (Alias, Assignment, BindingConnector, Connector,
                        Definition, Element, Import, Model, Namespace,
                        Package, PartUsage, PerformAction, RedefinitionUsage,
@@ -362,43 +362,6 @@ class DepGraph:
                     affected.add(consumer)
         return affected
 
-    def producers_of(self, consumers: Iterable[NodeKey]) -> set[NodeKey]:
-        """Every target producer any of *consumers* resolved to."""
-        producers: set[NodeKey] = set()
-        for consumer in consumers:
-            producers |= self.target_deps.get(consumer, set())
-        return producers
-
-    def deps_fingerprint(self, consumers: Iterable[NodeKey],
-                         index: NodeIndex) -> str:
-        """Hash of everything *consumers* resolved to — the
-        ``deps_fingerprint`` half of a per-node cache key. Built from
-        target producers' deep hashes only: a scope change that alters
-        a resolution outcome necessarily changes the recorded target
-        set, and one that does not cannot change generated bytes."""
-        producers = self.producers_of(consumers)
-        pairs = sorted((str(key), index.deep.get(key, ""))
-                       for key in producers)
-        return fingerprint(pairs, salt=DEPS_SALT)
-
-    def producer_closure(self, start: Iterable[NodeKey]) -> set[NodeKey]:
-        """Transitive target producers reachable from *start*.
-
-        A machine usage has a direct edge to its definition, which has
-        its own edge to *its* supertype — following the chain captures
-        the whole inheritance/value closure that shapes elaboration,
-        including supertypes the consumer never referenced directly.
-        """
-        closure: set[NodeKey] = set()
-        frontier = list(start)
-        while frontier:
-            key = frontier.pop()
-            for producer in self.target_deps.get(key, ()):
-                if producer not in closure:
-                    closure.add(producer)
-                    frontier.append(producer)
-        return closure
-
 
 class DepRecorder:
     """Resolver-facing recording facade: tracks the element currently
@@ -439,8 +402,8 @@ class DepRecorder:
 # -- dirty-subtree utilities -------------------------------------------------
 
 def subtree_anchor_keys(element: Element) -> set[NodeKey]:
-    """Anchor keys of every element in *element*'s subtree (the seed
-    set for :meth:`DepGraph.producer_closure` over one model node)."""
+    """Anchor keys of every element in *element*'s subtree (what a
+    wholesale-replaced subtree counts as edited)."""
     keys = {anchor_key(element)}
 
     def visit(node: Element) -> None:
@@ -452,35 +415,6 @@ def subtree_anchor_keys(element: Element) -> set[NodeKey]:
     visit(element)
     return keys
 
-
-def node_dependency_fingerprints(model: Model, graph: DepGraph,
-                                 index: NodeIndex,
-                                 *paths: str) -> tuple[str, str] | None:
-    """``(node_fp, deps_fp)`` of the node group rooted at *paths*.
-
-    ``node_fp`` hashes the group's own syntactic content; ``deps_fp``
-    hashes the deep fingerprints of every *external* producer its
-    resolution closure reaches (definitions, supertypes, referenced
-    values). Together they key per-node artifacts: the generated bytes
-    can only change if one of the two fingerprints changes. Returns
-    ``None`` when any path no longer resolves to an element.
-    """
-    roots: list[tuple[str, Element]] = []
-    for path in paths:
-        element = find_by_path(model, path) if path else None
-        if element is None:
-            return None
-        roots.append((path, element))
-    node_fp = fingerprint(
-        [(path, deep_fingerprint(element)) for path, element in roots],
-        salt=NODE_SALT)
-    seeds: set[NodeKey] = set()
-    for _, element in roots:
-        seeds |= subtree_anchor_keys(element)
-    external = {key for key in graph.producer_closure(seeds)
-                if not any(key.is_under(path) for path, _ in roots)}
-    pairs = sorted((str(key), index.deep.get(key, "")) for key in external)
-    return node_fp, fingerprint(pairs, salt=DEPS_SALT)
 
 def elements_anchored_in(model: Model, dirty: set[NodeKey]
                          ) -> list[Element]:

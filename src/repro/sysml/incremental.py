@@ -361,8 +361,6 @@ class ModelSession:
         self.model = model
         self.graph = graph
         self.index = NodeIndex.of_model(model)
-        self.model.dep_graph = graph
-        self.model.node_index = self.index
         self._sources = sources
         self._names = names
         self._source_fps = [fingerprint(text, salt=_SOURCE_SALT)
@@ -465,7 +463,6 @@ class ModelSession:
                 new_index) - all_dirty
 
         self.index = new_index
-        self.model.node_index = new_index
         self.model.content_fingerprint = model_fingerprint(
             sources, names, include_stdlib=self.include_stdlib)
         self._set_sources(sources, names, new_fps)

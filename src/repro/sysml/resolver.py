@@ -643,8 +643,7 @@ def content_fingerprint_of_sources(
 
 def load_model(*texts: str, filenames: list[str] | None = None,
                include_stdlib: bool = True, cache=None, jobs: int = 1,
-               parse_mode: str = "thread",
-               record_deps: bool = False) -> Model:
+               parse_mode: str = "thread") -> Model:
     """Parse, build and resolve one or more textual-notation sources.
 
     The miniature standard library (``ScalarValues``, ``Base``) is
@@ -655,11 +654,9 @@ def load_model(*texts: str, filenames: list[str] | None = None,
     ``'process'`` — processes pay pickling but sidestep the GIL for
     this CPU-bound phase).
 
-    With ``record_deps=True`` resolution additionally records the
-    dependency graph and per-node fingerprint index used by the
-    incremental engine; they are attached as ``model.dep_graph``
-    (:class:`~repro.sysml.depgraph.DepGraph`) and ``model.node_index``
-    (:class:`~repro.sysml.depgraph.NodeIndex`).
+    A model that absorbs later source edits comes from
+    :class:`~repro.sysml.ModelSession` instead, which also records the
+    resolution dependency graph.
     """
     from .builder import build_model
     from .elements import Package
@@ -688,11 +685,4 @@ def load_model(*texts: str, filenames: list[str] | None = None,
                 element.is_library = True
     model.content_fingerprint = model_fingerprint(
         sources, names, include_stdlib=include_stdlib)
-    if record_deps:
-        from .depgraph import DepGraph, DepRecorder, NodeIndex
-        graph = DepGraph()
-        Resolver(model, recorder=DepRecorder(graph)).resolve()
-        model.dep_graph = graph
-        model.node_index = NodeIndex.of_model(model)
-        return model
     return resolve_model(model)

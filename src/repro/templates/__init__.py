@@ -1,10 +1,10 @@
 """Minimal template engine + built-in Kubernetes manifest templates."""
 
 from .engine import Template, TemplateError, k8s_name, render
-from .library import TEMPLATE_SOURCES, get_template, template_source
+from .library import TEMPLATE_SOURCES, get_template
 
 __all__ = ["TEMPLATES", "TEMPLATE_SOURCES", "Template", "TemplateError",
-           "get_template", "k8s_name", "render", "template_source"]
+           "get_template", "k8s_name", "render"]
 
 
 def __getattr__(name: str):

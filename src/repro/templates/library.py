@@ -219,12 +219,6 @@ def get_template(kind: str) -> Template:
     return Template(source, kind)
 
 
-def template_source(kind: str) -> str:
-    """The raw template text (cache keys fingerprint it)."""
-    get_template(kind)  # same unknown-kind error path
-    return TEMPLATE_SOURCES[kind]
-
-
 def __getattr__(name: str):
     # TEMPLATES predates lazy compilation; keep it importable without
     # forcing every template to compile at module import.

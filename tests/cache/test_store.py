@@ -43,20 +43,22 @@ class TestCodecs:
 
     def test_text_roundtrip(self, cache):
         key = fingerprint("text")
-        cache.put_text(key, "héllo")
-        assert cache.get_text(key) == "héllo"
+        cache.put_object(key, "héllo")
+        assert cache.get_object(key) == "héllo"
 
     def test_json_roundtrip(self, cache):
         key = fingerprint("json")
-        cache.put_json(key, {"b": 1, "a": [2, 3]})
-        assert cache.get_json(key) == {"b": 1, "a": [2, 3]}
+        cache.put_object(key, {"b": 1, "a": [2, 3]})
+        assert cache.get_object(key) == {"b": 1, "a": [2, 3]}
 
     def test_json_preserves_key_order(self, cache):
         # replayed configs must serialize byte-identically, so the
-        # codec must not sort keys
+        # codec must not reorder keys
         key = fingerprint("ordered")
-        cache.put_json(key, {"z": 1, "a": 2})
-        assert list(cache.get_json(key)) == ["z", "a"]
+        cache.put_object(key, {"z": 1, "a": 2})
+        replayed = cache.get_object(key)
+        assert list(replayed) == ["z", "a"]
+        assert json.dumps(replayed) == json.dumps({"z": 1, "a": 2})
 
     def test_object_roundtrip(self, cache):
         key = fingerprint("obj")
@@ -65,10 +67,10 @@ class TestCodecs:
 
     def test_counters_account_hits_and_misses(self, cache):
         key = fingerprint("counted")
-        cache.get_text(key)          # miss
-        cache.put_text(key, "x")
-        cache.get_text(key)          # hit
-        cache.get_text(fingerprint("other"))  # miss
+        cache.get_object(key)          # miss
+        cache.put_object(key, "x")
+        cache.get_object(key)          # hit
+        cache.get_object(fingerprint("other"))  # miss
         hits, misses, _ = _counters()
         assert (hits, misses) == (1, 2)
 
@@ -76,10 +78,10 @@ class TestCodecs:
 class TestCorruption:
     def test_truncated_json_is_a_miss_and_discarded(self, cache):
         key = fingerprint("broken-json")
-        cache.put_json(key, {"a": 1})
+        cache.put_object(key, {"a": 1})
         path = cache._path(key)
         path.write_bytes(b'{"a":')
-        assert cache.get_json(key) is None
+        assert cache.get_object(key) is None
         assert not path.exists()
         hits, misses, _ = _counters()
         assert hits == 0 and misses == 1
@@ -94,13 +96,14 @@ class TestCorruption:
     def test_invalid_utf8_text_is_a_miss(self, cache):
         key = fingerprint("broken-text")
         cache.put_bytes(key, b"\xff\xfe\x00")
-        assert cache.get_text(key) is None
+        assert cache.get_object(key) is None
+        assert not cache._path(key).exists()
 
     def test_corruption_counter_and_eviction(self, cache):
         key = fingerprint("counted-corruption")
-        cache.put_json(key, {"a": 1})
-        cache._path(key).write_bytes(b"\x00not json\xff")
-        assert cache.get_json(key) is None
+        cache.put_object(key, {"a": 1})
+        cache._path(key).write_bytes(b"\x00not a pickle\xff")
+        assert cache.get_object(key) is None
         assert not cache._path(key).exists()
         snap = METRICS.snapshot()
         assert snap.get("cache.corruption", 0) == 1
@@ -140,33 +143,33 @@ class TestEviction:
 class TestMaintenance:
     def test_clear_removes_everything(self, cache):
         for index in range(4):
-            cache.put_text(fingerprint(f"e{index}"), "data")
+            cache.put_object(fingerprint(f"e{index}"), "data")
         assert cache.clear() == 4
         assert cache.stats()["entries"] == 0
-        assert cache.get_text(fingerprint("e0")) is None
+        assert cache.get_object(fingerprint("e0")) is None
 
     def test_stats_shape(self, cache):
-        cache.put_json(fingerprint("s"), {"a": 1})
+        cache.put_object(fingerprint("s"), {"a": 1})
         stats = cache.stats()
         assert stats["entries"] == 1
-        assert stats["total_bytes"] == len(json.dumps({"a": 1},
-                                                      separators=(",", ":")))
+        assert stats["total_bytes"] == len(
+            pickle.dumps({"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
         assert set(stats) == {"directory", "entries", "total_bytes",
                               "max_bytes", "hits", "misses", "evictions",
                               "corruption", "io_errors"}
 
     def test_overwrite_same_key_is_idempotent(self, cache):
         key = fingerprint("same")
-        cache.put_text(key, "one")
-        cache.put_text(key, "two")
-        assert cache.get_text(key) == "two"
+        cache.put_object(key, "one")
+        cache.put_object(key, "two")
+        assert cache.get_object(key) == "two"
         assert cache.stats()["entries"] == 1
 
     def test_stats_snapshots_index_under_store_lock(self, cache):
         # regression: stats() used to walk the directory without the
         # lock, so a concurrent put's evict pass could unlink files
         # between glob and stat, mixing pre- and post-eviction counts
-        cache.put_text(fingerprint("locked"), "data")
+        cache.put_object(fingerprint("locked"), "data")
         seen = []
         original = cache._entries
 

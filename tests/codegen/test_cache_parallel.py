@@ -9,7 +9,7 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.codegen import (GenerationPipeline, IncrementalEngine,
-                           PipelineOptions)
+                           PipelineOptions, generate_configuration)
 from repro.codegen.pipeline import GenerationResult
 from repro.icelab import icelab_model, icelab_topology
 from repro.icelab.model_gen import icelab_sources
@@ -90,69 +90,62 @@ class TestCacheReplay:
 
     def test_topology_without_fingerprint_still_generates(self, model,
                                                           tmp_path):
-        # run_on_topology has no source fingerprint: per-unit caching
-        # still applies, the whole-result layer is skipped
+        # run_on_topology has no source fingerprint to key the topology
+        # or whole-result layer on: both runs generate from scratch
         topology = icelab_topology(model)
-        options = PipelineOptions(namespace="icelab",
-                                  cache_dir=str(tmp_path / "cache"))
+        cache_dir = str(tmp_path / "cache")
+        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
         first = GenerationPipeline(options).run_on_topology(topology)
         second = GenerationPipeline(options).run_on_topology(topology)
         _same_bytes(first, second)
+        assert _entries(cache_dir) == 0
 
 
-@pytest.fixture()
-def machine_config_puts(monkeypatch):
-    """Keys of every machine-config cache write (step 1 is the only
-    ``put_json`` caller)."""
-    keys = []
-    real = ArtifactCache.put_json
-
-    def spy(self, key, value):
-        keys.append(key)
-        real(self, key, value)
-
-    monkeypatch.setattr(ArtifactCache, "put_json", spy)
-    return keys
+def _entries(cache_dir):
+    return ArtifactCache(cache_dir).stats()["entries"]
 
 
-def _all_machines_reused(result):
-    return all(result.provenance[f"machine:{name}"] == "reused"
-               for name in result.machine_configs)
+#: What a cold ICE-lab run leaves in the cache: one parse tree per
+#: source (the stdlib included), the topology and the whole result.
+ICELAB_PARSE_TREES = len(icelab_sources()) + 1
+ICELAB_COLD_ENTRIES = ICELAB_PARSE_TREES + 2
 
 
 class TestMachineConfigKey:
-    """A machine config is cached under exactly one key: its node key
-    when the model carries a dependency graph, else its spec key."""
+    """A machine config has no cache key of its own, and neither has a
+    manifest: each is cheaper to regenerate than to read back. The
+    cache holds parse trees, the topology and the whole result."""
 
-    def test_session_run_writes_one_entry_per_machine(
-            self, tmp_path, machine_config_puts):
-        options = PipelineOptions(namespace="icelab",
-                                  cache_dir=str(tmp_path / "cache"))
+    def test_session_run_writes_no_per_machine_entry(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
         cold = IncrementalEngine(options).generate(*icelab_sources())
         assert len(cold.machine_configs) == 10
-        assert len(machine_config_puts) == len(set(machine_config_puts)) \
-            == len(cold.machine_configs)
-        # the namespace shapes manifests, not machine JSON: a fresh
-        # engine in another namespace misses the whole-result layer
-        # and replays every machine config
-        machine_config_puts.clear()
-        warm = IncrementalEngine(options.replace(namespace="other")) \
+        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES
+        # another namespace shares the parse trees and the topology and
+        # adds exactly one whole-result entry
+        IncrementalEngine(options.replace(namespace="other")) \
             .generate(*icelab_sources())
-        assert machine_config_puts == []
-        assert _all_machines_reused(warm)
+        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES + 1
 
-    def test_spec_key_without_dep_graph(self, tmp_path,
-                                        machine_config_puts):
-        options = PipelineOptions(namespace="icelab", incremental=False,
-                                  cache_dir=str(tmp_path / "cache"))
-        model = load_model(*icelab_sources())
-        cold = GenerationPipeline(options).run_on_model(model)
-        assert len(machine_config_puts) == len(cold.machine_configs)
-        machine_config_puts.clear()
-        warm = GenerationPipeline(options.replace(namespace="other")) \
-            .run_on_model(model)
-        assert machine_config_puts == []
-        assert _all_machines_reused(warm)
+    def test_cold_run_writes_three_layers(self, tmp_path, serial_result):
+        cache_dir = str(tmp_path / "cache")
+        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
+        cache = ArtifactCache(cache_dir)
+        cold = generate_configuration(
+            load_model(*icelab_sources(), cache=cache), options)
+        assert ICELAB_PARSE_TREES == 22
+        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES == 24
+        _same_bytes(serial_result, cold)
+
+        METRICS.reset()
+        warm = generate_configuration(
+            load_model(*icelab_sources(), cache=cache), options)
+        snap = METRICS.snapshot()
+        assert snap["cache.misses"] == 0
+        assert snap["templates.renders"] == 0
+        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES
+        _same_bytes(serial_result, warm)
 
 
 class TestWriteToSanitization:

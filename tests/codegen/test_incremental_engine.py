@@ -127,6 +127,23 @@ class TestDriverParameterEdit:
         assert result.machine_configs["ur5"] \
             is previous.machine_configs["ur5"]
 
+    def test_revert_over_a_cache_reports_the_machine_regenerated(
+            self, tmp_path):
+        # going back to a revision the cache has seen still changes
+        # emco relative to the previous result
+        engine = IncrementalEngine(
+            OPTIONS.replace(cache_dir=str(tmp_path / "cache")))
+        engine.generate(*icelab_sources())
+        engine.generate(*self.edited())
+        before = counters()
+        result = engine.generate(*icelab_sources())
+        assert counters()["partial_runs"] == before["partial_runs"] + 1
+        assert regenerated_ids(result) == [
+            "machine:emco",
+            "manifest:workcell02-opcua-server.yaml",
+            "server:workCell02",
+        ]
+
     def test_grouping_not_resolved_again(self, engine):
         # an IP change cannot move a machine between clients, so the
         # retained membership is rebuilt, not re-packed
@@ -223,12 +240,12 @@ class TestUnrelatedFactories:
 
 
 class TestEngineOptions:
-    def test_incremental_false_always_runs_full(self):
-        engine = IncrementalEngine(OPTIONS.replace(incremental=False))
-        engine.generate(*icelab_sources())
-        before = counters()
-        engine.generate(*icelab_sources())
-        assert counters()["full_runs"] == before["full_runs"] + 1
+    def test_incremental_option_is_gone(self):
+        # reuse across edits is the engine's job, not an option
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            PipelineOptions(**{"incremental": False})
+        with pytest.raises(TypeError, match="unknown pipeline option"):
+            PipelineOptions.from_dict({"incremental": True})
 
     def test_legacy_kwargs_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

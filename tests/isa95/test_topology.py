@@ -250,7 +250,7 @@ class TestExtractMachineAt:
         from repro.isa95.topology import TopologyExtractor
         from repro.sysml.depgraph import find_by_path
 
-        model = load_model(MINI_FACTORY, record_deps=True)
+        model = load_model(MINI_FACTORY)
         full = extract_topology(model).machine("mill")
         usage = find_by_path(model, full.node_path)
         alone = TopologyExtractor(model).extract_machine_at(

@@ -38,10 +38,10 @@ class GatedExecute:
         self._original = service._execute
         service._execute = self
 
-    def __call__(self, model, options, sources=None):
+    def __call__(self, options, sources, model_fingerprint):
         self.entered.set()
         assert self.release.wait(10), "gate never released"
-        return self._original(model, options, sources)
+        return self._original(options, sources, model_fingerprint)
 
 
 @pytest.fixture
@@ -243,7 +243,10 @@ class TestIncrementalServing:
         def refuse(*_args, **_kwargs):
             raise AssertionError("load_model on the incremental path")
 
-        monkeypatch.setattr("repro.service.server.load_model", refuse)
+        # the service no longer imports load_model at all; refuse the
+        # library entry point itself
+        monkeypatch.setattr("repro.sysml.load_model", refuse)
+        monkeypatch.setattr("repro.sysml.resolver.load_model", refuse)
         server, _ = serve()
         edited = [EMCO_WORKCELL_SOURCE.replace("10.197.12.11",
                                                "10.197.12.99")]
@@ -303,16 +306,21 @@ class TestIncrementalServing:
         assert delta.get("incremental.partial_runs", 0) == 1
         assert len(service._engines) == MAX_ENGINES
 
-    def test_incremental_off_serves_identical_bytes(self, serve):
-        server, _ = serve(PipelineOptions(incremental=False))
-        with ServiceClient(port=server.port) as client:
-            _, headers, body = client.generate_raw(SOURCES)
-        assert "x-repro-reused" not in headers
+    def test_cached_service_serves_cold_bytes(self, serve, tmp_path):
+        # a fresh service over an empty cache, then another one over
+        # the cache the first left warm
+        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
         model = load_model(*SOURCES)
-        direct = GenerationPipeline(
-            PipelineOptions(incremental=False)).run_on_model(model)
-        assert body == bundle_bytes(direct, model.content_fingerprint,
-                                    PipelineOptions(incremental=False))
+        cold = bundle_bytes(
+            GenerationPipeline(PipelineOptions()).run_on_model(model),
+            model.content_fingerprint, PipelineOptions())
+        for _ in range(2):
+            server, _ = serve(options)
+            with ServiceClient(port=server.port) as client:
+                status, headers, body = client.generate_raw(SOURCES)
+            assert status == 200
+            assert body == cold
+            assert "x-repro-reused" in headers
 
 
 class TestBackpressureOverHTTP:

@@ -1,20 +1,21 @@
 """Dependency-graph and fingerprint unit properties.
 
 The incremental engine's correctness rests on a few invariants of
-:mod:`repro.sysml.depgraph`:
+:mod:`repro.sysml.depgraph`, observed through
+:meth:`~repro.sysml.ModelSession.update`:
 
 * deep fingerprints are syntactic — comments and whitespace never
   change them, any token of substance does;
-* ``producer_closure`` follows target edges transitively, so a machine
-  usage reaches its definition's supertypes;
-* ``node_dependency_fingerprints`` moves exactly when the node's own
-  subtree or something its resolution depends on changes.
+* the dependency graph reaches through a usage's definition to its
+  supertypes, so editing ``Lib::Gadget`` dirties ``Plant::w1``;
+* an anchor is changed exactly when its own subtree changed, and
+  dirty exactly when it or something it resolved through changed.
 """
 
-from repro.sysml import load_model
+from repro.sysml import ModelSession, load_model
 from repro.sysml.depgraph import (NodeKey, anchor_key, deep_fingerprint,
-                                  find_by_path, node_dependency_fingerprints,
-                                  node_path, subtree_anchor_keys)
+                                  find_by_path, node_path,
+                                  subtree_anchor_keys)
 
 LIBRARY = """
 package Lib {
@@ -40,8 +41,21 @@ package Plant {
 """
 
 
-def _load(*sources):
-    return load_model(*sources, record_deps=True)
+#: LIBRARY with one more attribute on ``Gadget``, which ``Plant::w1``
+#: reaches only through ``Widget``'s specialization.
+DEEPER_LIBRARY = LIBRARY.replace("attribute serial : String;",
+                                 "attribute serial : String;\n"
+                                 "        attribute batch : String;")
+
+
+def _update(*edited):
+    """The session's report on moving from (LIBRARY, PLANT) to *edited*."""
+    session = ModelSession(LIBRARY, PLANT)
+    return session.update(*edited)
+
+
+def _paths(keys):
+    return {key.path for key in keys}
 
 
 class TestNodeKey:
@@ -54,7 +68,7 @@ class TestNodeKey:
         assert not key.is_under("Plant::w")
 
     def test_node_path_roundtrips_through_find_by_path(self):
-        model = _load(LIBRARY, PLANT)
+        model = load_model(LIBRARY, PLANT)
         w1 = find_by_path(model, "Plant::w1")
         assert w1 is not None
         assert node_path(w1) == "Plant::w1"
@@ -63,82 +77,70 @@ class TestNodeKey:
 
 class TestDeepFingerprint:
     def test_comment_and_whitespace_insensitive(self):
-        base = _load(LIBRARY, PLANT)
+        base = load_model(LIBRARY, PLANT)
         commented = PLANT.replace(
             "part w1 : Widget {",
             "// a comment\n    part w1 : Widget {")
-        other = _load(LIBRARY, commented)
+        other = load_model(LIBRARY, commented)
         assert (deep_fingerprint(find_by_path(base, "Plant::w1"))
                 == deep_fingerprint(find_by_path(other, "Plant::w1")))
 
     def test_value_change_moves_the_hash(self):
-        base = _load(LIBRARY, PLANT)
-        edited = _load(LIBRARY, PLANT.replace("= 3", "= 4"))
+        base = load_model(LIBRARY, PLANT)
+        edited = load_model(LIBRARY, PLANT.replace("= 3", "= 4"))
         assert (deep_fingerprint(find_by_path(base, "Plant::w1"))
                 != deep_fingerprint(find_by_path(edited, "Plant::w1")))
 
     def test_sibling_edit_does_not_leak(self):
-        base = _load(LIBRARY, PLANT)
-        edited = _load(LIBRARY, PLANT.replace("= 5", "= 6"))
+        base = load_model(LIBRARY, PLANT)
+        edited = load_model(LIBRARY, PLANT.replace("= 5", "= 6"))
         assert (deep_fingerprint(find_by_path(base, "Plant::w1"))
                 == deep_fingerprint(find_by_path(edited, "Plant::w1")))
 
 
 class TestProducerClosure:
     def test_usage_reaches_definition_supertype(self):
-        model = _load(LIBRARY, PLANT)
-        w1 = find_by_path(model, "Plant::w1")
-        closure = model.dep_graph.producer_closure(subtree_anchor_keys(w1))
-        paths = {key.path for key in closure}
-        assert "Lib::Widget" in paths
-        # transitively through Widget's specialization edge
-        assert "Lib::Gadget" in paths
+        # w1 never names Gadget: it is reached through Widget's
+        # specialization edge
+        update = _update(DEEPER_LIBRARY, PLANT)
+        assert "Lib::Gadget" in _paths(update.changed_anchors)
+        assert "Plant::w1" in _paths(update.dirty_anchors)
 
     def test_closure_excludes_unreferenced_siblings(self):
-        model = _load(LIBRARY, PLANT)
-        w1 = find_by_path(model, "Plant::w1")
-        closure = model.dep_graph.producer_closure(subtree_anchor_keys(w1))
-        assert not any(key.is_under("Plant::w2") for key in closure)
+        update = _update(LIBRARY, PLANT.replace("= 5", "= 6"))
+        assert "Plant::w2" in _paths(update.dirty_anchors)
+        assert "Plant::w1" not in _paths(update.dirty_anchors)
 
 
 class TestNodeDependencyFingerprints:
-    def _keys(self, model, path="Plant::w1"):
-        return node_dependency_fingerprints(
-            model, model.dep_graph, model.node_index, path)
-
     def test_stable_for_identical_sources(self):
-        assert (self._keys(_load(LIBRARY, PLANT))
-                == self._keys(_load(LIBRARY, PLANT)))
+        assert _update(LIBRARY, PLANT).clean
 
     def test_own_edit_moves_node_fp_only(self):
-        base = self._keys(_load(LIBRARY, PLANT))
-        edited = self._keys(_load(LIBRARY, PLANT.replace("= 3", "= 4")))
-        assert edited[0] != base[0]
-        assert edited[1] == base[1]
+        update = _update(LIBRARY, PLANT.replace("= 3", "= 4"))
+        assert "Plant::w1" in _paths(update.changed_anchors)
+        assert not any(key.is_under("Lib")
+                       for key in update.dirty_anchors)
 
     def test_dependency_edit_moves_deps_fp(self):
-        base = self._keys(_load(LIBRARY, PLANT))
-        deeper = LIBRARY.replace("attribute serial : String;",
-                                 "attribute serial : String;\n"
-                                 "        attribute batch : String;")
-        edited = self._keys(_load(deeper, PLANT))
-        assert edited[0] == base[0]
-        assert edited[1] != base[1]
+        update = _update(DEEPER_LIBRARY, PLANT)
+        # w1's own content is untouched; what it resolved through moved
+        assert "Plant::w1" not in _paths(update.changed_anchors)
+        assert "Plant::w1" in _paths(update.dirty_anchors)
 
     def test_sibling_edit_moves_neither(self):
-        base = self._keys(_load(LIBRARY, PLANT))
-        edited = self._keys(_load(LIBRARY, PLANT.replace("= 5", "= 6")))
-        assert edited == base
+        update = _update(LIBRARY, PLANT.replace("= 5", "= 6"))
+        assert "Plant::w1" not in _paths(update.changed_anchors)
+        assert "Plant::w1" not in _paths(update.dirty_anchors)
 
     def test_vanished_path_returns_none(self):
-        model = _load(LIBRARY, PLANT)
-        assert node_dependency_fingerprints(
-            model, model.dep_graph, model.node_index, "Plant::nope") is None
+        update = _update(LIBRARY, PLANT.replace("part w1 :", "part w9 :"))
+        assert "Plant::w1" in _paths(update.removed_anchors)
 
 
 class TestSubtreeAnchorKeys:
     def test_contains_root_and_named_descendants(self):
-        model = _load(LIBRARY, PLANT)
+        model = load_model(LIBRARY, PLANT)
         w1 = find_by_path(model, "Plant::w1")
         keys = subtree_anchor_keys(w1)
         assert anchor_key(w1) in keys

@@ -170,6 +170,26 @@ class TestRollingDeploy:
             == sorted(session.engine.previous.manifests)
         assert event.deployed["restarted_downstream"] == 0
 
+    def test_revert_over_a_warm_cache_redeploys_the_changed_manifest(
+            self, source_file, tmp_path):
+        # B renames the enterprise (a full engine run) and moves emco's
+        # IP; going back to A replays A's whole result from the cache,
+        # yet the cluster runs B's config until the manifest is applied
+        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
+        session = WatchSession([source_file], options=options,
+                               cluster=Cluster())
+        session.poll()
+        edit(source_file, "part UniVR :", "part UniVR2 :")
+        edit(source_file, "10.197.12.11", EDITED_IP)
+        assert session.poll().deployed["applied"] > 0
+        edit(source_file, "part UniVR2 :", "part UniVR :")
+        edit(source_file, EDITED_IP, "10.197.12.11")
+        event = session.poll()
+        assert "manifest:workcell02-opcua-server.yaml" in event.regenerated
+        assert event.deployed["manifests"] \
+            == ["workcell02-opcua-server.yaml"]
+        assert event.deployed["applied"] > 0
+
 
 class TestRunLoop:
     def test_run_counts_rebuilds_not_polls(self, source_file):
