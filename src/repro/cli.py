@@ -108,10 +108,6 @@ def _resolve_cache(args):
 
 def _add_perf_arguments(parser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker-pool width for parse/step1/step2 fan-out "
-             "(0 = one per CPU; output is identical to serial)")
-    parser.add_argument(
         "--cache", action="store_true",
         help="cache artifacts under $REPRO_CACHE_DIR "
              "(default ~/.cache/repro-factory)")
@@ -121,33 +117,22 @@ def _add_perf_arguments(parser) -> None:
                         metavar="N", help="LRU size bound of the cache")
 
 
-def _load_sources(sources, filenames, args, cache):
-    """Front end honoring the shared --jobs/--cache flags."""
-    from .sysml import load_model
-    return load_model(
-        *sources, filenames=filenames, cache=cache, jobs=args.jobs,
-        parse_mode="process" if getattr(args, "parse_processes", False)
-        else "thread")
-
-
 def _cmd_generate(args) -> int:
+    from contextlib import nullcontext
+
     from .codegen import PipelineOptions, generate_configuration
     from .icelab import icelab_sources
     from .obs import Tracer
+    from .sysml import load_model
     tracer = Tracer() if args.trace is not None else None
     cache = _resolve_cache(args)
     options = PipelineOptions(
         capacity=args.capacity, namespace=args.namespace, tracer=tracer,
-        jobs=args.jobs,
         cache_dir=str(cache.directory) if cache else None,
         cache_max_bytes=(cache.max_bytes if cache
                          else PipelineOptions().cache_max_bytes))
-    if tracer is not None:
-        with tracer.activate():
-            model = _load_sources(icelab_sources(), None, args, cache)
-            result = generate_configuration(model, options=options)
-    else:
-        model = _load_sources(icelab_sources(), None, args, cache)
+    with tracer.activate() if tracer else nullcontext():
+        model = load_model(*icelab_sources(), cache=cache)
         result = generate_configuration(model, options=options)
     for key, value in result.summary().items():
         print(f"{key:>20}: {value}")
@@ -177,6 +162,7 @@ def _cmd_trace(args) -> int:
 
     from .codegen import PipelineOptions, generate_configuration
     from .obs import METRICS, Tracer
+    from .sysml import load_model
     from .sysml.errors import SysMLError
 
     if args.file:
@@ -192,11 +178,10 @@ def _cmd_trace(args) -> int:
     tracer = Tracer()
     try:
         with tracer.activate():
-            model = _load_sources(sources, filenames, args, cache)
+            model = load_model(*sources, filenames=filenames, cache=cache)
             result = generate_configuration(
                 model, options=PipelineOptions(
                     capacity=args.capacity, namespace=args.namespace,
-                    jobs=args.jobs,
                     cache_dir=str(cache.directory) if cache else None))
     except SysMLError as exc:
         print(f"ERROR: {exc}")
@@ -214,14 +199,13 @@ def _cmd_trace(args) -> int:
         snapshot = METRICS.snapshot()
         cache_counters = {name: value
                           for name, value in snapshot.items()
-                          if name.startswith("cache.")
-                          or name.startswith("parallel.")}
-        lines += ["", "=== cache/parallel ==="]
+                          if name.startswith("cache.")}
+        lines += ["", "=== cache ==="]
         if cache_counters:
             for name, value in cache_counters.items():
                 lines.append(f"{name:>20}: {value}")
         else:
-            lines.append("(no cache/parallel activity)")
+            lines.append("(no cache activity)")
         lines += ["", "=== metrics ===", METRICS.to_json()]
         text = "\n".join(lines)
     if args.out:
@@ -296,6 +280,7 @@ def _cmd_plan(args) -> int:
     from .isa95 import extract_topology
     from .obs import Tracer
     from .planning import PlanningError, PlanningOptions, plan_operations
+    from .sysml import load_model
     from .sysml.errors import SysMLError
 
     if args.file:
@@ -314,7 +299,7 @@ def _cmd_plan(args) -> int:
     tracer = Tracer() if args.trace else None
     try:
         with tracer.activate() if tracer else nullcontext():
-            model = _load_sources(sources, filenames, args, cache)
+            model = load_model(*sources, filenames=filenames, cache=cache)
             topology = extract_topology(model)
             result = plan_operations(
                 topology, options,
@@ -377,7 +362,6 @@ def _cmd_serve(args) -> int:
     cache = _resolve_cache(args)
     options = PipelineOptions(
         capacity=args.capacity, namespace=args.namespace,
-        jobs=args.jobs,
         cache_dir=str(cache.directory) if cache else None,
         cache_max_bytes=(cache.max_bytes if cache
                          else PipelineOptions().cache_max_bytes))
@@ -391,7 +375,7 @@ def _cmd_serve(args) -> int:
             handle.write(f"{server.port}\n")
     print(f"serving on http://{args.host}:{server.port} "
           f"(policy={args.backpressure}, max-inflight={args.max_inflight},"
-          f" jobs={args.jobs}, cache={'on' if cache else 'off'})",
+          f" cache={'on' if cache else 'off'})",
           flush=True)
 
     def _graceful(signum, frame):
@@ -448,13 +432,12 @@ def _cmd_serve_sharded(args) -> int:
         "--block-deadline", str(args.block_deadline),
         "--rate", str(args.rate),
         "--drain-deadline", str(args.drain_deadline),
-        "--jobs", str(args.jobs),
         "--cache-dir", str(cache.directory),
     ]
     if args.cache_max_bytes is not None:
         serve_args += ["--cache-max-bytes", str(args.cache_max_bytes)]
     options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace, jobs=args.jobs,
+        capacity=args.capacity, namespace=args.namespace,
         cache_dir=str(cache.directory))
     workdir = tempfile.mkdtemp(prefix="repro-shards-")
     workers = [WorkerProcess(f"worker{i}", host=args.host,
@@ -529,7 +512,7 @@ def _cmd_watch(args) -> int:
 
     cache = _resolve_cache(args)
     options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace, jobs=args.jobs,
+        capacity=args.capacity, namespace=args.namespace,
         cache_dir=str(cache.directory) if cache else None,
         cache_max_bytes=(cache.max_bytes if cache
                          else PipelineOptions().cache_max_bytes))
@@ -767,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record pipeline telemetry; prints the span tree, or "
              "writes trace JSON to FILE when given")
     _add_perf_arguments(p_generate)
-    p_generate.add_argument(
-        "--parse-processes", action="store_true",
-        help="parse sources on a process pool (CPU-bound fan-out)")
     p_generate.set_defaults(func=_cmd_generate)
 
     p_trace = subparsers.add_parser(
@@ -782,9 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the full trace as JSON")
     p_trace.add_argument("--out", help="write the report to a file")
     _add_perf_arguments(p_trace)
-    p_trace.add_argument(
-        "--parse-processes", action="store_true",
-        help="parse sources on a process pool (CPU-bound fan-out)")
     p_trace.set_defaults(func=_cmd_trace)
 
     p_simulate = subparsers.add_parser(
@@ -849,6 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--no-validate", action="store_true",
                         help="skip replaying plans on the machine "
                              "behavioural simulators")
+    p_plan.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="problem fan-out width (output is "
+                             "identical to serial)")
     p_plan.add_argument("--mode", choices=("thread", "process", "serial"),
                         default="thread",
                         help="pool flavor for --jobs > 1")
@@ -953,9 +933,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--chaos", action="store_true",
                         help="add the chaos oracle: re-run each trial "
                              "under a seeded fault plan (cache "
-                             "corruption/IO errors, worker crashes, "
-                             "injected 503s) and require byte-identical "
-                             "bundles or typed retriable errors")
+                             "corruption/IO errors, router-dispatch "
+                             "crashes, injected 503s) and require "
+                             "byte-identical bundles or typed "
+                             "retriable errors")
     p_conf.add_argument("--report", metavar="FILE",
                         help="write the JSON report to FILE")
     p_conf.add_argument("--crash-dir", metavar="DIR",

@@ -134,8 +134,7 @@ class IncrementalEngine:
                   filenames: list[str] | None) -> GenerationResult:
         if self.session is None:
             self.session = ModelSession(
-                *texts, filenames=filenames, cache=self.pipeline.cache,
-                jobs=self.options.jobs)
+                *texts, filenames=filenames, cache=self.pipeline.cache)
             self.last_update = ModelUpdate(full_rebuild=True)
             _FULL_RUNS.inc()
             return self._full_run()

@@ -11,7 +11,8 @@ pipeline telemetry.
 
 Reuse across edits is not an option: an
 :class:`~repro.codegen.incremental.IncrementalEngine` always reuses
-what an edit left unchanged, a plain pipeline run never does.
+what an edit left unchanged, a plain pipeline run never does. Nor is
+a worker pool: generation runs in the caller's thread.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class PipelineOptions:
     broker_url: str = "mqtt://broker:1883"
     database_url: str = "ts://factorydb:8086"
     validate: bool = True
-    #: Worker-pool width for the fan-out phases (per-machine configs,
-    #: per-manifest renders); ``1`` keeps every phase serial, ``0``
-    #: means one worker per CPU. Output is byte-identical either way.
-    jobs: int = 1
     #: Artifact-cache directory; ``None`` disables caching.
     cache_dir: str | None = None
     #: LRU size bound of the artifact cache.
@@ -61,7 +58,6 @@ class PipelineOptions:
             "broker_url": self.broker_url,
             "database_url": self.database_url,
             "validate": self.validate,
-            "jobs": self.jobs,
             "cache_dir": self.cache_dir,
             "cache_max_bytes": self.cache_max_bytes,
         }

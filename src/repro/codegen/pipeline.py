@@ -17,20 +17,16 @@ recorded as a span — ``generate`` > ``topology`` / ``validate`` /
 and the resulting :class:`~repro.obs.PipelineTrace` is attached to the
 :class:`GenerationResult`.
 
-Two execution accelerators hang off :class:`PipelineOptions`:
-
-* ``jobs`` fans the independent units (per-machine configs in step 1,
-  per-manifest renders in step 2) out over a worker pool via
-  :mod:`repro.parallel` — results keep input order, so parallel output
-  is byte-for-byte identical to serial;
-* ``cache_dir`` enables the :mod:`repro.cache` artifact cache for the
-  work that costs more to compute than to read back: the extracted
-  topology and the whole result set, both keyed on the model's source
-  fingerprint (parse trees are cached one layer down, by
-  :func:`repro.sysml.load_model`). Machine configs and manifests are
-  cheaper to regenerate than to replay one by one, so they are never
-  cached on their own. Hits/misses surface as ``cache.*`` counters in
-  ``repro trace``.
+Steps 1 and 2 run in the caller's thread: per-machine configs and
+per-manifest renders are pure Python, so a worker pool cannot overlap
+them under the GIL. ``cache_dir`` in :class:`PipelineOptions` enables
+the :mod:`repro.cache` artifact cache for the work that costs more to
+compute than to read back: the extracted topology and the whole result
+set, both keyed on the model's source fingerprint (parse trees are
+cached one layer down, by :func:`repro.sysml.load_model`). Machine
+configs and manifests are cheaper to regenerate than to replay one by
+one, so they are never cached on their own. Hits/misses surface as
+``cache.*`` counters in ``repro trace``.
 
 **Reentrancy.** A :class:`GenerationPipeline` holds no per-run mutable
 state — every run builds a fresh :class:`GenerationResult`, and the
@@ -51,11 +47,10 @@ from pathlib import Path
 
 from ..cache import ArtifactCache
 from ..fingerprint import RESULT_SALT, TOPOLOGY_SALT, fingerprint
-from ..isa95.levels import FactoryTopology, MachineInfo
+from ..isa95.levels import FactoryTopology
 from ..isa95.topology import extract_topology
 from ..isa95.validation import validate_topology
 from ..obs import PipelineTrace, Summarizable, activation, span
-from ..parallel import map_ordered
 from ..sysml.elements import Model
 from ..sysml.errors import ValidationError
 from ..templates.engine import k8s_name
@@ -270,8 +265,7 @@ class GenerationPipeline:
         return topology
 
     def _semantic_options(self) -> dict[str, object]:
-        """The options that shape output bytes — *not* jobs or cache
-        settings, so serial/parallel runs share cache entries."""
+        """The options that shape output bytes — *not* cache settings."""
         return {
             "capacity": self.options.capacity,
             "grouping": self.options.grouping,
@@ -323,17 +317,11 @@ class GenerationPipeline:
 
     def _step1(self, topology: FactoryTopology,
                result: GenerationResult) -> None:
-        def build(machine: MachineInfo) -> dict:
+        for machine in topology.machines:
             with span(f"machine:{machine.name}",
                       points=machine.point_count):
-                return machine_config(machine, topology)
-
-        built = map_ordered(
-            build, topology.machines, jobs=self.options.jobs,
-            span_label=lambda machine, _i: f"machine:{machine.name}",
-            pool_span="step1-pool")
-        for machine, config in zip(topology.machines, built):
-            result.machine_configs[machine.name] = config
+                result.machine_configs[machine.name] = \
+                    machine_config(machine, topology)
             result.provenance[f"machine:{machine.name}"] = "regenerated"
         with span("servers") as s:
             for workcell in topology.workcells:
@@ -375,17 +363,10 @@ class GenerationPipeline:
             tasks.append(("opcua-client", config["client"], config, None))
         for config in result.storage_configs:
             tasks.append(("historian", config["historian"], config, None))
-        rendered = map_ordered(
-            self._render_task, tasks, jobs=self.options.jobs,
-            span_label=lambda task, _i: f"render:{k8s_name(task[1])}",
-            pool_span="step2-pool")
-        for (_, name, _, _), text in zip(tasks, rendered):
-            result.manifests[f"{name}.yaml"] = text
+        for kind, name, config, port in tasks:
+            result.manifests[f"{name}.yaml"] = \
+                self._render(kind, name, config, port=port)
             result.provenance[f"manifest:{name}.yaml"] = "regenerated"
-
-    def _render_task(self, task: tuple[str, str, dict, int | None]) -> str:
-        kind, name, config, port = task
-        return self._render(kind, name, config, port=port)
 
     def _render(self, kind: str, name: str, config: dict,
                 *, port: int | None = None) -> str:

@@ -1,4 +1,4 @@
-"""Deterministic fan-out over the pipeline's independent work units.
+"""Deterministic fan-out for simulation, planning and conformance runs.
 
 :func:`map_ordered` is the one primitive: apply a function to every item
 of a list, possibly on a worker pool, and return the results **in input
@@ -15,7 +15,7 @@ Execution modes:
   dominate correctness testing over wall-clock wins.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor` with a
   ``fork`` context where available; the right choice for CPU-bound
-  pure-Python units (parsing), at the cost of pickling task and result.
+  pure-Python units, at the cost of pickling task and result.
 
 Worker threads/processes do not see the caller's ambient tracer (the
 context variable does not cross the pool), so every unit's wall time is

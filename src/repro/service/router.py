@@ -512,7 +512,7 @@ class RouterRequestHandler(JSONRequestHandler):
             body = self._read_body()
             sources, overrides = parse_generate_body(body, content_type)
         except BadRequest as exc:
-            self._send_error(400, "bad-request", str(exc))
+            self._send_error(exc.status, exc.code, str(exc))
             return
         client_id = self.headers.get("X-Client-Id") \
             or self.client_address[0]

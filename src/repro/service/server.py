@@ -78,13 +78,28 @@ _LATENCY = METRICS.histogram("service.request_seconds")
 MAX_ENGINES = 4
 
 #: Keys of ``options`` overrides a request may carry — exactly the
-#: output-shaping knobs; execution knobs (jobs/cache) stay server-side.
+#: output-shaping knobs; the cache settings stay server-side.
 REQUEST_OPTION_KEYS = ("capacity", "namespace", "broker_url",
                       "database_url", "validate")
 
 
+#: Largest request body either HTTP front end reads. The largest
+#: in-repo request, the x100 mega-factory sources as JSON, is 37.4 MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
 class BadRequest(Exception):
     """A malformed request body or unknown option (HTTP 400)."""
+
+    status = 400
+    code = "bad-request"
+
+
+class PayloadTooLarge(BadRequest):
+    """A request body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+    status = 413
+    code = "payload-too-large"
 
 
 def parse_generate_body(body: bytes, content_type: str | None
@@ -404,13 +419,21 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body; :class:`BadRequest` for a ``Content-Length``
-        that is not a string of ASCII digits. The unread body would
-        desynchronize the connection, so that error also closes it."""
+        that is not a string of ASCII digits, :class:`PayloadTooLarge`
+        for one above :data:`MAX_BODY_BYTES`. The unread body would
+        desynchronize the connection, so either error also closes it."""
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
             self.close_connection = True
             raise BadRequest(f"invalid Content-Length: {header!r}")
-        return self.rfile.read(int(header))
+        digits = header.lstrip("0") or "0"
+        # compare digit counts first: int() refuses over 4300 digits
+        if len(digits) > len(str(MAX_BODY_BYTES)) \
+                or int(digits) > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise PayloadTooLarge(
+                f"request body exceeds the {MAX_BODY_BYTES}-byte limit")
+        return self.rfile.read(int(digits))
 
     def _send_bytes(self, status: int, payload: bytes, *,
                     content_type: str = "application/json",
@@ -482,7 +505,7 @@ class ServiceRequestHandler(JSONRequestHandler):
             sources, overrides = parse_generate_body(
                 self._read_body(), self.headers.get("Content-Type"))
         except BadRequest as exc:
-            self._send_error(400, "bad-request", str(exc))
+            self._send_error(exc.status, exc.code, str(exc))
             return
         client = self.headers.get("X-Client-Id") \
             or self.client_address[0]

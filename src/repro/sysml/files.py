@@ -40,13 +40,11 @@ def load_model_file(path: str | Path, *, include_stdlib: bool = True,
 
 
 def load_model_files(*paths: str | Path, include_stdlib: bool = True,
-                     cache=None, jobs: int = 1,
-                     parse_mode: str = "thread") -> Model:
+                     cache=None) -> Model:
     """Load several ``.sysml`` sources into one model.
 
-    *cache*/*jobs*/*parse_mode* pass through to
-    :func:`~repro.sysml.resolver.load_model`: per-file parse trees are
-    cached on content, and cache misses parse on a worker pool.
+    *cache* passes through to :func:`~repro.sysml.resolver.load_model`:
+    per-file parse trees are cached on content.
     """
     texts: list[str] = []
     names: list[str] = []
@@ -59,8 +57,7 @@ def load_model_files(*paths: str | Path, include_stdlib: bool = True,
         texts.append(path.read_text())
         names.append(str(path))
     return load_model(*texts, filenames=names,
-                      include_stdlib=include_stdlib, cache=cache,
-                      jobs=jobs, parse_mode=parse_mode)
+                      include_stdlib=include_stdlib, cache=cache)
 
 
 def save_model_file(model: Model, path: str | Path,

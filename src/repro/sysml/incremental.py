@@ -305,12 +305,9 @@ class ModelSession:
     """
 
     def __init__(self, *texts: str, filenames: list[str] | None = None,
-                 include_stdlib: bool = True, cache=None, jobs: int = 1,
-                 parse_mode: str = "thread"):
+                 include_stdlib: bool = True, cache=None):
         self.include_stdlib = include_stdlib
         self.cache = cache
-        self.jobs = jobs
-        self.parse_mode = parse_mode
         self.model: Model = None  # type: ignore[assignment]
         self.graph: DepGraph = None  # type: ignore[assignment]
         self.index: NodeIndex = None  # type: ignore[assignment]
@@ -336,8 +333,7 @@ class ModelSession:
     def _load_cold(self, texts: list[str], filenames: list[str]) -> None:
         from .stdlib import IMPLICIT_LIBRARY_PACKAGES
         sources, names = self._with_stdlib(texts, filenames)
-        trees = _parse_sources(sources, names, cache=self.cache,
-                               jobs=self.jobs, parse_mode=self.parse_mode)
+        trees = _parse_sources(sources, names, cache=self.cache)
         builder = ModelBuilder()
         counts: list[int] = []
         for tree in trees:
@@ -492,8 +488,7 @@ class ModelSession:
                        changed: list[int]) -> dict[int, object]:
         parsed = _parse_sources([sources[i] for i in changed],
                                 [names[i] for i in changed],
-                                cache=self.cache, jobs=self.jobs,
-                                parse_mode=self.parse_mode)
+                                cache=self.cache)
         return dict(zip(changed, parsed))
 
     def _merge_root(self, trees: dict[int, object], changed: list[int],

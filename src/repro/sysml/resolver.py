@@ -565,48 +565,32 @@ def resolve_model(model: Model) -> Model:
     return Resolver(model).resolve()
 
 
-def _parse_source(payload: tuple[str, str]):
-    """Parse one (text, filename) payload — module-level so process
-    pools can ship it to workers."""
-    from .parser import parse
-    text, name = payload
-    return parse(text, name)
-
-
 def _parse_sources(sources: list[str], names: list[str], *,
-                   cache=None, jobs: int = 1, parse_mode: str = "thread"
-                   ) -> list:
-    """Parse every source, reusing cached trees and fanning out misses.
+                   cache=None) -> list:
+    """Parse every source, reusing cached trees.
 
     Cache keys cover the source text *and* its filename (parse trees
     embed source locations), salted with
-    :data:`repro.fingerprint.PARSE_TREE_SALT`. Results always come back
-    in source order.
+    :data:`repro.fingerprint.PARSE_TREE_SALT`.
     """
     from ..fingerprint import PARSE_TREE_SALT, fingerprint
     from ..obs import span as _obs_span
-    from ..parallel import map_ordered
+    from .parser import parse
 
-    keys: list[str | None] = [None] * len(sources)
-    trees: list = [None] * len(sources)
-    if cache is not None:
-        for index, (text, name) in enumerate(zip(sources, names)):
-            keys[index] = fingerprint(text, name, salt=PARSE_TREE_SALT)
-            tree = cache.get_object(keys[index])
-            if tree is not None:
-                trees[index] = tree
-                with _obs_span("parse", file=name, cached=True):
-                    pass
-    missing = [index for index, tree in enumerate(trees) if tree is None]
-    parsed = map_ordered(
-        _parse_source, [(sources[i], names[i]) for i in missing],
-        jobs=jobs, mode=parse_mode,
-        span_label=lambda payload, _i: f"parse:{payload[1]}",
-        pool_span="parse-pool")
-    for index, tree in zip(missing, parsed):
-        trees[index] = tree
+    trees = []
+    for text, name in zip(sources, names):
+        key = tree = None
         if cache is not None:
-            cache.put_object(keys[index], tree)
+            key = fingerprint(text, name, salt=PARSE_TREE_SALT)
+            tree = cache.get_object(key)
+        if tree is not None:
+            with _obs_span("parse", file=name, cached=True):
+                pass
+        else:
+            tree = parse(text, name)
+            if cache is not None:
+                cache.put_object(key, tree)
+        trees.append(tree)
     return trees
 
 
@@ -642,17 +626,13 @@ def content_fingerprint_of_sources(
 
 
 def load_model(*texts: str, filenames: list[str] | None = None,
-               include_stdlib: bool = True, cache=None, jobs: int = 1,
-               parse_mode: str = "thread") -> Model:
+               include_stdlib: bool = True, cache=None) -> Model:
     """Parse, build and resolve one or more textual-notation sources.
 
     The miniature standard library (``ScalarValues``, ``Base``) is
     prepended unless *include_stdlib* is False. With a *cache*
     (:class:`~repro.cache.ArtifactCache`) per-source parse trees are
-    reused across runs, keyed on the source text; ``jobs > 1`` parses
-    independent sources on a worker pool (*parse_mode* ``'thread'`` or
-    ``'process'`` — processes pay pickling but sidestep the GIL for
-    this CPU-bound phase).
+    reused across runs, keyed on the source text.
 
     A model that absorbs later source edits comes from
     :class:`~repro.sysml.ModelSession` instead, which also records the
@@ -668,8 +648,7 @@ def load_model(*texts: str, filenames: list[str] | None = None,
         sources.insert(0, SCALAR_VALUES_SOURCE)
         names.insert(0, "<stdlib>")
 
-    trees = _parse_sources(sources, names, cache=cache, jobs=jobs,
-                           parse_mode=parse_mode)
+    trees = _parse_sources(sources, names, cache=cache)
     model = build_model(*trees)
     if include_stdlib:
         stdlib_root_count = len(trees[0].members)

@@ -8,8 +8,6 @@ Each oracle states one differential property:
 * ``interchange``  — the JSON interchange format round-trips the model;
 * ``cache``        — cache-off, cache-cold and cache-warm pipeline runs
   emit byte-identical bundles;
-* ``jobs``         — serial and parallel (``jobs=N``) pipeline runs emit
-  byte-identical bundles;
 * ``serve``        — the configuration service returns exactly the bytes
   a direct pipeline run produces;
 * ``incremental``  — the incremental engine's output is byte-identical
@@ -33,8 +31,8 @@ Each oracle states one differential property:
   parse-free routing key equals the worker-side single-flight key,
   and repeats stick to the same shard (memo-visible affinity);
 * ``chaos``        — opt-in (``repro conformance --chaos``): under a
-  seeded fault plan injecting cache corruption, cache I/O errors,
-  worker crashes and router-dispatch crashes, the pipeline still
+  seeded fault plan injecting cache corruption, cache I/O errors
+  and router-dispatch crashes, the pipeline still
   emits bundles byte-identical to the fault-free reference, and the
   serving paths (single-node and sharded) return either those same
   bytes or a *typed retriable* error — never a corrupt or partial
@@ -185,13 +183,6 @@ def _check_cache(ctx: TrialContext) -> None:
         raise OracleFailure("cache-warm bundle differs from cache-off")
 
 
-def _check_jobs(ctx: TrialContext) -> None:
-    reference = ctx.direct_payload
-    parallel = ctx._payload(ctx.options.replace(jobs=4))
-    if parallel != reference:
-        raise OracleFailure("jobs=4 bundle differs from jobs=1")
-
-
 def _check_serve(ctx: TrialContext) -> None:
     from ..service.server import ConfigurationService
     reference = ctx.direct_payload
@@ -335,10 +326,11 @@ def chaos_plan(seed: int) -> "FaultPlan":
     """The fault plan the chaos oracle injects for one trial seed.
 
     Everything here must be *gracefully absorbable*: corruption and
-    I/O errors in the cache degrade to regeneration, worker crashes
-    retry then fall back to serial, and the service site raises a
-    typed retriable error — so the oracle can demand byte-identity (or
-    a retriable error) as the only acceptable outcomes.
+    I/O errors in the cache degrade to regeneration, a crash at
+    router dispatch fails over to a surviving shard, and the service
+    site raises a typed retriable error — so the oracle can demand
+    byte-identity (or a retriable error) as the only acceptable
+    outcomes.
     """
     from ..faults import FaultPlan, FaultSpec
     return FaultPlan(seed=seed, specs=(
@@ -346,7 +338,6 @@ def chaos_plan(seed: int) -> "FaultPlan":
         FaultSpec("cache.get", "io-error", probability=0.05),
         FaultSpec("cache.put", "io-error", probability=0.10),
         FaultSpec("cache.put", "corrupt", probability=0.10),
-        FaultSpec("parallel.worker", "crash", probability=0.25),
         FaultSpec("service.generate", "unavailable", probability=0.5,
                   max_injections=2, retry_after=0.01),
         FaultSpec("router.dispatch", "crash", probability=0.25,
@@ -360,7 +351,7 @@ def _check_chaos(ctx: TrialContext) -> None:
     seed = ctx.scenario.seed if ctx.scenario is not None else 0
     plan = chaos_plan(seed)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        options = ctx.options.replace(cache_dir=tmp, jobs=2)
+        options = ctx.options.replace(cache_dir=tmp)
         with plan.activated():
             try:
                 cold = ctx._payload(options)
@@ -369,7 +360,7 @@ def _check_chaos(ctx: TrialContext) -> None:
                 if getattr(error, "retriable", False):
                     raise OracleFailure(
                         "pipeline surfaced a retriable error instead of "
-                        "absorbing cache/worker faults") from error
+                        "absorbing cache faults") from error
                 raise OracleFailure(
                     f"pipeline failed under faults with non-retriable "
                     f"{type(error).__name__}") from error
@@ -614,9 +605,6 @@ ORACLES: dict[str, Oracle] = {
         Oracle("cache",
                "cache-off / cache-cold / cache-warm bundles byte-identical",
                _check_cache),
-        Oracle("jobs",
-               "serial and parallel pipeline bundles byte-identical",
-               _check_jobs),
         Oracle("serve",
                "configuration service returns the direct pipeline bytes",
                _check_serve),
@@ -647,7 +635,7 @@ ORACLES: dict[str, Oracle] = {
                _check_sharded),
         Oracle("chaos",
                "under a seeded fault plan (cache corruption/IO errors, "
-               "worker crashes, router-dispatch crashes, injected 503s) "
+               "router-dispatch crashes, injected 503s) "
                "bundles stay byte-identical or fail with typed "
                "retriable errors",
                _check_chaos, opt_in=True),

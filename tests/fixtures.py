@@ -6,6 +6,8 @@ specializations, and the instantiated workcell 02 topology with bound
 ports and a performed method.
 """
 
+from repro.service.server import MAX_BODY_BYTES
+
 ISA95_BASE_SOURCE = """
 package ISA95 {
     doc /* ISA-95 base library: hierarchy plus Machine/Driver abstractions. */
@@ -165,6 +167,10 @@ def rejected_revision(sources):
 
 #: ``Content-Length`` values neither front end may take as a body size.
 MALFORMED_CONTENT_LENGTHS = ("abc", "-5", "1e3", "1_0")
+
+#: Well-formed ``Content-Length`` values above the body cap: one byte
+#: over it, and one too long for ``int()`` to convert at all.
+OVERSIZED_CONTENT_LENGTHS = (str(MAX_BODY_BYTES + 1), "9" * 5000)
 
 
 def post_with_content_length(port, value, body=b"part def X;"):

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
-                      post_with_content_length)
+                      OVERSIZED_CONTENT_LENGTHS, post_with_content_length)
 
 from repro.codegen import PipelineOptions
 from repro.faults import FaultPlan, FaultSpec
@@ -268,6 +268,17 @@ class TestHTTPFrontEnd:
         status, document = post_with_content_length(server.port, length)
         assert status == 400
         assert document["error"]["code"] == "bad-request"
+        with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
+
+    @pytest.mark.parametrize("length", OVERSIZED_CONTENT_LENGTHS,
+                             ids=("cap+1", "5000-digits"))
+    def test_oversized_body_is_a_typed_413(self, front, length):
+        server, _, _ = front
+        status, document = post_with_content_length(server.port, length)
+        assert status == 413
+        assert document["error"]["code"] == "payload-too-large"
+        assert document["error"]["retriable"] is False
         with ServiceClient(server.port) as client:
             assert client.generate_raw(SOURCES)[0] == 200
 

@@ -14,7 +14,8 @@ import time
 import pytest
 
 from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
-                      post_with_content_length, rejected_revision)
+                      OVERSIZED_CONTENT_LENGTHS, post_with_content_length,
+                      rejected_revision)
 
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
@@ -162,6 +163,19 @@ class TestMalformedContentLength:
         assert status == 400
         assert document["error"]["code"] == "bad-request"
         assert length in document["error"]["message"]
+        with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
+
+
+class TestOversizedBody:
+    @pytest.mark.parametrize("length", OVERSIZED_CONTENT_LENGTHS,
+                             ids=("cap+1", "5000-digits"))
+    def test_typed_413_then_the_server_keeps_serving(self, serve, length):
+        server, _ = serve()
+        status, document = post_with_content_length(server.port, length)
+        assert status == 413
+        assert document["error"]["code"] == "payload-too-large"
+        assert document["error"]["retriable"] is False
         with ServiceClient(server.port) as client:
             assert client.generate_raw(SOURCES)[0] == 200
 

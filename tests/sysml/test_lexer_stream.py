@@ -136,8 +136,9 @@ class TestTokenInterning:
 
 
 class TestParallelParseDeterminism:
-    """The streaming front end must stay byte-deterministic under the
-    process/thread-parallel per-package parse (`load_model(jobs=...)`)."""
+    """The streaming front end must stay deterministic where its trees
+    cross threads or processes: the service parses in concurrent
+    request threads, and the artifact cache pickles parse trees."""
 
     @staticmethod
     def _fingerprint(model):
@@ -145,10 +146,27 @@ class TestParallelParseDeterminism:
         return "".join(print_element(e) for e in model.owned_elements)
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_parallel_modes_match_serial(self, mode):
-        from repro.sysml import load_model
+    def test_parallel_modes_match_serial(self, mode, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.cache import ArtifactCache
+        from repro.obs import METRICS
+        from repro.sysml import load_model, parse
         sources = icelab_sources()
+        if mode == "thread":
+            names = [f"<model{i}>" for i in range(len(sources))]
+            serial = [parse(text, name)
+                      for text, name in zip(sources, names)]
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(parse, sources, names))
+            assert threaded == serial
+            return
+        # every tree of the second load comes back through pickle
         serial = load_model(*sources)
-        parallel = load_model(*sources, jobs=4, parse_mode=mode)
-        assert self._fingerprint(parallel) == self._fingerprint(serial)
-        assert parallel.content_fingerprint == serial.content_fingerprint
+        cache = ArtifactCache(tmp_path / "cache")
+        load_model(*sources, cache=cache)
+        METRICS.reset()
+        replayed = load_model(*sources, cache=cache)
+        assert METRICS.snapshot()["cache.hits"] == len(sources) + 1
+        assert self._fingerprint(replayed) == self._fingerprint(serial)
+        assert replayed.content_fingerprint == serial.content_fingerprint

@@ -38,12 +38,9 @@ class TestParseCache:
         # the changed user source re-parses (the shared stdlib may hit)
         assert METRICS.snapshot()["cache.misses"] > misses_before
 
-    def test_parallel_parse_matches_serial(self, cache):
-        serial = load_model(SOURCE_A, SOURCE_B)
-        parallel = load_model(SOURCE_A, SOURCE_B, jobs=2)
-        assert serial.content_fingerprint == parallel.content_fingerprint
-        assert ([e.name for e in serial.owned_elements]
-                == [e.name for e in parallel.owned_elements])
+    def test_jobs_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            load_model(SOURCE_A, SOURCE_B, jobs=2)
 
 
 class TestContentFingerprint:

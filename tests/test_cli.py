@@ -93,18 +93,28 @@ class TestCli:
 
 
 class TestPerfSurface:
-    """--jobs / --cache-dir on generate, and the cache subcommand."""
+    """--cache-dir on generate, the cache subcommand, and the pool
+    width that only simulate/plan/conformance keep."""
 
-    def test_generate_with_jobs(self, capsys):
-        assert main(["generate", "--jobs", "2"]) == 0
-        assert "opcua_servers: 6" in capsys.readouterr().out
+    def test_generate_rejects_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_plan_keeps_jobs(self, capsys):
+        digests = []
+        for jobs in ("1", "2"):
+            assert main(["plan", "--problems", "2", "--jobs", jobs]) == 0
+            digests += [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("digest ")]
+        assert len(digests) == 2 and digests[0] == digests[1]
 
     def test_generate_jobs_and_cache_match_serial(self, tmp_path, capsys):
         serial_dir = tmp_path / "serial"
         fast_dir = tmp_path / "fast"
         assert main(["generate", "--out", str(serial_dir)]) == 0
         assert main(["generate", "--out", str(fast_dir),
-                     "--jobs", "4",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         serial_files = sorted(p.relative_to(serial_dir)
                               for p in serial_dir.rglob("*") if p.is_file())
@@ -128,12 +138,11 @@ class TestPerfSurface:
         assert "entries: 0" in capsys.readouterr().out
 
     def test_trace_reports_cache_counters(self, tmp_path, capsys):
-        assert main(["trace", "--jobs", "2",
+        assert main(["trace",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
-        assert "cache/parallel" in out
+        assert "=== cache ===" in out
         assert "cache.misses" in out
-        assert "parallel.tasks" in out
 
 
 class TestServiceSurface:
@@ -198,7 +207,7 @@ class TestConformanceSurface:
     def test_list_oracles(self, capsys):
         assert main(["conformance", "--list-oracles"]) == 0
         out = capsys.readouterr().out
-        for name in ("roundtrip", "interchange", "cache", "jobs",
+        for name in ("roundtrip", "interchange", "cache",
                      "serve", "grouping"):
             assert name in out
 

@@ -17,7 +17,7 @@ class TestRunTrial:
         result = run_trial(0, config=SMALL)
         assert result.ok
         assert [outcome.name for outcome in result.outcomes] == [
-            "roundtrip", "interchange", "cache", "jobs", "serve",
+            "roundtrip", "interchange", "cache", "serve",
             "incremental", "grouping", "sim", "plan", "sharded"]
 
     def test_unknown_oracle_rejected(self):

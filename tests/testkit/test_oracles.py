@@ -8,7 +8,7 @@ from repro.testkit import (ORACLES, CorpusConfig, OracleFailure,
                            TrialContext, generate_scenario, oracle_names,
                            run_oracle)
 
-EXPECTED = ["roundtrip", "interchange", "cache", "jobs", "serve",
+EXPECTED = ["roundtrip", "interchange", "cache", "serve",
             "incremental", "grouping", "sim", "plan", "sharded"]
 
 
