@@ -92,18 +92,34 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+def _open_cache(directory, args):
+    """The ArtifactCache at *directory*, bounded by --cache-max-bytes."""
+    from .cache import DEFAULT_CACHE_MAX_BYTES, ArtifactCache
+    max_bytes = getattr(args, "cache_max_bytes", None)
+    return ArtifactCache(directory, DEFAULT_CACHE_MAX_BYTES
+                         if max_bytes is None else max_bytes)
+
+
 def _resolve_cache(args):
     """The ArtifactCache requested via --cache/--cache-dir, or None."""
-    from .cache import ArtifactCache, default_cache_dir
+    from .cache import default_cache_dir
     directory = args.cache_dir
     if directory is None and getattr(args, "cache", False):
         directory = default_cache_dir()
     if directory is None:
         return None
-    max_bytes = getattr(args, "cache_max_bytes", None)
-    if max_bytes is not None:
-        return ArtifactCache(directory, max_bytes)
-    return ArtifactCache(directory)
+    return _open_cache(directory, args)
+
+
+def _pipeline_options(args, cache, **fields):
+    """``PipelineOptions`` for --capacity/--namespace whose cache layers
+    open *cache* (from :func:`_resolve_cache`) at the same size bound."""
+    from .codegen import PipelineOptions
+    if cache is not None:
+        fields.update(cache_dir=str(cache.directory),
+                      cache_max_bytes=cache.max_bytes)
+    return PipelineOptions(capacity=args.capacity,
+                           namespace=args.namespace, **fields)
 
 
 def _add_perf_arguments(parser) -> None:
@@ -120,17 +136,13 @@ def _add_perf_arguments(parser) -> None:
 def _cmd_generate(args) -> int:
     from contextlib import nullcontext
 
-    from .codegen import PipelineOptions, generate_configuration
+    from .codegen import generate_configuration
     from .icelab import icelab_sources
     from .obs import Tracer
     from .sysml import load_model
     tracer = Tracer() if args.trace is not None else None
     cache = _resolve_cache(args)
-    options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace, tracer=tracer,
-        cache_dir=str(cache.directory) if cache else None,
-        cache_max_bytes=(cache.max_bytes if cache
-                         else PipelineOptions().cache_max_bytes))
+    options = _pipeline_options(args, cache, tracer=tracer)
     with tracer.activate() if tracer else nullcontext():
         model = load_model(*icelab_sources(), cache=cache)
         result = generate_configuration(model, options=options)
@@ -160,7 +172,7 @@ def _cmd_trace(args) -> int:
     """Run the full flow (parse -> ... -> step2) with telemetry on."""
     import json as _json
 
-    from .codegen import PipelineOptions, generate_configuration
+    from .codegen import generate_configuration
     from .obs import METRICS, Tracer
     from .sysml import load_model
     from .sysml.errors import SysMLError
@@ -180,9 +192,7 @@ def _cmd_trace(args) -> int:
         with tracer.activate():
             model = load_model(*sources, filenames=filenames, cache=cache)
             result = generate_configuration(
-                model, options=PipelineOptions(
-                    capacity=args.capacity, namespace=args.namespace,
-                    cache_dir=str(cache.directory) if cache else None))
+                model, options=_pipeline_options(args, cache))
     except SysMLError as exc:
         print(f"ERROR: {exc}")
         return 1
@@ -354,17 +364,12 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from .codegen import PipelineOptions
     from .service import ConfigurationService, ServiceHTTPServer
 
     if args.workers > 0:
         return _cmd_serve_sharded(args)
     cache = _resolve_cache(args)
-    options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace,
-        cache_dir=str(cache.directory) if cache else None,
-        cache_max_bytes=(cache.max_bytes if cache
-                         else PipelineOptions().cache_max_bytes))
+    options = _pipeline_options(args, cache)
     service = ConfigurationService(
         options, max_inflight=args.max_inflight,
         policy=args.backpressure, block_deadline=args.block_deadline,
@@ -414,7 +419,6 @@ def _cmd_serve_sharded(args) -> int:
     import tempfile
     import threading
 
-    from .codegen import PipelineOptions
     from .service import RouterHTTPServer, RouterService, WorkerProcess
 
     cache = _resolve_cache(args)
@@ -422,8 +426,8 @@ def _cmd_serve_sharded(args) -> int:
         # workers are separate processes; a shared content-addressed
         # store is what lets one shard's artifacts serve another after
         # a re-shard, so the sharded tier always runs with a cache
-        from .cache import ArtifactCache, default_cache_dir
-        cache = ArtifactCache(default_cache_dir())
+        from .cache import default_cache_dir
+        cache = _open_cache(default_cache_dir(), args)
     serve_args = [
         "--capacity", str(args.capacity),
         "--namespace", args.namespace,
@@ -436,9 +440,7 @@ def _cmd_serve_sharded(args) -> int:
     ]
     if args.cache_max_bytes is not None:
         serve_args += ["--cache-max-bytes", str(args.cache_max_bytes)]
-    options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace,
-        cache_dir=str(cache.directory))
+    options = _pipeline_options(args, cache)
     workdir = tempfile.mkdtemp(prefix="repro-shards-")
     workers = [WorkerProcess(f"worker{i}", host=args.host,
                              serve_args=serve_args, workdir=workdir)
@@ -507,15 +509,10 @@ def _cmd_serve_sharded(args) -> int:
 
 def _cmd_watch(args) -> int:
     """Watch .sysml files; re-elaborate dirty subtrees on each edit."""
-    from .codegen import PipelineOptions
     from .watch import WatchSession
 
     cache = _resolve_cache(args)
-    options = PipelineOptions(
-        capacity=args.capacity, namespace=args.namespace,
-        cache_dir=str(cache.directory) if cache else None,
-        cache_max_bytes=(cache.max_bytes if cache
-                         else PipelineOptions().cache_max_bytes))
+    options = _pipeline_options(args, cache)
     cluster = None
     if args.deploy:
         from .k8s import Cluster
@@ -697,16 +694,14 @@ def _cmd_compare(args) -> int:
 def _cmd_cache(args) -> int:
     from pathlib import Path
 
-    from .cache import ArtifactCache, default_cache_dir
+    from .cache import default_cache_dir
     directory = Path(args.cache_dir or default_cache_dir()).expanduser()
     if not directory.is_dir():
         # inspecting or clearing must not create the directory as a
         # side effect, and a missing cache is not an error
         print(f"no cache at {directory}")
         return 0
-    cache = (ArtifactCache(directory, args.cache_max_bytes)
-             if args.cache_max_bytes is not None
-             else ArtifactCache(directory))
+    cache = _open_cache(directory, args)
     if args.action == "clear":
         removed = cache.clear()
         if removed:

@@ -29,7 +29,7 @@ loads of the same sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..fingerprint import NODE_SALT, fingerprint
 from .elements import (Alias, Assignment, BindingConnector, Connector,
@@ -245,18 +245,6 @@ def scope_fingerprint(element: Element) -> str:
     return fp
 
 
-def clear_fingerprints(element: Element, *, ancestors: bool = True) -> None:
-    """Drop cached fingerprints of *element* (and its ancestor chain,
-    whose Merkle hashes embed it)."""
-    node: Element | None = element
-    while node is not None:
-        node.__dict__.pop(_DEEP_ATTR, None)
-        node.__dict__.pop(_SCOPE_ATTR, None)
-        if not ancestors:
-            return
-        node = node.owner
-
-
 def find_by_path(model: Model, path: str) -> Element | None:
     """Resolve a :func:`node_path` back to its element (None if gone)."""
     if not path:
@@ -343,9 +331,6 @@ class DepGraph:
         for consumer in consumers:
             self.target_deps.pop(consumer, None)
             self.scope_deps.pop(consumer, None)
-
-    def consumers(self) -> set[NodeKey]:
-        return set(self.target_deps) | set(self.scope_deps)
 
     def consumers_affected(self, deep_changed: set[NodeKey],
                            scope_changed: set[NodeKey]) -> set[NodeKey]:
@@ -436,17 +421,3 @@ def elements_anchored_in(model: Model, dirty: set[NodeKey]
         visit(child, False)
     return collected
 
-
-def iter_with_anchor(model: Model) -> Iterator[tuple[Element, NodeKey]]:
-    """Every element with its anchor key, in pre-order."""
-
-    def visit(element: Element, anchor: NodeKey
-              ) -> Iterator[tuple[Element, NodeKey]]:
-        if is_anchor(element):
-            anchor = node_key(element)
-        yield element, anchor
-        for child in element.owned_elements:
-            yield from visit(child, anchor)
-
-    for child in model.owned_elements:
-        yield from visit(child, ROOT_KEY)

@@ -32,19 +32,16 @@ from dataclasses import dataclass
 from ..fingerprint import fingerprint
 from ..obs import span as _span
 from .builder import ModelBuilder
-from .depgraph import (NodeIndex, NodeKey, _name_of, anchor_key,
+from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
+                       NodeIndex, NodeKey, _name_of, anchor_key,
                        deep_fingerprint, elements_anchored_in, node_key,
                        own_signature, subtree_anchor_keys, DepGraph,
                        DepRecorder)
 from .elements import (Alias, Assignment, BindingConnector, Connector,
                        Element, Import, Model, Package, PerformAction,
                        RedefinitionUsage, Type, Usage)
-from .resolver import Resolver, _parse_sources, model_fingerprint
-
-_DEEP_ATTR = "_repro_deep_fp"
-_SCOPE_ATTR = "_repro_scope_fp"
-_KEY_ATTR = "_repro_node_key"
-_ANCHOR_ATTR = "_repro_anchor_key"
+from .resolver import (Resolver, _load_sources, _parse_sources,
+                       _stdlib_prefixed, model_fingerprint)
 
 _SOURCE_SALT = "sysml-source-text/1"
 
@@ -297,8 +294,8 @@ class _Merger:
 class ModelSession:
     """A resolved model that absorbs source edits incrementally.
 
-    Construction performs a cold :func:`load_model`-equivalent (with
-    dependency recording); :meth:`update` merges a new revision of the
+    Construction runs :func:`load_model`'s front end with dependency
+    recording; :meth:`update` merges a new revision of the
     sources and returns a :class:`ModelUpdate` describing how little
     work that took. The live model object is stable across updates —
     only dirty subtrees are re-resolved in place.
@@ -316,44 +313,15 @@ class ModelSession:
         self._source_fps: list[str] = []
         self._slice_counts: list[int] = []
         self._half_merged = False
-        self._load_cold(list(texts), list(filenames or []))
+        self._load_cold(texts, filenames)
 
     # -- cold path -----------------------------------------------------------
 
-    def _with_stdlib(self, texts: list[str], filenames: list[str]
-                     ) -> tuple[list[str], list[str]]:
-        from .stdlib import SCALAR_VALUES_SOURCE
-        names = list(filenames) or [f"<model{i}>" for i in range(len(texts))]
-        sources = list(texts)
-        if self.include_stdlib:
-            sources.insert(0, SCALAR_VALUES_SOURCE)
-            names.insert(0, "<stdlib>")
-        return sources, names
-
-    def _load_cold(self, texts: list[str], filenames: list[str]) -> None:
-        from .stdlib import IMPLICIT_LIBRARY_PACKAGES
-        sources, names = self._with_stdlib(texts, filenames)
-        trees = _parse_sources(sources, names, cache=self.cache)
-        builder = ModelBuilder()
-        counts: list[int] = []
-        for tree in trees:
-            before = len(builder.model.owned_elements)
-            builder.add(tree)
-            counts.append(len(builder.model.owned_elements) - before)
-        model = builder.build()
-        if self.include_stdlib:
-            for element in model.owned_elements[:counts[0]]:
-                if isinstance(element, Package):
-                    element.is_library = True
-        else:
-            for element in model.owned_elements:
-                if isinstance(element, Package) and \
-                        element.name in IMPLICIT_LIBRARY_PACKAGES:
-                    element.is_library = True
-        model.content_fingerprint = model_fingerprint(
-            sources, names, include_stdlib=self.include_stdlib)
+    def _load_cold(self, texts, filenames: list[str] | None) -> None:
         graph = DepGraph()
-        Resolver(model, recorder=DepRecorder(graph)).resolve()
+        model, sources, names, counts = _load_sources(
+            texts, filenames, include_stdlib=self.include_stdlib,
+            cache=self.cache, recorder=DepRecorder(graph))
         self.model = model
         self.graph = graph
         self.index = NodeIndex.of_model(model)
@@ -369,8 +337,8 @@ class ModelSession:
                filenames: list[str] | None = None) -> ModelUpdate:
         """Absorb a new revision of the sources; falls back to a cold
         rebuild on any incremental failure."""
-        sources, names = self._with_stdlib(list(texts),
-                                           list(filenames or []))
+        sources, names = _stdlib_prefixed(
+            texts, filenames, include_stdlib=self.include_stdlib)
         try:
             if self._half_merged:
                 raise IncrementalFallback("last update failed mid-merge")
@@ -382,7 +350,7 @@ class ModelSession:
             # have changed the live model, so until a cold rebuild
             # succeeds every update takes this path.
             self._half_merged = True
-            self._load_cold(list(texts), list(filenames or []))
+            self._load_cold(texts, filenames)
             self._half_merged = False
             return ModelUpdate(
                 changed_sources=tuple(names[1:]

@@ -16,13 +16,21 @@ imports of enclosing namespaces, then outward through the owner chain.
 Qualified names resolve their first segment that way and descend through
 (effective) members.
 
-With a :class:`~repro.sysml.depgraph.DepRecorder` attached, every
-lookup additionally records *which namespaces it consulted* and *what
-it finally resolved to* into a dependency graph — the raw material of
-incremental re-resolution (see :mod:`repro.sysml.incremental`).
-:meth:`Resolver.resolve_only` reruns the same passes over an explicit
-subset of elements, which is how dirty subtrees are re-resolved without
-touching the rest of the model.
+Lookups run through per-resolve memo tables (member, inherited and
+root-scope tables with fine-grained invalidation), with or without a
+recorder. With a :class:`~repro.sysml.depgraph.DepRecorder` attached,
+every lookup additionally records *which namespaces it consulted* and
+*what it finally resolved to* into a dependency graph — the raw
+material of incremental re-resolution (see
+:mod:`repro.sysml.incremental`); a root-scope memo hit replays the
+scopes its scan consulted, so the graph is the one an unmemoized
+lookup would record. :meth:`Resolver.resolve_only` reruns the same
+passes over an explicit subset of elements, which is how dirty
+subtrees are re-resolved without touching the rest of the model.
+
+:func:`load_model` and :class:`~repro.sysml.incremental.ModelSession`
+share one cold front end, :func:`_load_sources`: stdlib prefix, parse,
+build, library marking, content fingerprint, resolve.
 """
 
 from __future__ import annotations
@@ -64,11 +72,11 @@ class Resolver:
         # * an alias retarget invalidates root-scope scans (the only
         #   cache that stores dereferenced alias targets).
         #
-        # Memoization is disabled whenever a DepRecorder is attached:
-        # the dependency graph must observe every namespace the lookup
-        # *would* consult, so the incremental engine always runs on the
-        # unmemoized path.
-        self._memo_enabled = recorder is None
+        # Memo hits record the same dependencies as a fresh build: every
+        # member/inherited-table lookup is preceded by an explicit
+        # ``_consulted`` call, and a root-scan entry stores, next to its
+        # answer, the scopes the scan consulted (the model root and the
+        # stdlib packages it searched), which each hit replays.
         self._members_memo: dict[int, tuple[Element,
                                             dict[str, Element]]] = {}
         self._inherited_memo: dict[int, tuple[Type,
@@ -76,7 +84,8 @@ class Resolver:
         #: id(element) -> ids of types whose cached inherited table was
         #: built over that element (supertype closure + redefines chains)
         self._inh_deps: dict[int, set[int]] = {}
-        self._root_memo: dict[str, Element | None] = {}
+        self._root_memo: dict[str, tuple[Element | None,
+                                         tuple[Element, ...]]] = {}
         #: per-scope Import children — pure tree structure, which never
         #: changes during resolution, so entries are valid for the whole
         #: resolve (targets on the Import objects are read live)
@@ -166,19 +175,17 @@ class Resolver:
         owner; the element tree itself never gains or loses children
         during resolution.
         """
-        if self._memo_enabled:
-            entry = self._members_memo.get(id(element))
-            if entry is not None:
-                return entry[1]
+        entry = self._members_memo.get(id(element))
+        if entry is not None:
+            return entry[1]
         table: dict[str, Element] = {}
         for child in element.owned_elements:
             name = child.name
             if name is not None and name not in table:
                 table[name] = child
-        if self._memo_enabled:
-            # the entry keeps a strong reference to the element so the
-            # ``id()`` key cannot be recycled under the memo
-            self._members_memo[id(element)] = (element, table)
+        # the entry keeps a strong reference to the element so the
+        # ``id()`` key cannot be recycled under the memo
+        self._members_memo[id(element)] = (element, table)
         return table
 
     def _inherited(self, typ: Type) -> dict[str, Element]:
@@ -195,8 +202,6 @@ class Resolver:
         in the supertype list themselves, yet whose typing still feeds
         the closure.
         """
-        if not self._memo_enabled:
-            return typ.inherited_members()
         entry = self._inherited_memo.get(id(typ))
         if entry is not None:
             return entry[1]
@@ -219,9 +224,12 @@ class Resolver:
 
     def _member_of(self, element: Element, name: str, *,
                    include_self: bool = False) -> Element | None:
-        """Memoized equivalent of the module-level :func:`_member_of`."""
-        if not self._memo_enabled:
-            return _member_of(element, name, include_self=include_self)
+        """Find *name* among the (effective) members of *element*:
+        own members first, then inherited ones when it is a type.
+
+        Aliases are transparent: looking up an alias name yields its
+        target.
+        """
         if include_self and element.name == name:
             return element
         found: Element | None = None
@@ -429,36 +437,39 @@ class Resolver:
         chain rescans them — memoizing by name makes the root scan
         amortized O(1) instead of O(packages) per lookup. Invalidated
         wholesale on alias retargets and root-visible name changes.
+        Every hit replays the scopes its scan consulted, so a recorded
+        dependency graph does not depend on which lookup came first.
         """
-        if self._memo_enabled and name in self._root_memo:
-            return self._root_memo[name]
-        found = self._scan_root(name)
-        if self._memo_enabled:
-            self._root_memo[name] = found
+        entry = self._root_memo.get(name)
+        if entry is None:
+            entry = self._root_memo[name] = self._scan_root(name)
+        found, consulted = entry
+        if self.recorder is not None:
+            for scope in consulted:
+                self.recorder.consulted(scope)
         return found
 
-    def _scan_root(self, name: str) -> Element | None:
+    def _scan_root(self, name: str
+                   ) -> tuple[Element | None, tuple[Element, ...]]:
+        """The root-scope answer for *name* plus the scopes consulted."""
         # the model root (library packages resolve only by qualified name
         # or through the implicit-import fallback below)
-        self._consulted(self.model)
         for child in self.model.owned_elements:
             if child.name == name and not _is_library_package(child):
-                return _deref_alias(child)
+                return _deref_alias(child), (self.model,)
         for child in self.model.owned_elements:
             if child.name == name:
-                return _deref_alias(child)
-        return self._lookup_in_stdlib(name)
-
-    def _lookup_in_stdlib(self, name: str) -> Element | None:
+                return _deref_alias(child), (self.model,)
         from .stdlib import IMPLICIT_LIBRARY_PACKAGES
+        consulted: list[Element] = [self.model]
         for package_name in IMPLICIT_LIBRARY_PACKAGES:
             package = self.model.member(package_name)
             if package is not None:
-                self._consulted(package)
+                consulted.append(package)
                 found = self._member_of(package, name)
                 if found is not None:
-                    return found
-        return None
+                    return found, tuple(consulted)
+        return None, tuple(consulted)
 
     def _imports_of(self, scope: Element) -> list[Import]:
         entry = self._imports_memo.get(id(scope))
@@ -542,24 +553,6 @@ def _deref_alias(element: Element) -> Element:
     return element
 
 
-def _member_of(element: Element, name: str, *,
-               include_self: bool = False) -> Element | None:
-    """Find *name* among the (effective) members of *element*.
-
-    Aliases are transparent: looking up an alias name yields its target.
-    """
-    if include_self and element.name == name:
-        return element
-    found: Element | None = None
-    if isinstance(element, Type):
-        found = element.effective_member(name)
-    elif isinstance(element, Namespace):
-        found = element.member(name)
-    if isinstance(found, Alias):
-        return found.target
-    return found
-
-
 def resolve_model(model: Model) -> Model:
     """Resolve all references in *model* (in place) and return it."""
     return Resolver(model).resolve()
@@ -606,6 +599,19 @@ def model_fingerprint(sources: list[str], names: list[str], *,
     return fingerprint([include_stdlib], *sources, *names, salt=MODEL_SALT)
 
 
+def _stdlib_prefixed(texts, filenames: list[str] | None, *,
+                     include_stdlib: bool) -> tuple[list[str], list[str]]:
+    """The sources and names a load of *texts* actually reads: default
+    ``<modelN>`` names, and the stdlib source first unless excluded."""
+    names = list(filenames or [f"<model{i}>" for i in range(len(texts))])
+    sources = list(texts)
+    if include_stdlib:
+        from .stdlib import SCALAR_VALUES_SOURCE
+        sources.insert(0, SCALAR_VALUES_SOURCE)
+        names.insert(0, "<stdlib>")
+    return sources, names
+
+
 def content_fingerprint_of_sources(
         sources: list[str], filenames: list[str] | None = None, *,
         include_stdlib: bool = True) -> str:
@@ -616,13 +622,51 @@ def content_fingerprint_of_sources(
     the same shard-affinity key a worker derives after actually
     loading the model, so routing costs a hash, not a parse.
     """
-    names = list(filenames or [f"<model{i}>" for i in range(len(sources))])
-    texts = list(sources)
-    if include_stdlib:
-        from .stdlib import SCALAR_VALUES_SOURCE
-        texts.insert(0, SCALAR_VALUES_SOURCE)
-        names.insert(0, "<stdlib>")
+    texts, names = _stdlib_prefixed(sources, filenames,
+                                    include_stdlib=include_stdlib)
     return model_fingerprint(texts, names, include_stdlib=include_stdlib)
+
+
+def _load_sources(texts, filenames: list[str] | None, *,
+                  include_stdlib: bool, cache=None, recorder=None
+                  ) -> tuple[Model, list[str], list[str], list[int]]:
+    """Parse, build and resolve *texts*: the one cold front end.
+
+    Returns the resolved model, the stdlib-prefixed sources and names
+    it was loaded from, and how many root elements each source
+    contributed. *recorder* (a
+    :class:`~repro.sysml.depgraph.DepRecorder`) is handed to the
+    resolver.
+    """
+    from .builder import ModelBuilder
+    from .elements import Package
+    from .stdlib import IMPLICIT_LIBRARY_PACKAGES
+
+    sources, names = _stdlib_prefixed(texts, filenames,
+                                      include_stdlib=include_stdlib)
+    trees = _parse_sources(sources, names, cache=cache)
+    builder = ModelBuilder()
+    counts: list[int] = []
+    for tree in trees:
+        before = len(builder.model.owned_elements)
+        builder.add(tree)
+        counts.append(len(builder.model.owned_elements) - before)
+    model = builder.build()
+    if include_stdlib:
+        for element in model.owned_elements[:counts[0]]:
+            if isinstance(element, Package):
+                element.is_library = True
+    else:
+        # re-parsing a printed model: recognize the embedded library
+        # packages by name so round trips stay stable
+        for element in model.owned_elements:
+            if isinstance(element, Package) and \
+                    element.name in IMPLICIT_LIBRARY_PACKAGES:
+                element.is_library = True
+    model.content_fingerprint = model_fingerprint(
+        sources, names, include_stdlib=include_stdlib)
+    Resolver(model, recorder=recorder).resolve()
+    return model, sources, names, counts
 
 
 def load_model(*texts: str, filenames: list[str] | None = None,
@@ -635,33 +679,8 @@ def load_model(*texts: str, filenames: list[str] | None = None,
     reused across runs, keyed on the source text.
 
     A model that absorbs later source edits comes from
-    :class:`~repro.sysml.ModelSession` instead, which also records the
-    resolution dependency graph.
+    :class:`~repro.sysml.ModelSession` instead, which runs the same
+    front end and also records the resolution dependency graph.
     """
-    from .builder import build_model
-    from .elements import Package
-    from .stdlib import IMPLICIT_LIBRARY_PACKAGES, SCALAR_VALUES_SOURCE
-
-    names = list(filenames or [f"<model{i}>" for i in range(len(texts))])
-    sources = list(texts)
-    if include_stdlib:
-        sources.insert(0, SCALAR_VALUES_SOURCE)
-        names.insert(0, "<stdlib>")
-
-    trees = _parse_sources(sources, names, cache=cache)
-    model = build_model(*trees)
-    if include_stdlib:
-        stdlib_root_count = len(trees[0].members)
-        for element in model.owned_elements[:stdlib_root_count]:
-            if isinstance(element, Package):
-                element.is_library = True
-    else:
-        # re-parsing a printed model: recognize the embedded library
-        # packages by name so round trips stay stable
-        for element in model.owned_elements:
-            if isinstance(element, Package) and \
-                    element.name in IMPLICIT_LIBRARY_PACKAGES:
-                element.is_library = True
-    model.content_fingerprint = model_fingerprint(
-        sources, names, include_stdlib=include_stdlib)
-    return resolve_model(model)
+    return _load_sources(texts, filenames, include_stdlib=include_stdlib,
+                         cache=cache)[0]

@@ -141,6 +141,22 @@ EMCO_WORKCELL_SOURCE = (ISA95_BASE_SOURCE + EMCO_LIBRARY_SOURCE
                         + EMCO_INSTANCE_SOURCE)
 
 
+def graph_signature(graph):
+    """``(sha256, target edges, scope edges)`` of a resolution
+    dependency graph: two graphs with equal signatures record the same
+    edges, whatever order the resolver recorded them in."""
+    import hashlib
+
+    def edges(deps):
+        return sorted((str(consumer), sorted(map(str, producers)))
+                      for consumer, producers in deps.items())
+
+    text = repr((edges(graph.target_deps), edges(graph.scope_deps)))
+    return (hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            sum(map(len, graph.target_deps.values())),
+            sum(map(len, graph.scope_deps.values())))
+
+
 def rejected_revision(sources):
     """Revisions B and C of an ICE-lab source list (revision A).
 

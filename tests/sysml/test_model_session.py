@@ -10,6 +10,9 @@ edit propagates semantically but stays attributed to the library.
 
 import pytest
 
+from fixtures import graph_signature
+from repro.icelab import icelab_sources
+from repro.sysml import load_model, node_path
 from repro.sysml.depgraph import find_by_path
 from repro.sysml.incremental import ModelSession
 
@@ -141,3 +144,34 @@ class TestMovedPackage:
         # consumers follow the package to its new objects
         assert find_by_path(live.model, "Plant::w1").typ is widget
         assert find_by_path(live.model, "Plant::w2").typ is widget
+
+
+class TestRootScopeDependencies:
+    """Every name that falls through to the root scope depends on it,
+    whether the resolver scanned the root for that name or answered a
+    repeat lookup from its memo."""
+
+    USERS = ["package A {\n    attribute a : Real;\n}\n",
+             "package B {\n    attribute b : Real;\n}\n"]
+    SHADOW = "attribute def Real;\n"
+
+    def test_new_root_definition_retypes_every_fallback_usage(self):
+        live = ModelSession(*self.USERS, filenames=["a.sysml", "b.sysml"])
+        for path in ("A::a", "B::b"):
+            assert node_path(find_by_path(live.model, path).typ) == \
+                "ScalarValues::Real"
+        names = ["a.sysml", "b.sysml", "real.sysml"]
+        update = live.update(*self.USERS, self.SHADOW, filenames=names)
+        assert not update.full_rebuild
+        assert {"A", "B"} <= set(paths(update.dirty_anchors))
+        cold = load_model(*self.USERS, self.SHADOW, filenames=names)
+        for path in ("A::a", "B::b"):
+            assert node_path(find_by_path(cold, path).typ) == "Real"
+            assert node_path(find_by_path(live.model, path).typ) == "Real"
+
+
+def test_icelab_dependency_graph_is_pinned():
+    """The ICE lab (the x1 mega factory) records exactly this graph."""
+    assert graph_signature(ModelSession(*icelab_sources()).graph) == (
+        "18be9a6b22db9049e3ab5757b249c855e42f8fed3e04e08dc2dbe18c71e71a6c",
+        893, 6575)

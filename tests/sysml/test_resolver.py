@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.sysml import (BindingConnector, PartDefinition, PerformAction,
-                         ResolutionError, load_model)
+from fixtures import graph_signature
+from repro.icelab import icelab_sources
+from repro.sysml import (Alias, Assignment, BindingConnector, Connector,
+                         Import, Namespace, PartDefinition, PerformAction,
+                         ResolutionError, Type, Usage, load_model, node_path)
+from repro.sysml import resolver as resolver_module
+from repro.sysml.incremental import ModelSession
+from repro.sysml.resolver import Resolver
+from repro.testkit.corpus import CorpusConfig, generate_scenario
+from repro.testkit.scale import mega_factory_sources
 
 
 class TestSpecializationResolution:
@@ -215,3 +223,133 @@ class TestMultiSourceModels:
         integer = model.find("ScalarValues::Integer")
         real = model.find("ScalarValues::Real")
         assert integer.conforms_to(real)
+
+
+# -- the memoized lookups against plain element-tree lookups ----------------
+
+class PlainLookupResolver(Resolver):
+    """The resolver with every memo table bypassed: member lookups go
+    through ``Type.effective_member`` / ``Namespace.member`` on each
+    call, and every root lookup rescans the model root."""
+
+    def _member_table(self, element):
+        return _PlainMembers(element)
+
+    def _inherited(self, typ):
+        return typ.inherited_members()
+
+    def _member_of(self, element, name, *, include_self=False):
+        if include_self and element.name == name:
+            return element
+        found = None
+        if isinstance(element, Type):
+            found = element.effective_member(name)
+        elif isinstance(element, Namespace):
+            found = element.member(name)
+        if isinstance(found, Alias):
+            return found.target
+        return found
+
+    def _lookup_root(self, name):
+        found, consulted = self._scan_root(name)
+        for scope in consulted:
+            self._consulted(scope)
+        return found
+
+
+class _PlainMembers:
+    """``Namespace.member`` behind the ``dict.get`` the resolver calls."""
+
+    def __init__(self, namespace):
+        self.namespace = namespace
+
+    def get(self, name):
+        return self.namespace.member(name)
+
+
+def resolved_pointers(model):
+    """Every resolver-written field (those ``clear_resolved_state``
+    resets), as ``node_path`` strings, per element in pre-order."""
+
+    def path(target):
+        return None if target is None else node_path(target)
+
+    rows = []
+    for element in model.all_elements():
+        row = [node_path(element), type(element).__name__]
+        if isinstance(element, Type):
+            row.append(tuple(map(path, element.specializations)))
+        if isinstance(element, Usage):
+            row += [path(element.typ), tuple(map(path, element.redefines)),
+                    element.name]
+        if isinstance(element, (Import, Alias, PerformAction)):
+            row.append(path(element.target))
+        if isinstance(element, BindingConnector):
+            row += [path(element.left), path(element.right)]
+        if isinstance(element, Connector):
+            row += [path(element.typ), path(element.source),
+                    path(element.target)]
+        if isinstance(element, Assignment):
+            row.append(path(element.resolved_value))
+        rows.append(tuple(row))
+    return rows
+
+
+def _corpus_sources(seed, hostile):
+    return generate_scenario(seed, CorpusConfig(hostile=hostile)).sources
+
+
+# One model per mid-resolve mutation the memo tables must observe.
+NAME_CHANGE = """
+part def Q;
+part def P {
+    attribute x : Integer;
+    attribute y : Integer;
+}
+part p : P {
+    part inner : Q;
+    :>> x = 3;
+    bind y = x;
+}
+"""
+ALIAS_CHAIN = """
+part def C;
+alias A for B;
+alias B for C;
+part x : B;
+"""
+REDEFINITION_LATTICE = """
+part def E { attribute e : Integer; }
+part def E2 { attribute f : Integer; }
+part def P { part x : E; }
+part p : P {
+    :>> x {
+        part z : E2;
+        bind z.f = e;
+    }
+}
+"""
+
+REFERENCE_INPUTS = [
+    pytest.param(lambda: [NAME_CHANGE], id="name-change"),
+    pytest.param(lambda: [ALIAS_CHAIN], id="alias-chain"),
+    pytest.param(lambda: [REDEFINITION_LATTICE], id="redefinition-lattice"),
+    pytest.param(icelab_sources, id="icelab"),
+    pytest.param(lambda: mega_factory_sources(1), id="mega-x1"),
+    *(pytest.param(lambda seed=seed: _corpus_sources(seed, False),
+                   id=f"tame-{seed}") for seed in range(20)),
+    *(pytest.param(lambda seed=seed: _corpus_sources(seed, True),
+                   id=f"hostile-{seed}") for seed in range(20)),
+]
+
+
+@pytest.mark.parametrize("make_sources", REFERENCE_INPUTS)
+def test_memoized_lookups_match_plain_lookups(make_sources, monkeypatch):
+    sources = make_sources()
+    memoized = load_model(*sources)
+    recorded = ModelSession(*sources).graph
+    monkeypatch.setattr(resolver_module, "Resolver", PlainLookupResolver)
+    plain = ModelSession(*sources)
+    assert resolved_pointers(memoized) == resolved_pointers(plain.model)
+    # memo hits record every scope a fresh lookup would have consulted
+    assert graph_signature(recorded) == graph_signature(plain.graph)

@@ -144,6 +144,14 @@ class TestPerfSurface:
         assert "=== cache ===" in out
         assert "cache.misses" in out
 
+    def test_trace_keeps_the_cache_within_its_bound(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        assert main(["trace", "--cache-dir", str(cache_dir),
+                     "--cache-max-bytes", "20000"]) == 0
+        stored = sum(path.stat().st_size for path in cache_dir.rglob("*")
+                     if path.is_file())
+        assert stored <= 20000
+
 
 class TestServiceSurface:
     """The CLI surface added alongside the serving subsystem."""
