@@ -233,7 +233,7 @@ def _cmd_simulate(args) -> int:
 
     from .isa95 import extract_topology
     from .obs import Tracer
-    from .sim import SCENARIOS, simulate_suite
+    from .sim import SCENARIOS, WorkloadError, simulate_suite
     from .sysml import load_model
     from .sysml.errors import SysMLError
 
@@ -264,6 +264,9 @@ def _cmd_simulate(args) -> int:
     except SysMLError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
+    except WorkloadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(briefing.to_json())
@@ -301,11 +304,15 @@ def _cmd_plan(args) -> int:
         from .icelab import icelab_sources
         sources = icelab_sources()
         filenames = None
+    try:
+        options = PlanningOptions(
+            seed=args.seed, problems=args.problems, orders=args.orders,
+            strategy=args.strategy, planner_seed=args.planner_seed,
+            validate=not args.no_validate, jobs=args.jobs, mode=args.mode)
+    except PlanningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cache = _resolve_cache(args)
-    options = PlanningOptions(
-        seed=args.seed, problems=args.problems, orders=args.orders,
-        strategy=args.strategy, planner_seed=args.planner_seed,
-        validate=not args.no_validate, jobs=args.jobs, mode=args.mode)
     tracer = Tracer() if args.trace else None
     try:
         with tracer.activate() if tracer else nullcontext():

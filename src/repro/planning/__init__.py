@@ -17,7 +17,8 @@ Layering (each module only imports downward):
   search (``greedy``/``uniform``) with a seeded **total** tie-break
   order — no wall time, no unseeded random;
 * :mod:`~repro.planning.validate`— plan replay against the behavioural
-  :class:`repro.machines.MachineSimulator` instances;
+  :class:`repro.machines.MachineSimulator` instances, each built when
+  the replay first reaches its machine;
 * :mod:`~repro.planning.backend` — :func:`plan_operations`: cache,
   tracing span, ``map_ordered`` fan-out, the whole bundle.
 
@@ -34,11 +35,12 @@ from .planner import (DEFAULT_MAX_EXPANSIONS, STRATEGIES, SearchResult,
                       heuristic, solve)
 from .task import (FactoryDomain, GroundAction, PlanningError,
                    PlanningTask, SymbolTable, build_task)
-from .validate import (PlanValidation, build_simulators, validate_plan)
+from .validate import (MachineSimulators, PlanValidation, build_simulators,
+                       validate_plan)
 
 __all__ = [
     "DEFAULT_MAX_EXPANSIONS", "FactoryDomain", "GroundAction",
-    "PlannedProblem", "PlanningError", "PlanningOptions",
+    "MachineSimulators", "PlannedProblem", "PlanningError", "PlanningOptions",
     "PlanningResult", "PlanningTask", "PlanValidation", "STRATEGIES",
     "SearchResult", "SymbolTable", "build_simulators", "build_task",
     "emit_domain", "emit_problem", "heuristic", "plan_operations",

@@ -61,6 +61,17 @@ class PlanningOptions:
     jobs: int = 1
     mode: str = "thread"
 
+    def __post_init__(self) -> None:
+        checked = {"problems": self.problems,
+                   "max_expansions": self.max_expansions}
+        if self.orders is not None:
+            checked["orders"] = self.orders
+        for name, value in checked.items():
+            # bool is an int subclass; ``orders=True`` is not one order
+            if type(value) is not int or value < 1:
+                raise PlanningError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+
     def replace(self, **changes) -> "PlanningOptions":
         return dataclasses.replace(self, **changes)
 

@@ -200,9 +200,6 @@ class PlanningTask:
     dropped_steps: int = 0
     dropped_jobs: int = 0
 
-    def atom(self, text: str) -> int:
-        raise NotImplementedError  # filled in by build_task's interner
-
     def goal_reached(self, state: frozenset[int]) -> bool:
         return self.goal <= state
 
@@ -227,7 +224,6 @@ def build_task(domain: FactoryDomain, workload: Workload) -> PlanningTask:
             task.atom_names.append(text)
         return ident
 
-    task.atom = atom  # type: ignore[method-assign]
     if not topology.workcells:
         raise PlanningError("topology has no workcells to plan over")
     part_symbols = SymbolTable("p")

@@ -13,13 +13,19 @@ runs on, not against the planner's own model of itself.
 Violations are collected as deterministic strings (the conformance
 harness digests failure text); an empty ``problems`` list plus a
 reached goal is the definition of a valid plan.
+
+Simulators are built on demand (:class:`MachineSimulators`): a
+machine gets one when a ``complete`` action first reaches it, so a
+replay pays for the machines the plan uses, not for the whole
+topology.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-from ..isa95.levels import FactoryTopology
+from ..isa95.levels import FactoryTopology, MachineInfo
 from ..machines import MachineSimulator, SimulationError, \
     spec_from_machine_info
 from .task import GroundAction, PlanningTask
@@ -57,13 +63,49 @@ class PlanValidation:
                    goal_reached=bool(data["goal_reached"]))
 
 
+class MachineSimulators(Mapping[str, MachineSimulator]):
+    """Machine simulators keyed by raw machine name, each built on
+    first access.
+
+    A plan completes steps on a few machines of the topology, so
+    building a simulator for every machine up front wastes most of the
+    work. Deleting a key makes that machine read as having no
+    simulator.
+    """
+
+    def __init__(self, machines: list[MachineInfo], *,
+                 seed: int | None = None):
+        self._seed = seed
+        self._entries: dict[str, MachineInfo | MachineSimulator] = {
+            machine.name: machine for machine in machines}
+
+    def __getitem__(self, name: str) -> MachineSimulator:
+        entry = self._entries[name]
+        if isinstance(entry, MachineSimulator):
+            return entry
+        simulator = MachineSimulator(spec_from_machine_info(entry),
+                                     seed=self._seed)
+        self._entries[name] = simulator
+        return simulator
+
+    def __delitem__(self, name: str) -> None:
+        del self._entries[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def build_simulators(topology: FactoryTopology,
-                     *, seed: int | None = None
-                     ) -> dict[str, MachineSimulator]:
-    """One simulator per machine, keyed by raw machine name."""
-    return {machine.name: MachineSimulator(
-                spec_from_machine_info(machine), seed=seed)
-            for machine in topology.machines}
+                     *, seed: int | None = None) -> MachineSimulators:
+    """One simulator per machine, keyed by raw machine name, built on
+    first access."""
+    return MachineSimulators(topology.machines, seed=seed)
 
 
 def _default_arguments(simulator: MachineSimulator, service: str) -> list:
@@ -73,7 +115,7 @@ def _default_arguments(simulator: MachineSimulator, service: str) -> list:
 
 
 def validate_plan(task: PlanningTask, actions: tuple[GroundAction, ...],
-                  simulators: dict[str, MachineSimulator]
+                  simulators: Mapping[str, MachineSimulator]
                   ) -> PlanValidation:
     """Replay *actions* from ``task.init``; invoke services on
     *simulators* at every ``complete``."""
@@ -105,12 +147,12 @@ def validate_plan(task: PlanningTask, actions: tuple[GroundAction, ...],
                     f"{action.machine!r} is not executing a step for "
                     f"part {action.part!r}")
             busy.pop(action.machine, None)
-            simulator = simulators.get(action.machine)
-            if simulator is None:
+            if action.machine not in simulators:
                 outcome.problems.append(
                     f"step {number} ({action.name}): no simulator for "
                     f"machine {action.machine!r}")
             else:
+                simulator = simulators[action.machine]
                 try:
                     simulator.call(action.service, *_default_arguments(
                         simulator, action.service))

@@ -71,6 +71,10 @@ def simulate_suite(topology: FactoryTopology, *, seed: int,
     """
     if not names:
         raise ValueError("simulate_suite needs at least one scenario")
+    if base_jobs is not None and (type(base_jobs) is not int
+                                  or base_jobs < 1):
+        raise WorkloadError(
+            f"base_jobs must be an integer >= 1, got {base_jobs!r}")
     times = times or ServiceTimeModel(topology)
     with span("simulation", seed=seed, scenarios=len(names),
               policy=policy):

@@ -13,6 +13,12 @@ Integer time makes every comparison exact: no accumulated float error
 can reorder events between platforms, and scaling a duration by a
 slowdown factor is integer arithmetic (``ceil(d * num / den)``). The
 reporting layer converts ticks back to units only at render time.
+
+The heap holds ``(time, priority, ordinal, event)`` tuples. The
+ordinal is unique, so tuple comparison settles every order on the
+three integers in C and never reaches the :class:`Event`; an
+``Event`` keeps its key and ``<`` for callers that order events
+themselves.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ class Simulator:
 
     def __init__(self, *, trace_events: bool = False):
         self.now = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._ordinal = 0
         self.processed = 0
         self.event_log: list[tuple[int, int, int, str]] | None = \
@@ -107,9 +113,10 @@ class Simulator:
             raise SchedulingInPastError(
                 f"cannot schedule {label or 'event'!r} at t={time} "
                 f"(now t={self.now})")
-        event = Event(time, priority, self._ordinal, action, label)
-        self._ordinal += 1
-        heapq.heappush(self._heap, event)
+        ordinal = self._ordinal
+        event = Event(time, priority, ordinal, action, label)
+        self._ordinal = ordinal + 1
+        heapq.heappush(self._heap, (time, priority, ordinal, event))
         return event
 
     def schedule(self, delay: int, action: Callable[[], None], *,
@@ -132,18 +139,19 @@ class Simulator:
         exceeding it raises (a runaway model is a bug, not a result).
         """
         executed = 0
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
                 break
-            event = heapq.heappop(self._heap)
-            if event.time < self.now:  # pragma: no cover - heap invariant
+            time, priority, ordinal, event = heapq.heappop(heap)
+            if time < self.now:  # pragma: no cover - heap invariant
                 raise SimulationError(
                     f"event {event!r} travels back in time "
                     f"(now t={self.now})")
-            self.now = event.time
+            self.now = time
             if self.event_log is not None:
-                self.event_log.append((event.time, event.priority,
-                                       event.ordinal, event.label))
+                self.event_log.append((time, priority, ordinal,
+                                       event.label))
             event.action()
             executed += 1
             self.processed += 1

@@ -229,6 +229,8 @@ def generate_workload(topology: FactoryTopology, *, seed: int,
     times = times or ServiceTimeModel(topology)
     if jobs is None:
         jobs = max(4, 2 * len(topology.workcells))
+    elif type(jobs) is not int or jobs < 1:
+        raise WorkloadError(f"jobs must be an integer >= 1, got {jobs!r}")
     release_window = round(release_window_units * TICKS_PER_UNIT)
     built: list[Job] = []
     for index in range(jobs):

@@ -6,9 +6,9 @@ import pytest
 
 from repro.icelab import icelab_sources
 from repro.isa95 import extract_topology
-from repro.planning import (FactoryDomain, PlanningOptions, SymbolTable,
-                            build_task, emit_domain, emit_problem,
-                            plan_operations)
+from repro.planning import (FactoryDomain, PlanningError, PlanningOptions,
+                            SymbolTable, build_task, emit_domain,
+                            emit_problem, plan_operations)
 from repro.sim import generate_workload
 from repro.sysml import load_model
 
@@ -116,3 +116,23 @@ class TestEmissionDeterminism:
             topology, options.replace(jobs=2, mode="process"))
         assert forked.files() == serial.files()
         assert forked.digest == serial.digest
+
+
+class TestPlanningOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("problems", 0), ("problems", -1), ("problems", True),
+        ("problems", 1.0), ("orders", 0), ("orders", -3),
+        ("orders", True), ("orders", "8"), ("max_expansions", 0),
+        ("max_expansions", False)])
+    def test_rejects_nonsense_at_construction(self, field, value):
+        with pytest.raises(PlanningError, match=field):
+            PlanningOptions(**{field: value})
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(PlanningError, match="problems"):
+            PlanningOptions().replace(problems=0)
+
+    def test_accepts_the_smallest_values(self):
+        options = PlanningOptions(problems=1, orders=1, max_expansions=1)
+        assert options.orders == 1
+        assert PlanningOptions(orders=None).orders is None

@@ -6,6 +6,7 @@ from repro.icelab import icelab_sources
 from repro.isa95 import extract_topology
 from repro.planning import (FactoryDomain, PlanningError, build_task,
                             heuristic, solve)
+from repro.planning.planner import SearchIndex, part_view
 from repro.sim import generate_workload
 from repro.sysml import load_model
 
@@ -101,3 +102,69 @@ class TestHeuristic:
             next_value = heuristic(task, state)
             assert next_value == value - 1, action.name
             value = next_value
+
+
+def _corpus_topologies():
+    from repro.testkit.corpus import CorpusConfig, generate_scenario
+    from repro.testkit.scale import mega_factory_sources
+    cases = [("icelab", icelab_sources()),
+             ("mega-x2", mega_factory_sources(2))]
+    for hostile in (False, True):
+        for seed in range(6):
+            scenario = generate_scenario(seed, CorpusConfig(hostile=hostile))
+            label = f"{'hostile' if hostile else 'tame'}-{seed}"
+            cases.append((label, scenario.sources))
+    for label, sources in cases:
+        topology = extract_topology(load_model(*sources))
+        if topology.service_inventory():
+            yield label, topology
+
+
+@pytest.fixture(scope="module")
+def corpus_tasks():
+    tasks = []
+    for label, topology in _corpus_topologies():
+        domain = FactoryDomain(topology)
+        for seed, jobs in ((7, 2), (11, 4)):
+            tasks.append((f"{label}/seed{seed}", build_task(
+                domain, generate_workload(topology, seed=seed, jobs=jobs))))
+    return tasks
+
+
+class TestDeltaHeuristic:
+    """``solve`` keeps h by delta and finds successors through an atom
+    index; both must agree with the reference definitions at every
+    state a greedy search generates."""
+
+    def test_corpus_covers_tame_and_hostile(self, corpus_tasks):
+        for kind in ("icelab/", "mega-x2/", "tame-", "hostile-"):
+            assert any(label.startswith(kind) for label, _ in corpus_tasks)
+
+    def test_delta_matches_reference_at_every_generated_state(
+            self, corpus_tasks):
+        checked = 0
+        for label, task in corpus_tasks:
+            index = SearchIndex(task)
+            state = task.init
+            view = part_view(task, state)
+            h = heuristic(task, state)
+            # greedy expands exactly the states along its plan, so
+            # their successors are every state the search generates
+            for action in solve(task).actions:
+                full_scan = [position for position, candidate
+                             in enumerate(task.actions)
+                             if candidate.applicable(state)]
+                assert index.applicable(state) == full_scan, label
+                for position in full_scan:
+                    successor = task.actions[position].apply(state)
+                    successor_view, successor_h = index.advance(
+                        position, view, h)
+                    assert successor_h == heuristic(task, successor), (
+                        label, task.actions[position].name)
+                    assert successor_view == part_view(task, successor)
+                    checked += 1
+                position = task.actions.index(action)
+                state = action.apply(state)
+                view, h = index.advance(position, view, h)
+            assert h == 0 and task.goal_reached(state), label
+        assert checked > 1000

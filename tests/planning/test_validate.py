@@ -4,8 +4,10 @@ import pytest
 
 from repro.icelab import icelab_sources
 from repro.isa95 import extract_topology
+from repro.machines import spec_from_machine_info
 from repro.planning import (FactoryDomain, build_simulators, build_task,
                             solve, validate_plan)
+from repro.planning import validate as validate_module
 from repro.sim import generate_workload
 from repro.sysml import load_model
 
@@ -84,3 +86,37 @@ class TestViolationDetection:
         outcome = validate_plan(task, plan, simulators)
         assert any("no simulator" in problem
                    for problem in outcome.problems)
+
+
+class TestOnDemandSimulators:
+    @pytest.fixture
+    def specs_built(self, monkeypatch):
+        built = []
+
+        def recording(machine):
+            built.append(machine.name)
+            return spec_from_machine_info(machine)
+
+        monkeypatch.setattr(validate_module, "spec_from_machine_info",
+                            recording)
+        return built
+
+    def test_only_machines_that_complete_steps_get_simulators(
+            self, topology, task, plan, specs_built):
+        simulators = build_simulators(topology)
+        assert specs_built == []
+        assert len(simulators) == len(topology.machines)
+        assert validate_plan(task, plan, simulators).ok
+        completed = {action.machine for action in plan
+                     if action.kind == "complete"}
+        assert sorted(specs_built) == sorted(completed)
+        assert len(completed) < len(topology.machines)
+
+    def test_simulator_is_built_once_per_machine(self, topology, plan,
+                                                 specs_built):
+        simulators = build_simulators(topology)
+        machine = next(action.machine for action in plan
+                       if action.kind == "complete")
+        assert simulators[machine] is simulators[machine]
+        assert specs_built == [machine]
+        assert machine in simulators and "no-such-machine" not in simulators

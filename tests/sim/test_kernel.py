@@ -48,6 +48,29 @@ class TestTotalOrder:
         sim.run()
         assert order == list(range(10))
 
+    def test_heap_orders_equal_keys_by_ordinal_without_comparing_events(
+            self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("the heap compared two Event objects")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        sim = Simulator(trace_events=True)
+        # interleave two (time, priority) keys so heap sifts mix them
+        for index in range(40):
+            sim.schedule_at(7, lambda: None, priority=index % 2,
+                            label=f"e{index}")
+        sim.schedule_at(3, lambda: None, priority=5, label="first")
+        sim.run()
+        log = sim.event_log
+        assert log[0][3] == "first"
+        assert [entry[:2] for entry in log[1:]] == \
+            [(7, 0)] * 20 + [(7, 1)] * 20
+        for priority in (0, 1):
+            ordinals = [entry[2] for entry in log
+                        if entry[:2] == (7, priority)]
+            assert ordinals == sorted(ordinals)
+            assert ordinals == list(range(priority, 40, 2))
+
     def test_event_comparison_uses_full_key(self):
         early = Event(1, 0, 0, lambda: None, "")
         late = Event(1, 0, 1, lambda: None, "")

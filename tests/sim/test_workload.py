@@ -117,6 +117,16 @@ class TestGenerateWorkload:
         with pytest.raises(WorkloadError, match="no machines"):
             generate_workload(FactoryTopology(), seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1, True])
+    def test_nonpositive_job_count_rejected(self, topology, jobs):
+        with pytest.raises(WorkloadError, match="jobs must be"):
+            generate_workload(topology, seed=0, jobs=jobs)
+
+    def test_suite_names_the_base_jobs_option(self, topology):
+        from repro.sim import simulate_suite
+        with pytest.raises(WorkloadError, match="base_jobs"):
+            simulate_suite(topology, seed=0, base_jobs=0)
+
     def test_validate_reports_ghost_references(self, topology):
         bad = Workload(
             [Job(name="x", steps=(JobStep("ghost", "s", 5),), due=10)])

@@ -153,6 +153,21 @@ class TestPerfSurface:
         assert stored <= 20000
 
 
+class TestOptionErrors:
+    """A nonsense count is one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--orders", "0"], ["plan", "--orders", "-3"],
+        ["plan", "--problems", "-1"], ["plan", "--problems", "0"],
+        ["simulate", "--base-jobs", "0"], ["simulate", "--base-jobs", "-2"]])
+    def test_rejected_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert argv[1].lstrip("-").replace("-", "_") in captured.err
+
+
 class TestServiceSurface:
     """The CLI surface added alongside the serving subsystem."""
 
