@@ -13,7 +13,7 @@ Subcommands
               what-if scenarios (rush orders, machine slowdowns,
               workcell outages) through the discrete-event scenario
               engine and print the briefing — byte-identical output
-              for a seed, whatever ``--jobs``
+              for a seed
 ``plan``      emit the third codegen backend: a PDDL operations-planning
               domain (machine capabilities as actions) plus per-workload
               problem files, solved by the deterministic from-scratch
@@ -259,8 +259,7 @@ def _cmd_simulate(args) -> int:
             topology = extract_topology(model)
             briefing = simulate_suite(
                 topology, seed=args.seed, names=names,
-                policy=args.policy, jobs=args.jobs, mode=args.mode,
-                base_jobs=args.base_jobs)
+                policy=args.policy, base_jobs=args.base_jobs)
     except SysMLError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
@@ -308,7 +307,7 @@ def _cmd_plan(args) -> int:
         options = PlanningOptions(
             seed=args.seed, problems=args.problems, orders=args.orders,
             strategy=args.strategy, planner_seed=args.planner_seed,
-            validate=not args.no_validate, jobs=args.jobs, mode=args.mode)
+            validate=not args.no_validate, jobs=args.jobs)
     except PlanningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -581,10 +580,14 @@ def _cmd_conformance(args) -> int:
                   file=sys.stderr)
             return 2
     config = CorpusConfig(hostile=args.hostile)
-    report = run_conformance(
-        args.seeds, base_seed=args.base_seed, oracles=oracles,
-        config=config, jobs=args.jobs, shrink=not args.no_shrink,
-        crash_dir=args.crash_dir, chaos=args.chaos)
+    try:
+        report = run_conformance(
+            args.seeds, base_seed=args.base_seed, oracles=oracles,
+            config=config, jobs=args.jobs, shrink=not args.no_shrink,
+            crash_dir=args.crash_dir, chaos=args.chaos)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for name, stats in report.oracle_stats().items():
         print(f"{name:>12}: {stats['runs']} runs, "
               f"{stats['failures']} failures, "
@@ -785,13 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="N",
                             help="baseline order-book size (default: "
                                  "2 jobs per workcell, min 4)")
-    p_simulate.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="scenario fan-out width (output is "
-                                 "identical to serial)")
-    p_simulate.add_argument("--mode", choices=("thread", "process",
-                                               "serial"),
-                            default="thread",
-                            help="pool flavor for --jobs > 1")
     p_simulate.add_argument("--json", action="store_true",
                             help="emit the briefing JSON on stdout")
     p_simulate.add_argument("--out", metavar="PATH",
@@ -829,11 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip replaying plans on the machine "
                              "behavioural simulators")
     p_plan.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="problem fan-out width (output is "
-                             "identical to serial)")
-    p_plan.add_argument("--mode", choices=("thread", "process", "serial"),
-                        default="thread",
-                        help="pool flavor for --jobs > 1")
+                        help="worker processes solving problems "
+                             "(output is identical to serial)")
     p_plan.add_argument("--json", action="store_true",
                         help="emit the planning summary as JSON")
     p_plan.add_argument("--out", metavar="DIR",
@@ -927,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracles", default=None, metavar="A,B,...",
         help="comma-separated oracle subset (default: all)")
     p_conf.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="trials run in parallel (report digest is "
-                             "identical regardless)")
+                        help="worker processes running trials (report "
+                             "digest is identical regardless)")
     p_conf.add_argument("--hostile", action="store_true",
                         help="enable hostile mutations (unicode names, "
                              "quoted identifiers, deep nesting)")

@@ -1,5 +1,5 @@
-"""Worker-pool fan-out with deterministic, order-preserving results."""
+"""Process-pool fan-out with deterministic, order-preserving results."""
 
-from .executor import map_ordered, resolve_jobs
+from .executor import map_ordered
 
-__all__ = ["map_ordered", "resolve_jobs"]
+__all__ = ["map_ordered"]

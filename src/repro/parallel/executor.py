@@ -1,27 +1,29 @@
-"""Deterministic fan-out for simulation, planning and conformance runs.
+"""Deterministic fan-out for planning and conformance runs.
 
 :func:`map_ordered` is the one primitive: apply a function to every item
 of a list, possibly on a worker pool, and return the results **in input
 order** — so a parallel phase is byte-for-byte identical to its serial
 counterpart no matter how the scheduler interleaves workers.
 
-Execution modes:
+It runs one of two ways:
 
-* ``serial`` (or ``jobs <= 1``) — plain in-process loop; the ambient
-  tracer stays active, so spans opened inside the function record
-  normally.
-* ``thread`` — :class:`~concurrent.futures.ThreadPoolExecutor`; suits
-  units that release the GIL or are cheap enough that pool mechanics
-  dominate correctness testing over wall-clock wins.
-* ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor` with a
-  ``fork`` context where available; the right choice for CPU-bound
-  pure-Python units, at the cost of pickling task and result.
+* ``jobs <= 1`` or fewer than two items — a plain in-process loop; the
+  ambient tracer stays active, so spans opened inside the function
+  record normally.
+* otherwise — a :class:`~concurrent.futures.ProcessPoolExecutor` with a
+  ``fork`` context where available, at the cost of pickling task and
+  result. Function, items and results must therefore pickle: pass
+  module-level functions or :func:`functools.partial` over them, never
+  lambdas or closures. There is no thread pool: the units fanned out
+  here are GIL-bound pure Python, and threads over them measured no
+  faster than the loop.
 
-Worker threads/processes do not see the caller's ambient tracer (the
-context variable does not cross the pool), so every unit's wall time is
-measured in the worker and folded back into the trace afterwards via
-:func:`repro.obs.record_span` — the per-worker spans the
-:class:`~repro.obs.PipelineTrace` reports for parallel phases.
+Worker processes do not see the caller's ambient tracer or metrics
+registry, so every unit's wall time is measured in the worker and
+folded back into the trace afterwards via :func:`repro.obs.record_span`
+— the per-worker spans the :class:`~repro.obs.PipelineTrace` reports
+for parallel phases. Counters a unit bumps in a worker stay in that
+worker; a caller that needs them counts from the returned results.
 
 **Crash resilience.** The caller's active :class:`~repro.faults.FaultPlan`
 travels with each task, so a chaos run can crash workers at the
@@ -29,7 +31,7 @@ travels with each task, so a chaos run can crash workers at the
 broken for real — :class:`~concurrent.futures.BrokenExecutor`) never
 surfaces to the caller: the unit is retried up to
 :data:`WORKER_MAX_ATTEMPTS` times and, if it keeps crashing, re-run
-*serially* in the caller's thread — the degraded-but-correct path.
+*serially* in the caller's process — the degraded-but-correct path.
 Results stay in input order and byte-identical to a fault-free run;
 ``parallel.worker_retries`` / ``parallel.serial_fallbacks`` count the
 degradation. Exceptions raised by the unit function itself (not
@@ -39,10 +41,8 @@ injected crashes) propagate unchanged.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..faults import FaultPlan, InjectedCrash, active_plan, fault_point
@@ -58,13 +58,6 @@ _RESULT = TypeVar("_RESULT")
 
 #: Attempts per unit (first try + retries) before the serial fallback.
 WORKER_MAX_ATTEMPTS = 3
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a jobs request: ``None``/``0`` means one per CPU."""
-    if not jobs or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
 
 
 class _Crashed:
@@ -99,45 +92,39 @@ def _timed_call(task: tuple) -> tuple:
     return result, time.perf_counter() - started
 
 
-def _make_pool(mode: str, jobs: int):
-    if mode == "process":
-        methods = multiprocessing.get_all_start_methods()
-        context = (multiprocessing.get_context("fork")
-                   if "fork" in methods else None)
-        return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=jobs)
-    raise ValueError(f"unknown executor mode {mode!r} "
-                     f"(expected 'serial', 'thread' or 'process')")
+def _make_pool(jobs: int) -> ProcessPoolExecutor:
+    methods = multiprocessing.get_all_start_methods()
+    context = (multiprocessing.get_context("fork")
+               if "fork" in methods else None)
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
 
 
 def map_ordered(fn: Callable[[_ITEM], _RESULT],
                 items: Iterable[_ITEM], *,
                 jobs: int = 1,
-                mode: str = "thread",
                 span_label: Callable[[_ITEM, int], str] | None = None,
                 pool_span: str = "parallel") -> list[_RESULT]:
     """Apply *fn* to every item, results in input order.
 
-    With ``jobs <= 1``, ``mode='serial'`` or fewer than two items, this
-    degenerates to a plain loop (no pool, ambient tracer intact).
-    Otherwise the items run on a ``jobs``-wide pool under a *pool_span*
-    span carrying ``jobs``/``mode``/``tasks`` attributes; when
+    With ``jobs <= 1`` or fewer than two items, this is a plain loop
+    (no pool, ambient tracer intact). Otherwise the items run on a
+    process pool of ``min(jobs, len(items))`` workers under a
+    *pool_span* span carrying ``jobs``/``tasks`` attributes; when
     *span_label* is given, each unit's worker-measured duration is
     folded back as a child span named ``span_label(item, index)``.
     """
     work: Sequence[_ITEM] = list(items)
-    if mode == "serial" or jobs == 1 or len(work) <= 1:
+    if jobs <= 1 or len(work) < 2:
         return [fn(item) for item in work]
-    jobs = min(resolve_jobs(jobs), len(work))
+    jobs = min(jobs, len(work))
     plan = active_plan()
     _POOLS.inc()
     _TASKS.inc(len(work))
-    with span(pool_span, jobs=jobs, mode=mode, tasks=len(work)):
+    with span(pool_span, jobs=jobs, tasks=len(work)):
         chunksize = max(1, len(work) // (jobs * 4))
         tasks = [(fn, item, plan) for item in work]
         try:
-            with _make_pool(mode, jobs) as pool:
+            with _make_pool(jobs) as pool:
                 timed = list(pool.map(_timed_call, tasks,
                                       chunksize=chunksize))
         except BrokenExecutor:

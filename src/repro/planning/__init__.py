@@ -20,7 +20,8 @@ Layering (each module only imports downward):
   :class:`repro.machines.MachineSimulator` instances, each built when
   the replay first reaches its machine;
 * :mod:`~repro.planning.backend` — :func:`plan_operations`: cache,
-  tracing span, ``map_ordered`` fan-out, the whole bundle.
+  tracing span, ``map_ordered`` fan-out (serial, or a process pool of
+  ``jobs`` workers), the whole bundle.
 
 ``repro plan`` is the CLI surface; the ``plan`` conformance oracle
 (:mod:`repro.testkit.oracles`) holds the backend to byte-identical

@@ -10,9 +10,10 @@ plan for each, and a simulator-backed validation verdict.
 Determinism contract (the ``plan`` conformance oracle enforces it):
 for one topology + one :class:`PlanningOptions`, the emitted files and
 plans are **byte-identical** across repeat runs, ``--jobs`` 1-vs-N and
-interpreter restarts. Fan-out goes through
-:func:`repro.parallel.map_ordered` (input-order results), the planner
-seeds its own tie-breaks, and nothing reads the clock.
+interpreter restarts. Problems fan out through
+:func:`repro.parallel.map_ordered`, serially or on a process pool with
+input-order results; the planner seeds its own tie-breaks, and nothing
+reads the clock.
 
 Results route through the content-addressed cache keyed on the model's
 ``content_fingerprint`` (or a structural topology key when no model is
@@ -47,8 +48,8 @@ _INVALID = METRICS.counter("plan.validation_failures")
 class PlanningOptions:
     """Everything that shapes one planning run.
 
-    ``jobs``/``mode`` are *mechanical* (pool width/flavor) and excluded
-    from the cache key; every other field is semantic.
+    ``jobs`` is *mechanical* (process-pool width; 1 runs serially) and
+    excluded from the cache key; every other field is semantic.
     """
 
     seed: int = 0
@@ -59,11 +60,11 @@ class PlanningOptions:
     validate: bool = True
     max_expansions: int = DEFAULT_MAX_EXPANSIONS
     jobs: int = 1
-    mode: str = "thread"
 
     def __post_init__(self) -> None:
         checked = {"problems": self.problems,
-                   "max_expansions": self.max_expansions}
+                   "max_expansions": self.max_expansions,
+                   "jobs": self.jobs}
         if self.orders is not None:
             checked["orders"] = self.orders
         for name, value in checked.items():
@@ -211,8 +212,8 @@ def _problem_name(index: int) -> str:
 
 def _solve_one(item: tuple[int, Workload, FactoryDomain,
                            PlanningOptions]) -> PlannedProblem:
-    # module-level (not a closure) so ``mode="process"`` pools can
-    # pickle it; everything it needs rides in the task payload
+    # module-level (not a closure) so the process pool can pickle it;
+    # everything it needs rides in the task payload
     index, workload, domain, options = item
     name = _problem_name(index)
     task = build_task(domain, workload)
@@ -275,7 +276,7 @@ def plan_operations(topology: FactoryTopology,
             _solve_one,
             [(index, workload, domain, options)
              for index, workload in enumerate(workloads)],
-            jobs=options.jobs, mode=options.mode,
+            jobs=options.jobs,
             span_label=lambda item, _: f"plan:{_problem_name(item[0])}",
             pool_span="plan.pool")
         result = PlanningResult(domain_text=domain_text, problems=problems,

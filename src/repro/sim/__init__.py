@@ -24,16 +24,16 @@ Layering (each module only imports downward):
 
 **Determinism contract.** For a fixed topology, seed, scenario list
 and policy, :func:`simulate_suite` produces byte-identical briefing
-JSON — across repeated runs, interpreter restarts, ``--jobs 1`` vs
-``--jobs N``, and thread vs process pools. The ``sim`` testkit oracle
-(:mod:`repro.testkit.oracles`) enforces exactly this by digest.
+JSON — across repeated runs and interpreter restarts. Scenarios run
+one after another in the caller's thread: a suite takes milliseconds,
+less than any worker pool costs to start. The ``sim`` testkit oracle
+(:mod:`repro.testkit.oracles`) enforces the contract by digest.
 """
 
 from __future__ import annotations
 
 from ..isa95.levels import FactoryTopology
 from ..obs import METRICS, span
-from ..parallel import map_ordered
 from .engine import (FactorySimulation, Outage, ScheduleEntry,
                      SimulationOutcome, Slowdown)
 from .kernel import (TICKS_PER_UNIT, Event, SchedulingInPastError,
@@ -57,17 +57,13 @@ _JOBS_SIMULATED = METRICS.counter("sim.jobs")
 def simulate_suite(topology: FactoryTopology, *, seed: int,
                    names: tuple[str, ...] = CANONICAL_SCENARIOS,
                    policy: str = "fifo",
-                   jobs: int = 1, mode: str = "thread",
                    times: ServiceTimeModel | None = None,
-                   base_jobs: int | None = None,
-                   trace_events: bool = False) -> Briefing:
+                   base_jobs: int | None = None) -> Briefing:
     """Run a scenario suite and compare everything to the first entry.
 
-    Scenarios are materialized serially (cheap, and the baseline
-    workload is shared), then simulated via
-    :func:`repro.parallel.map_ordered` — results come back in input
-    order whatever the pool, which is half of the determinism story
-    (the other half is the kernel's total event order).
+    Every scenario is materialized over the one shared baseline
+    workload, then simulated in list order; with the kernel's total
+    event order that makes the briefing a pure function of its inputs.
     """
     if not names:
         raise ValueError("simulate_suite needs at least one scenario")
@@ -83,14 +79,7 @@ def simulate_suite(topology: FactoryTopology, *, seed: int,
         specs = [build_scenario(name, topology, seed=seed, policy=policy,
                                 times=times, base=base)
                  for name in names]
-        if trace_events:
-            reports = [run_scenario(spec, trace_events=True)
-                       for spec in specs]
-        else:
-            reports = map_ordered(
-                run_scenario, specs, jobs=jobs, mode=mode,
-                span_label=lambda spec, _: f"scenario:{spec.name}",
-                pool_span="sim.pool")
+        reports = [run_scenario(spec) for spec in specs]
     _SCENARIOS_RUN.inc(len(reports))
     _EVENTS.inc(sum(report.events for report in reports))
     _JOBS_SIMULATED.inc(sum(len(report.jobs) for report in reports))

@@ -241,12 +241,11 @@ def build_scenario(name: str, topology: FactoryTopology, *, seed: int,
                         perturbations=records)
 
 
-def run_scenario(spec: ScenarioSpec, *,
-                 trace_events: bool = False) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Simulate one materialized scenario into its report."""
     simulation = FactorySimulation(
         spec.workload, policy=spec.policy, slowdowns=spec.slowdowns,
-        outages=spec.outages, trace_events=trace_events)
+        outages=spec.outages)
     outcome = simulation.run()
     return ScenarioReport.from_outcome(
         outcome, scenario=spec.name, description=spec.description,

@@ -3,9 +3,11 @@
 ``run_conformance`` draws N seeds, generates each scenario, runs the
 requested oracles and folds the results into a JSON-serializable
 :class:`ConformanceReport`. Trials fan out through
-:func:`repro.parallel.map_ordered`, per-oracle wall time lands in the
-:mod:`repro.obs` metrics registry, and failures are (optionally)
-shrunk to minimal reproducers in the crash corpus.
+:func:`repro.parallel.map_ordered` (serially, or on a process pool
+with ``jobs > 1``). Trial counts, failures and per-oracle wall time
+are counted into the :mod:`repro.obs` metrics registry from the
+returned results, in the caller's process, and failures are
+(optionally) shrunk to minimal reproducers in the crash corpus.
 
 The report carries a content digest over everything *semantic* —
 seeds, oracle verdicts, failure messages, corpus configuration — and
@@ -16,6 +18,7 @@ replayable evidence, not just a green light.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -158,7 +161,6 @@ def run_trial(seed: int, *, config: CorpusConfig | None = None,
     scenario = generate_scenario(seed, config)
     ctx = TrialContext(scenario=scenario)
     result = TrialResult(seed=seed, describe=scenario.describe())
-    _TRIALS.inc()
     for name in names:
         started = time.perf_counter()
         try:
@@ -166,19 +168,27 @@ def run_trial(seed: int, *, config: CorpusConfig | None = None,
             outcome = OracleOutcome(name=name, ok=True)
         except OracleFailure as error:
             outcome = OracleOutcome(name=name, ok=False, error=str(error))
-            _FAILURES.inc()
         except Exception as error:
             # an oracle crash (not a disagreement) still fails the
             # trial — with the exception type in the message
             outcome = OracleOutcome(
                 name=name, ok=False,
                 error=f"{type(error).__name__}: {error}")
-            _FAILURES.inc()
         outcome.seconds = time.perf_counter() - started
-        METRICS.histogram(f"conformance.oracle.{name}.seconds").observe(
-            outcome.seconds)
         result.outcomes.append(outcome)
     return result
+
+
+def _count(trials: list[TrialResult]) -> None:
+    """Fold trial results into the metrics registry (in this process:
+    a pool worker's registry never reaches the caller)."""
+    _TRIALS.inc(len(trials))
+    for trial in trials:
+        _FAILURES.inc(len(trial.failures))
+        for outcome in trial.outcomes:
+            METRICS.histogram(
+                f"conformance.oracle.{outcome.name}.seconds").observe(
+                    outcome.seconds)
 
 
 def run_conformance(seeds: int = 50, *, base_seed: int = 0,
@@ -191,24 +201,28 @@ def run_conformance(seeds: int = 50, *, base_seed: int = 0,
     """Run *seeds* conformance trials (``base_seed ..
     base_seed+seeds-1``) and return the report.
 
-    Trials are independent, so they fan out ``jobs`` wide; shrinking
-    runs serially afterwards (failures are rare and the reduction reuses
-    the single-threaded oracle path). *chaos* adds the opt-in ``chaos``
-    oracle: every trial re-runs the pipeline and the serving path under
-    a per-seed fault plan (each trial builds its own plan, so parallel
-    trials never share fault state and the report digest stays
-    identical across ``jobs``).
+    Trials are independent, so with ``jobs > 1`` they fan out on a
+    ``jobs``-wide process pool; shrinking runs serially afterwards
+    (failures are rare and the reduction reuses the single-threaded
+    oracle path). *chaos* adds the opt-in ``chaos`` oracle: every trial
+    re-runs the pipeline and the serving path under a per-seed fault
+    plan (each trial builds its own plan, so parallel trials never
+    share fault state and the report digest stays identical across
+    ``jobs``).
     """
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     names = list(oracles) if oracles else oracle_names()
     if chaos and "chaos" not in names:
         names.append("chaos")
     config = config or CorpusConfig()
     started = time.perf_counter()
     trials = map_ordered(
-        lambda seed: run_trial(seed, config=config, oracles=names),
+        functools.partial(run_trial, config=config, oracles=names),
         range(base_seed, base_seed + seeds),
-        jobs=jobs, mode="thread", pool_span="conformance",
+        jobs=jobs, pool_span="conformance",
         span_label=lambda seed, _i: f"trial:{seed}")
+    _count(trials)
     report = ConformanceReport(base_seed=base_seed, oracles=names,
                                config=config, trials=trials)
     if shrink:

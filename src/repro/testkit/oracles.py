@@ -16,9 +16,8 @@ Each oracle states one differential property:
 * ``grouping``     — client grouping is a partition (every machine
   assigned exactly once), respects capacity, and is deterministic.
 * ``sim``          — scenario-engine briefings for one seed are
-  byte-identical across repeat runs, ``jobs=1`` vs ``jobs=N`` and
-  thread vs process pools, and reports do not depend on job input
-  order.
+  byte-identical across repeat runs, and reports do not depend on job
+  input order.
 * ``plan``         — the PDDL operations-planning backend is held to the
   :mod:`repro.sim` determinism contract: domain/problem/plan emission
   for one seed is byte-identical across repeat runs and ``jobs=1`` vs
@@ -484,9 +483,8 @@ def _check_sim(ctx: TrialContext) -> None:
     """The scenario engine's determinism contract, by digest.
 
     One seed + one topology must produce byte-identical briefings
-    across repeated runs, ``jobs=1`` vs ``jobs=N``, thread vs process
-    pools — and a report must not depend on the input order of the
-    job list it simulates.
+    across repeated runs, and a report must not depend on the input
+    order of the job list it simulates.
     """
     from ..sim import (CANONICAL_SCENARIOS, Workload, build_scenario,
                        run_scenario, simulate_suite)
@@ -494,18 +492,12 @@ def _check_sim(ctx: TrialContext) -> None:
     if not topology.machines:
         return  # nothing to simulate — trivially deterministic
     seed = ctx.scenario.seed if ctx.scenario is not None else 0
-    serial = simulate_suite(topology, seed=seed, mode="serial")
-    for mode in ("thread", "process"):
-        pooled = simulate_suite(topology, seed=seed, jobs=4, mode=mode)
-        if pooled.digest != serial.digest:
-            raise OracleFailure(
-                f"jobs=4 {mode}-pool briefing digest differs from serial")
-        if pooled.to_json() != serial.to_json():
-            raise OracleFailure(
-                f"jobs=4 {mode}-pool briefing JSON differs from serial")
-    again = simulate_suite(topology, seed=seed, mode="serial")
+    serial = simulate_suite(topology, seed=seed)
+    again = simulate_suite(topology, seed=seed)
     if again.digest != serial.digest:
-        raise OracleFailure("repeated serial simulation changed digest")
+        raise OracleFailure("repeated simulation changed digest")
+    if again.to_json() != serial.to_json():
+        raise OracleFailure("repeated simulation changed briefing JSON")
     if list(CANONICAL_SCENARIOS) != [report.scenario
                                      for report in serial.reports]:
         raise OracleFailure("briefing scenario order differs from the "
@@ -529,10 +521,9 @@ def _check_plan(ctx: TrialContext) -> None:
     """The planning backend's determinism contract, by digest.
 
     Emission (domain + problems) and the chosen plans must be
-    byte-identical across repeat runs, ``jobs=1`` vs ``jobs=4`` thread
-    pools and ``mode="process"`` pools;
-    every plan must replay cleanly on the machine simulators; and the
-    planner seed may only steer tie-breaks — the PDDL text is
+    byte-identical across repeat runs and ``jobs=1`` vs a ``jobs=2``
+    process pool; every plan must replay cleanly on the machine
+    simulators; and the planner seed may only steer tie-breaks — the PDDL text is
     byte-stable across planner seeds and the plan *cost* matches the
     cost-optimal ``uniform`` strategy's.
     """
@@ -553,12 +544,7 @@ def _check_plan(ctx: TrialContext) -> None:
     again = plan_operations(topology, options)
     if again.digest != serial.digest or again.files() != serial.files():
         raise OracleFailure("repeated planning run changed emitted bytes")
-    pooled = plan_operations(
-        topology, options.replace(jobs=4))
-    if pooled.digest != serial.digest or pooled.files() != serial.files():
-        raise OracleFailure("jobs=4 planning emission differs from serial")
-    forked = plan_operations(
-        topology, options.replace(jobs=2, mode="process"))
+    forked = plan_operations(topology, options.replace(jobs=2))
     if forked.digest != serial.digest or forked.files() != serial.files():
         raise OracleFailure(
             "process-pool planning emission differs from serial")
@@ -618,8 +604,7 @@ ORACLES: dict[str, Oracle] = {
                _check_grouping),
         Oracle("sim",
                "scenario-engine briefings byte-identical across repeat "
-               "runs, jobs=1/N and thread/process pools; reports "
-               "independent of job input order",
+               "runs; reports independent of job input order",
                _check_sim),
         Oracle("plan",
                "PDDL emission byte-identical across repeat runs and "

@@ -1,6 +1,12 @@
-"""map_ordered semantics: ordering, fallbacks, modes, span folding,
-crash resilience under an active fault plan."""
+"""map_ordered semantics: ordering, the serial path, span folding,
+crash resilience under an active fault plan and on a dead pool.
 
+Units that run with ``jobs > 1`` go to a process pool, so they are
+module-level functions (lambdas and closures do not pickle).
+"""
+
+import functools
+import os
 import threading
 import time
 
@@ -8,7 +14,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import METRICS, Tracer, activation, span
-from repro.parallel import map_ordered, resolve_jobs
+from repro.parallel import map_ordered
 
 
 def _double(value):
@@ -21,22 +27,41 @@ def _jittered_double(value):
     return value * 2
 
 
+def _pid(_value):
+    return os.getpid()
+
+
+def _nap(_value):
+    time.sleep(0.01)
+
+
+def _boom(value):
+    raise ValueError(f"unit {value} is broken")
+
+
+def _double_or_die_in_child(value, *, parent):
+    # kills the worker process outright (no exception, no cleanup), but
+    # runs normally once the caller re-runs the unit in its own process
+    if os.getpid() != parent:
+        os._exit(1)
+    return value * 2
+
+
 class TestOrdering:
     def test_results_keep_input_order_despite_jitter(self):
         items = list(range(5))
         assert (map_ordered(_jittered_double, items, jobs=4)
                 == [0, 2, 4, 6, 8])
 
-    def test_thread_mode_matches_serial(self):
-        items = list(range(20))
-        serial = map_ordered(_double, items, mode="serial")
-        threaded = map_ordered(_double, items, jobs=4, mode="thread")
-        assert serial == threaded
-
     def test_process_mode_matches_serial(self):
         items = list(range(8))
-        assert (map_ordered(_double, items, jobs=2, mode="process")
+        assert (map_ordered(_double, items, jobs=2)
+                == map_ordered(_double, items)
                 == [v * 2 for v in items])
+
+    def test_units_run_in_worker_processes(self):
+        pids = map_ordered(_pid, list(range(4)), jobs=2)
+        assert os.getpid() not in pids
 
 
 class TestFallbacks:
@@ -55,9 +80,12 @@ class TestFallbacks:
     def test_empty_input(self):
         assert map_ordered(_double, [], jobs=4) == []
 
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown executor mode"):
-            map_ordered(_double, [1, 2], jobs=2, mode="fiber")
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_runs_serially(self, jobs):
+        seen = []
+        map_ordered(lambda _: seen.append(threading.get_ident()),
+                    [1, 2, 3], jobs=jobs)
+        assert seen == [threading.get_ident()] * 3
 
 
 class TestCrashResilience:
@@ -70,8 +98,9 @@ class TestCrashResilience:
         plan = self._plan(probability=1.0, max_injections=2)
         with plan.activated():
             result = map_ordered(_double, list(range(6)), jobs=3)
+        # each task carries its own pickled copy of the plan, so the
+        # injection budget is per copy; only the outcome is pinned
         assert result == [0, 2, 4, 6, 8, 10]
-        assert plan.injection_count == 2
         assert METRICS.snapshot().get("parallel.worker_retries", 0) >= 1
 
     def test_persistent_crashes_fall_back_to_serial(self):
@@ -89,21 +118,17 @@ class TestCrashResilience:
         assert plan.injection_count == 0
 
     def test_user_exceptions_still_propagate_under_a_plan(self):
-        def boom(value):
-            raise ValueError(f"unit {value} is broken")
-
         with self._plan(probability=0.5).activated():
             with pytest.raises(ValueError, match="is broken"):
-                map_ordered(boom, [1, 2, 3, 4], jobs=2)
+                map_ordered(_boom, [1, 2, 3, 4], jobs=2)
 
-
-class TestResolveJobs:
-    def test_explicit_value_passes_through(self):
-        assert resolve_jobs(3) == 3
-
-    def test_zero_and_none_mean_cpu_count(self):
-        assert resolve_jobs(0) >= 1
-        assert resolve_jobs(None) >= 1
+    def test_dead_pool_falls_back_to_serial_in_order(self):
+        METRICS.reset()
+        unit = functools.partial(_double_or_die_in_child,
+                                 parent=os.getpid())
+        assert map_ordered(unit, list(range(5)), jobs=2) == [
+            0, 2, 4, 6, 8]
+        assert METRICS.snapshot().get("parallel.serial_fallbacks") == 5
 
 
 class TestSpanFolding:
@@ -124,7 +149,7 @@ class TestSpanFolding:
     def test_folded_spans_carry_worker_durations(self):
         tracer = Tracer()
         with activation(tracer):
-            map_ordered(lambda _: time.sleep(0.01), [1, 2], jobs=2,
+            map_ordered(_nap, [1, 2], jobs=2,
                         span_label=lambda item, _i: f"sleep:{item}",
                         pool_span="sleep-pool")
         spans = tracer.trace().find_all("sleep:")

@@ -108,12 +108,11 @@ class TestEmissionDeterminism:
             assert f"(free {route.symbol})" in text
 
     def test_process_pool_matches_serial(self, topology):
-        # the fan-out payload must stay picklable: mode="process" once
-        # crashed on a closure that module-level _solve_one now replaces
+        # the fan-out payload must stay picklable: the process pool
+        # once crashed on a closure that module-level _solve_one replaces
         options = PlanningOptions(seed=3, problems=2, orders=2)
         serial = plan_operations(topology, options)
-        forked = plan_operations(
-            topology, options.replace(jobs=2, mode="process"))
+        forked = plan_operations(topology, options.replace(jobs=2))
         assert forked.files() == serial.files()
         assert forked.digest == serial.digest
 
@@ -123,7 +122,8 @@ class TestPlanningOptions:
         ("problems", 0), ("problems", -1), ("problems", True),
         ("problems", 1.0), ("orders", 0), ("orders", -3),
         ("orders", True), ("orders", "8"), ("max_expansions", 0),
-        ("max_expansions", False)])
+        ("max_expansions", False), ("jobs", 0), ("jobs", -2),
+        ("jobs", True), ("jobs", 2.0)])
     def test_rejects_nonsense_at_construction(self, field, value):
         with pytest.raises(PlanningError, match=field):
             PlanningOptions(**{field: value})
@@ -133,6 +133,7 @@ class TestPlanningOptions:
             PlanningOptions().replace(problems=0)
 
     def test_accepts_the_smallest_values(self):
-        options = PlanningOptions(problems=1, orders=1, max_expansions=1)
+        options = PlanningOptions(problems=1, orders=1, max_expansions=1,
+                                  jobs=1)
         assert options.orders == 1
         assert PlanningOptions(orders=None).orders is None

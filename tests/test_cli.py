@@ -102,6 +102,15 @@ class TestPerfSurface:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--jobs", "2"], ["simulate", "--mode", "serial"],
+        ["plan", "--mode", "process"]])
+    def test_pool_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_plan_keeps_jobs(self, capsys):
         digests = []
         for jobs in ("1", "2"):
@@ -159,7 +168,9 @@ class TestOptionErrors:
     @pytest.mark.parametrize("argv", [
         ["plan", "--orders", "0"], ["plan", "--orders", "-3"],
         ["plan", "--problems", "-1"], ["plan", "--problems", "0"],
-        ["simulate", "--base-jobs", "0"], ["simulate", "--base-jobs", "-2"]])
+        ["simulate", "--base-jobs", "0"], ["simulate", "--base-jobs", "-2"],
+        ["plan", "--jobs", "0"], ["plan", "--jobs", "-2"],
+        ["conformance", "--jobs", "0"], ["conformance", "--jobs", "-1"]])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -54,11 +54,31 @@ class TestReport:
         assert len(data["trials"]) == 2
         json.dumps(data)  # JSON-serializable end to end
 
-    def test_metrics_folded_in(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_metrics_folded_in(self, jobs):
         before = METRICS.counter("conformance.trials").value
+        seconds = METRICS.histogram("conformance.oracle.grouping.seconds")
+        observed = len(seconds.values)
         run_conformance(2, config=SMALL, oracles=["grouping"],
-                        shrink=False)
+                        jobs=jobs, shrink=False)
         assert METRICS.counter("conformance.trials").value == before + 2
+        assert len(seconds.values) == observed + 2
+
+    def test_failures_counted_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(printer_module, "format_name",
+                            lambda name: name)
+        before = METRICS.counter("conformance.failures").value
+        report = run_conformance(
+            2, config=CorpusConfig(hostile=True), oracles=["roundtrip"],
+            jobs=2, shrink=False)
+        assert report.failure_count >= 1
+        assert (METRICS.counter("conformance.failures").value
+                == before + report.failure_count)
+
+    @pytest.mark.parametrize("jobs", [0, -1, True])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_conformance(1, config=SMALL, jobs=jobs)
 
 
 class TestFailurePath:
