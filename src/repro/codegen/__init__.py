@@ -19,7 +19,7 @@ from .grouping import (ClientGroup, DEFAULT_CLIENT_CAPACITY,
                        grouping_stats, lower_bound_clients)
 from .machine_config import (WORKCELL_SERVER_PORT, machine_config,
                              workcell_endpoint, workcell_server_config)
-from .options import PipelineOptions
+from .options import OptionError, PipelineOptions
 from .pipeline import (COMPONENT_IMAGES, GenerationPipeline,
                        GenerationResult, generate_configuration)
 from .storage_config import storage_config
@@ -33,7 +33,8 @@ __all__ = [
     "CODEGEN_BACKENDS",
     "COMPONENT_IMAGES", "ClientGroup", "DEFAULT_CLIENT_CAPACITY",
     "GROUPING_ALGORITHMS",
-    "IncrementalEngine", "generate_handbook", "PipelineOptions",
+    "IncrementalEngine", "generate_handbook", "OptionError",
+    "PipelineOptions",
     "GenerationPipeline", "GenerationResult", "GroupingError",
     "WORKCELL_SERVER_PORT", "client_config", "generate_configuration",
     "group_machines", "grouping_stats", "lower_bound_clients",

@@ -9,6 +9,12 @@ pipelines and threads), round-trips through ``to_dict``/``from_dict``,
 and carries the optional :class:`~repro.obs.Tracer` that turns on
 pipeline telemetry.
 
+Every output-shaping field is checked once, in the constructor: a
+value of the wrong type or range raises :class:`OptionError`, which
+the service answers with ``400 bad-option`` and the CLI with one
+``error:`` line and exit status 2. So ``replace`` and ``from_dict``
+are checked too.
+
 Reuse across edits is not an option: an
 :class:`~repro.codegen.incremental.IncrementalEngine` always reuses
 what an edit left unchanged, a plain pipeline run never does. Nor is
@@ -17,11 +23,19 @@ a worker pool: generation runs in the caller's thread.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from ..cache import DEFAULT_CACHE_MAX_BYTES
 from ..obs import Tracer
-from .grouping import DEFAULT_CLIENT_CAPACITY
+from .grouping import DEFAULT_CLIENT_CAPACITY, GROUPING_ALGORITHMS
+
+#: A Kubernetes namespace name: an RFC 1123 (DNS) label.
+_DNS_LABEL = re.compile(r"[a-z0-9]([-a-z0-9]{0,61}[a-z0-9])?")
+
+
+class OptionError(ValueError):
+    """A :class:`PipelineOptions` field of the wrong type or range."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,26 @@ class PipelineOptions:
     #: Tracer collecting the run's :class:`~repro.obs.PipelineTrace`;
     #: ``None`` leaves telemetry off (or inherits an ambient tracer).
     tracer: Tracer | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        checks = (
+            # bool is an int subclass; ``capacity=True`` is not one point
+            ("capacity", type(self.capacity) is int and self.capacity >= 1,
+             "an integer >= 1"),
+            ("grouping", self.grouping in GROUPING_ALGORITHMS,
+             f"one of {', '.join(GROUPING_ALGORITHMS)}"),
+            ("namespace", isinstance(self.namespace, str)
+             and _DNS_LABEL.fullmatch(self.namespace) is not None,
+             "a DNS-1123 label (at most 63 lowercase alphanumerics "
+             "and '-', alphanumeric at both ends)"),
+            ("broker_url", isinstance(self.broker_url, str), "a string"),
+            ("database_url", isinstance(self.database_url, str),
+             "a string"),
+            ("validate", isinstance(self.validate, bool), "true or false"))
+        for name, ok, expected in checks:
+            if not ok:
+                raise OptionError(f"{name} must be {expected}, "
+                                  f"got {getattr(self, name)!r}")
 
     def replace(self, **changes) -> "PipelineOptions":
         """A copy with *changes* applied (frozen-dataclass update)."""

@@ -28,6 +28,18 @@ configs and manifests are cheaper to regenerate than to replay one by
 one, so they are never cached on their own. Hits/misses surface as
 ``cache.*`` counters in ``repro trace``.
 
+**Reuse across revisions.** This is the only code that builds step-1
+configs and step-2 manifests, cold or incremental. Given the
+``previous`` result (and, from
+:class:`~repro.codegen.incremental.IncrementalEngine`, the ``dirty``
+machines), a run recomputes only artifacts with an input that is not
+an object of *previous*, re-solves grouping only when
+:func:`~repro.codegen.grouping.grouping_signature` changed, and marks
+each artifact ``reused`` exactly when it equals *previous*'s — keeping
+*previous*'s object — or ``regenerated`` otherwise. Without
+*previous*, every artifact is computed and ``regenerated`` (or
+``reused`` when replayed from the cache).
+
 **Reentrancy.** A :class:`GenerationPipeline` holds no per-run mutable
 state — every run builds a fresh :class:`GenerationResult`, and the
 shared :class:`~repro.cache.ArtifactCache` is thread-safe — so one
@@ -55,8 +67,8 @@ from ..sysml.elements import Model
 from ..sysml.errors import ValidationError
 from ..templates.engine import k8s_name
 from ..templates.library import get_template
-from .client_config import client_config
-from .grouping import ClientGroup, group_machines
+from .client_config import client_config, topic_root
+from .grouping import ClientGroup, group_machines, grouping_signature
 from .machine_config import machine_config, workcell_server_config
 from .options import PipelineOptions
 from .storage_config import storage_config
@@ -124,29 +136,30 @@ class GenerationResult(Summarizable):
         # memoized: Table I checks and summary() hit this repeatedly,
         # and each computation re-serializes every config
         if self._size_cache is None:
-            total = sum(len(json.dumps(c, indent=2)) for c in
-                        self._all_json_configs())
-            total += sum(len(text) for text in self.manifests.values())
-            self._size_cache = total
+            self._size_cache = sum(
+                len(value) if isinstance(value, str)
+                else len(json.dumps(value, indent=2))
+                for value in self.artifacts().values())
         return self._size_cache
 
     @property
     def config_size_kb(self) -> float:
         return self.config_size_bytes / 1024.0
 
-    def _all_json_configs(self) -> list[dict]:
-        return (list(self.machine_configs.values())
-                + list(self.server_configs.values())
-                + self.client_configs + self.storage_configs)
-
-    def artifact_ids(self) -> list[str]:
-        """Provenance ids of every artifact this result carries."""
-        ids = [f"machine:{name}" for name in self.machine_configs]
-        ids += [f"server:{name}" for name in self.server_configs]
-        ids += [f"client:{c['client']}" for c in self.client_configs]
-        ids += [f"storage:{c['historian']}" for c in self.storage_configs]
-        ids += [f"manifest:{name}" for name in self.manifests]
-        return ids
+    def artifacts(self) -> dict[str, object]:
+        """Every artifact this result carries, by provenance id."""
+        table: dict[str, object] = {
+            f"machine:{name}": config
+            for name, config in self.machine_configs.items()}
+        table.update((f"server:{name}", config)
+                     for name, config in self.server_configs.items())
+        table.update((f"client:{config['client']}", config)
+                     for config in self.client_configs)
+        table.update((f"storage:{config['historian']}", config)
+                     for config in self.storage_configs)
+        table.update((f"manifest:{name}", text)
+                     for name, text in self.manifests.items())
+        return table
 
     def summary(self) -> dict[str, object]:
         states = list(self.provenance.values())
@@ -197,9 +210,61 @@ def _write_json(path: Path, config: dict) -> Path:
     return path
 
 
+def _settle_replay(result: GenerationResult,
+                   previous: GenerationResult) -> None:
+    """Provenance of a result replayed from the cache, by the rule every
+    run follows (see :class:`_Earlier`): a replay is not "unchanged
+    since *previous*" unless it equals *previous*."""
+    earlier = _Earlier(previous, result.provenance)
+    for kind, table in (("machine", result.machine_configs),
+                        ("server", result.server_configs)):
+        for name, config in table.items():
+            table[name] = earlier.keep(f"{kind}:{name}", config)
+    for kind, key, configs in (
+            ("client", "client", result.client_configs),
+            ("storage", "historian", result.storage_configs)):
+        configs[:] = [earlier.keep(f"{kind}:{config[key]}", config)
+                      for config in configs]
+    for name, text in result.manifests.items():
+        result.manifests[name] = earlier.keep(f"manifest:{name}", text)
+
+
+class _Earlier:
+    """The artifacts of an earlier result, by provenance id, and the one
+    rule that sets a run's provenance: an artifact is ``reused`` exactly
+    when it equals the earlier one, and then the earlier object is what
+    the run keeps; any other artifact is ``regenerated``."""
+
+    def __init__(self, previous: GenerationResult | None,
+                 provenance: dict[str, str]):
+        self.previous = previous
+        self.artifacts = previous.artifacts() if previous is not None \
+            else {}
+        self.provenance = provenance
+
+    def get(self, artifact: str):
+        return self.artifacts.get(artifact)
+
+    def keep(self, artifact: str, value):
+        before = self.artifacts.get(artifact)
+        if before is not None and (before is value or before == value):
+            self.provenance[artifact] = "reused"
+            return before
+        self.provenance[artifact] = "regenerated"
+        return value
+
+    def settle(self, artifact: str, unchanged: bool, compute):
+        """The earlier *artifact* when its inputs are *unchanged*
+        earlier objects, else ``compute()``; kept by the rule above."""
+        value = self.artifacts.get(artifact) if unchanged else None
+        return self.keep(artifact, compute() if value is None else value)
+
+
 class GenerationPipeline:
     """Configurable pipeline instance; :class:`PipelineOptions` is its
-    only configuration."""
+    only configuration. ``previous`` must come from a pipeline with
+    equal options; ``dirty`` names the machines whose
+    :class:`MachineInfo` may differ from *previous*'s (``None``: any)."""
 
     def __init__(self, options: PipelineOptions | None = None):
         self.options = options if options is not None else PipelineOptions()
@@ -210,21 +275,25 @@ class GenerationPipeline:
 
     # -- entry points ---------------------------------------------------------
 
-    def run_on_model(self, model: Model) -> GenerationResult:
+    def run_on_model(self, model: Model, *,
+                     previous: GenerationResult | None = None
+                     ) -> GenerationResult:
         with activation(self.options.tracer) as tracer:
             started = time.perf_counter()
             with span("generate") as g:
-                result = self._generate_from_model(model, started, g)
+                result = self._generate_from_model(model, started, g,
+                                                   previous)
             if tracer.enabled:
                 result.trace = tracer.trace()
         return result
 
     def _generate_from_model(self, model: Model, started: float,
-                             generate_span) -> GenerationResult:
+                             generate_span, previous: GenerationResult | None
+                             ) -> GenerationResult:
         source_fp = getattr(model, "content_fingerprint", None)
         topology = self._extract_topology(model, source_fp)
         if self.cache is None or source_fp is None:
-            return self._run(topology, extraction_started=started)
+            return self._run(topology, started, previous)
         # Whole-result layer: when the sources and every output-shaping
         # option are unchanged, reuse the complete artifact set in one
         # read instead of regenerating it.
@@ -234,12 +303,15 @@ class GenerationPipeline:
         if bundle is not None:
             self._validate(topology)
             result = GenerationResult(topology=topology, **bundle)
-            result.provenance = {artifact: "reused"
-                                 for artifact in result.artifact_ids()}
+            if previous is None:
+                result.provenance = dict.fromkeys(result.artifacts(),
+                                                  "reused")
+            else:
+                _settle_replay(result, previous)
             result.generation_seconds = time.perf_counter() - started
             generate_span.set("result_cache", "hit")
             return result
-        result = self._run(topology, extraction_started=started)
+        result = self._run(topology, started, previous)
         self.cache.put_object(key, {
             "machine_configs": result.machine_configs,
             "server_configs": result.server_configs,
@@ -274,12 +346,14 @@ class GenerationPipeline:
             "database_url": self.options.database_url,
         }
 
-    def run_on_topology(self, topology: FactoryTopology
+    def run_on_topology(self, topology: FactoryTopology, *,
+                        previous: GenerationResult | None = None,
+                        dirty: set[str] | None = None
                         ) -> GenerationResult:
         with activation(self.options.tracer) as tracer:
             with span("generate"):
-                result = self._run(topology,
-                                   extraction_started=time.perf_counter())
+                result = self._run(topology, time.perf_counter(),
+                                   previous, dirty)
             if tracer.enabled:
                 result.trace = tracer.trace()
         return result
@@ -293,20 +367,22 @@ class GenerationPipeline:
                 "topology validation failed: "
                 + "; ".join(str(d) for d in report.errors))
 
-    def _run(self, topology: FactoryTopology, extraction_started: float
-             ) -> GenerationResult:
+    def _run(self, topology: FactoryTopology, extraction_started: float,
+             previous: GenerationResult | None = None,
+             dirty: set[str] | None = None) -> GenerationResult:
         self._validate(topology)
         result = GenerationResult(topology=topology)
+        earlier = _Earlier(previous, result.provenance)
         step1_started = time.perf_counter()
         with span("step1") as s:
-            self._step1(topology, result)
+            self._step1(topology, result, earlier, dirty)
             s.set("machines", len(result.machine_configs))
             s.set("servers", len(result.server_configs))
             s.set("clients", len(result.client_configs))
         result.step1_seconds = time.perf_counter() - step1_started
         step2_started = time.perf_counter()
         with span("step2") as s:
-            self._step2(result)
+            self._step2(result, earlier)
             s.set("manifests", len(result.manifests))
             s.set("bytes", sum(len(t) for t in result.manifests.values()))
         result.step2_seconds = time.perf_counter() - step2_started
@@ -315,58 +391,92 @@ class GenerationPipeline:
 
     # -- step 1: intermediate JSON ------------------------------------------------
 
-    def _step1(self, topology: FactoryTopology,
-               result: GenerationResult) -> None:
+    def _step1(self, topology: FactoryTopology, result: GenerationResult,
+               earlier: _Earlier, dirty: set[str] | None) -> None:
+        configs = result.machine_configs
         for machine in topology.machines:
-            with span(f"machine:{machine.name}",
-                      points=machine.point_count):
-                result.machine_configs[machine.name] = \
-                    machine_config(machine, topology)
-            result.provenance[f"machine:{machine.name}"] = "regenerated"
+            artifact = f"machine:{machine.name}"
+            config = earlier.get(artifact) \
+                if dirty is not None and machine.name not in dirty else None
+            if config is None:
+                with span(f"machine:{machine.name}",
+                          points=machine.point_count):
+                    config = machine_config(machine, topology)
+            configs[machine.name] = earlier.keep(artifact, config)
+
+        def unchanged(before: dict | None, members: list[str]) -> bool:
+            """*before*, an earlier server or client config, serves
+            exactly *members*, whose configs are all earlier objects."""
+            return before is not None and members == [
+                entry["machine"] for entry in before["machines"]] and all(
+                configs[name] is earlier.get(f"machine:{name}")
+                for name in members)
+
         with span("servers") as s:
             for workcell in topology.workcells:
-                if not workcell.machines:
+                members = [m.name for m in workcell.machines]
+                if not members:
                     continue
-                configs = [result.machine_configs[m.name]
-                           for m in workcell.machines]
-                result.server_configs[workcell.name] = \
-                    workcell_server_config(workcell.name, configs)
-                result.provenance[f"server:{workcell.name}"] = \
-                    "regenerated"
+                artifact = f"server:{workcell.name}"
+                result.server_configs[workcell.name] = earlier.settle(
+                    artifact, unchanged(earlier.get(artifact), members),
+                    lambda: workcell_server_config(
+                        workcell.name, [configs[name] for name in members]))
             s.set("servers", len(result.server_configs))
-        result.groups = group_machines(topology.machines,
-                                       self.options.capacity,
-                                       algorithm=self.options.grouping)
+        result.groups = self._group(topology, earlier.previous)
+        root = topic_root(topology)
         with span("clients") as s:
             for group in result.groups:
-                client = client_config(group, topology,
-                                       self.options.broker_url)
-                storage = storage_config(group, topology,
-                                         self.options.broker_url,
-                                         self.options.database_url)
-                result.client_configs.append(client)
-                result.storage_configs.append(storage)
-                result.provenance[f"client:{client['client']}"] = \
-                    "regenerated"
-                result.provenance[f"storage:{storage['historian']}"] = \
-                    "regenerated"
+                before = earlier.get(f"client:{group.name}")
+                reusable = unchanged(before, group.machine_names) \
+                    and before["topic_root"] == root
+                result.client_configs.append(earlier.settle(
+                    f"client:{group.name}", reusable,
+                    lambda: client_config(group, topology,
+                                          self.options.broker_url)))
+                result.storage_configs.append(earlier.settle(
+                    f"storage:historian-{group.index:02d}", reusable,
+                    lambda: storage_config(group, topology,
+                                           self.options.broker_url,
+                                           self.options.database_url)))
             s.set("groups", len(result.groups))
+
+    def _group(self, topology: FactoryTopology,
+               previous: GenerationResult | None) -> list[ClientGroup]:
+        """Bin-pack the machines — or, when the packing's inputs equal
+        *previous*'s, rebuild *previous*'s membership around the current
+        machines (the packing is a pure function of its signature)."""
+        capacity, algorithm = self.options.capacity, self.options.grouping
+        if previous is not None and grouping_signature(
+                topology.machines, capacity, algorithm) \
+                == grouping_signature(previous.topology.machines,
+                                      capacity, algorithm):
+            by_name = {m.name: m for m in topology.machines}
+            return [ClientGroup(index=group.index, capacity=group.capacity,
+                                machines=[by_name[m.name]
+                                          for m in group.machines],
+                                oversized=group.oversized)
+                    for group in previous.groups]
+        return group_machines(topology.machines, capacity,
+                              algorithm=algorithm)
 
     # -- step 2: Kubernetes YAML -----------------------------------------------------
 
-    def _step2(self, result: GenerationResult) -> None:
-        tasks: list[tuple[str, str, dict, int | None]] = []
-        for config in result.server_configs.values():
-            tasks.append(("opcua-server", config["server"], config,
-                          config["port"]))
+    def _step2(self, result: GenerationResult, earlier: _Earlier) -> None:
+        tasks: list[tuple[str, str, str, dict, int | None]] = []
+        for workcell, config in result.server_configs.items():
+            tasks.append(("opcua-server", config["server"],
+                          f"server:{workcell}", config, config["port"]))
         for config in result.client_configs:
-            tasks.append(("opcua-client", config["client"], config, None))
+            tasks.append(("opcua-client", config["client"],
+                          f"client:{config['client']}", config, None))
         for config in result.storage_configs:
-            tasks.append(("historian", config["historian"], config, None))
-        for kind, name, config, port in tasks:
-            result.manifests[f"{name}.yaml"] = \
-                self._render(kind, name, config, port=port)
-            result.provenance[f"manifest:{name}.yaml"] = "regenerated"
+            tasks.append(("historian", config["historian"],
+                          f"storage:{config['historian']}", config, None))
+        for kind, name, source, config, port in tasks:
+            result.manifests[f"{name}.yaml"] = earlier.settle(
+                f"manifest:{name}.yaml", config is earlier.get(source),
+                lambda: self._render(kind, name, config, port=port))
 
     def _render(self, kind: str, name: str, config: dict,
                 *, port: int | None = None) -> str:

@@ -22,8 +22,10 @@ Worker processes do not see the caller's ambient tracer or metrics
 registry, so every unit's wall time is measured in the worker and
 folded back into the trace afterwards via :func:`repro.obs.record_span`
 — the per-worker spans the :class:`~repro.obs.PipelineTrace` reports
-for parallel phases. Counters a unit bumps in a worker stay in that
-worker; a caller that needs them counts from the returned results.
+for parallel phases. Each unit also returns the counter increments it
+made in its worker, and the caller adds them to its own registry, so
+counters read the same at any ``jobs``. Histogram observations made in
+a worker stay there.
 
 **Crash resilience.** The caller's active :class:`~repro.faults.FaultPlan`
 travels with each task, so a chaos run can crash workers at the
@@ -92,6 +94,17 @@ def _timed_call(task: tuple) -> tuple:
     return result, time.perf_counter() - started
 
 
+def _pooled_call(task: tuple) -> tuple:
+    """:func:`_timed_call` in a pool worker, plus the counter
+    increments the unit made there: ``(result, seconds, deltas)``."""
+    before = METRICS.counter_values()
+    result, seconds = _timed_call(task)
+    deltas = {name: value - before.get(name, 0)
+              for name, value in METRICS.counter_values().items()
+              if value != before.get(name, 0)}
+    return result, seconds, deltas
+
+
 def _make_pool(jobs: int) -> ProcessPoolExecutor:
     methods = multiprocessing.get_all_start_methods()
     context = (multiprocessing.get_context("fork")
@@ -125,8 +138,13 @@ def map_ordered(fn: Callable[[_ITEM], _RESULT],
         tasks = [(fn, item, plan) for item in work]
         try:
             with _make_pool(jobs) as pool:
-                timed = list(pool.map(_timed_call, tasks,
-                                      chunksize=chunksize))
+                pooled = list(pool.map(_pooled_call, tasks,
+                                       chunksize=chunksize))
+            timed = []
+            for result, seconds, deltas in pooled:
+                for name, amount in deltas.items():
+                    METRICS.counter(name).inc(amount)
+                timed.append((result, seconds))
         except BrokenExecutor:
             # the pool itself died (a worker process was killed):
             # degrade to the serial path rather than fail the phase

@@ -38,10 +38,11 @@ from .lifecycle import (DrainReport, STATE_DRAINING, STATE_SERVING,
 from .ring import DEFAULT_VNODES, HashRing, RingEmpty
 from .router import (RouterHTTPServer, RouterRequestHandler,
                      RouterService, TopologyDrainReport)
-from .server import (BadRequest, ConfigurationService,
+from .server import (BadOption, BadRequest, ConfigurationService,
                      ServiceHTTPServer, ServiceRequestHandler,
                      bundle_bytes, bundle_from_result,
-                     parse_generate_body)
+                     parse_generate_body, request_options,
+                     semantic_options)
 from .singleflight import SingleFlight
 from .topology import (serving_topology_manifests, serving_topology_sysml,
                        deploy_serving_topology)
@@ -49,7 +50,7 @@ from .worker import LocalWorker, WorkerEndpoint, WorkerProcess
 
 __all__ = [
     "AdmissionController", "AdmissionError", "AdmissionRejected",
-    "AdmissionShed", "AdmissionTimeout", "BadRequest",
+    "AdmissionShed", "AdmissionTimeout", "BadOption", "BadRequest",
     "ConfigurationService", "DEFAULT_VNODES", "DrainReport", "HashRing",
     "LocalWorker", "POLICIES", "POLICY_BLOCK",
     "POLICY_REJECT", "POLICY_SHED", "RateLimited", "RateLimiter",
@@ -60,6 +61,7 @@ __all__ = [
     "ServiceLifecycle", "ServiceRequestHandler", "SingleFlight",
     "TokenBucket", "TopologyDrainReport", "WorkerEndpoint",
     "WorkerProcess", "bundle_bytes", "bundle_from_result",
-    "deploy_serving_topology", "parse_generate_body",
-    "serving_topology_manifests", "serving_topology_sysml",
+    "deploy_serving_topology", "parse_generate_body", "request_options",
+    "semantic_options", "serving_topology_manifests",
+    "serving_topology_sysml",
 ]

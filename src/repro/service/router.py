@@ -58,8 +58,8 @@ from .admission import AdmissionError
 from .client import RetriableServiceError, ServiceClient
 from .lifecycle import DrainReport, ServiceLifecycle
 from .ring import DEFAULT_VNODES, HashRing, RingEmpty
-from .server import (BadRequest, JSONRequestHandler, REQUEST_OPTION_KEYS,
-                     _STATUS_BY_CODE, parse_generate_body)
+from .server import (BadRequest, JSONRequestHandler, _STATUS_BY_CODE,
+                     parse_generate_body, request_options, semantic_options)
 from .worker import WorkerEndpoint
 
 _REQUESTS = METRICS.counter("router.requests")
@@ -160,16 +160,6 @@ class RouterService:
 
     # -- routing ---------------------------------------------------------
 
-    def _resolve_options(self, overrides: dict | None) -> PipelineOptions:
-        if not overrides:
-            return self.options
-        unknown = set(overrides) - set(REQUEST_OPTION_KEYS)
-        if unknown:
-            raise BadRequest(
-                f"unknown option(s): {', '.join(sorted(unknown))}; "
-                f"requests may set {', '.join(REQUEST_OPTION_KEYS)}")
-        return self.options.replace(**overrides)
-
     def routing_key(self, sources, overrides: dict | None = None) -> str:
         """The shard-affinity key for one request.
 
@@ -177,11 +167,10 @@ class RouterService:
         generation single-flight — computed here from a pure hash of
         the source texts, no parsing.
         """
-        options = self._resolve_options(overrides)
-        semantic = {key: getattr(options, key)
-                    for key in REQUEST_OPTION_KEYS}
+        options = request_options(self.options, overrides)
         return fingerprint(content_fingerprint_of_sources(list(sources)),
-                           semantic, salt=SERVICE_GENERATE_SALT)
+                           semantic_options(options),
+                           salt=SERVICE_GENERATE_SALT)
 
     def assign(self, sources, overrides: dict | None = None) -> str:
         """The healthy worker currently owning this request."""
@@ -521,7 +510,7 @@ class RouterRequestHandler(JSONRequestHandler):
                 sources, overrides, client_id=client_id,
                 raw_body=body, content_type=content_type)
         except BadRequest as exc:
-            self._send_error(400, "bad-request", str(exc))
+            self._send_error(exc.status, exc.code, str(exc))
         except RetriableServiceError as exc:
             self._send_error(exc.status, exc.code, str(exc),
                              retriable=True,

@@ -53,12 +53,12 @@ from urllib.parse import urlsplit
 
 from ..cache import ArtifactCache
 from ..codegen.incremental import IncrementalEngine
-from ..codegen.options import PipelineOptions
+from ..codegen.options import OptionError, PipelineOptions
 from ..codegen.pipeline import GenerationResult
 from ..faults import FaultInjected, fault_point
 from ..fingerprint import (SERVICE_GENERATE_SALT, SERVICE_MEMO_SALT,
                            fingerprint)
-from ..obs import METRICS, snapshot_delta
+from ..obs import METRICS
 from ..sysml import content_fingerprint_of_sources
 from ..sysml.errors import SysMLError
 from .admission import (AdmissionController, AdmissionError, POLICY_REJECT,
@@ -93,6 +93,12 @@ class BadRequest(Exception):
 
     status = 400
     code = "bad-request"
+
+
+class BadOption(BadRequest):
+    """A request option of the wrong type or range (HTTP 400)."""
+
+    code = "bad-option"
 
 
 class PayloadTooLarge(BadRequest):
@@ -137,6 +143,31 @@ def parse_generate_body(body: bytes, content_type: str | None
     return sources, overrides
 
 
+def request_options(base: PipelineOptions,
+                    overrides: dict | None) -> PipelineOptions:
+    """*base* with one request's ``options`` overrides applied — the one
+    check the worker and the router share. Raises :class:`BadRequest`
+    for a key outside :data:`REQUEST_OPTION_KEYS` and :class:`BadOption`
+    for a value :class:`PipelineOptions` refuses."""
+    if not overrides:
+        return base
+    unknown = set(overrides) - set(REQUEST_OPTION_KEYS)
+    if unknown:
+        raise BadRequest(
+            f"unknown option(s): {', '.join(sorted(unknown))}; "
+            f"requests may set {', '.join(REQUEST_OPTION_KEYS)}")
+    try:
+        return base.replace(**overrides)
+    except OptionError as exc:
+        raise BadOption(str(exc)) from exc
+
+
+def semantic_options(options: PipelineOptions) -> dict[str, object]:
+    """The request-settable options of *options*: part of every
+    single-flight, memo and routing key, and echoed in each bundle."""
+    return {key: getattr(options, key) for key in REQUEST_OPTION_KEYS}
+
+
 def bundle_from_result(result: GenerationResult, model_fingerprint: str,
                        options: PipelineOptions) -> dict[str, object]:
     """The deterministic manifest bundle for one generation result.
@@ -146,8 +177,7 @@ def bundle_from_result(result: GenerationResult, model_fingerprint: str,
     """
     return {
         "fingerprint": model_fingerprint,
-        "options": {key: getattr(options, key)
-                    for key in REQUEST_OPTION_KEYS},
+        "options": semantic_options(options),
         "summary": {
             "opcua_servers": result.opcua_server_count,
             "opcua_clients": result.opcua_client_count,
@@ -226,8 +256,8 @@ class ConfigurationService:
         *overrides* optionally adjusts the semantic pipeline options
         for this request. Returns ``(payload, info)`` where *payload*
         is the serialized manifest bundle and *info* carries
-        per-request facts (single-flight role, wall seconds, metric
-        delta) that must NOT leak into the deterministic payload.
+        per-request facts (single-flight role, wall seconds, reuse
+        counts) that must NOT leak into the deterministic payload.
         """
         _REQUESTS.inc()
         # chaos site: an active fault plan can declare this request
@@ -236,11 +266,10 @@ class ConfigurationService:
         self.limiter.check(client)
         self.lifecycle.request_started()
         started = time.perf_counter()
-        before = METRICS.snapshot()
         try:
-            options = self._resolve_options(overrides)
+            options = request_options(self.options, overrides)
             memo_key = fingerprint(list(sources),
-                                   self._semantic(options),
+                                   semantic_options(options),
                                    salt=SERVICE_MEMO_SALT)
             payload = self._memo_get(memo_key)
             counts = None
@@ -255,7 +284,7 @@ class ConfigurationService:
                     model_fingerprint = content_fingerprint_of_sources(
                         list(sources))
                     generate_key = fingerprint(
-                        model_fingerprint, self._semantic(options),
+                        model_fingerprint, semantic_options(options),
                         salt=SERVICE_GENERATE_SALT)
                     (payload, counts), leader = self._generate_flight.do(
                         generate_key,
@@ -269,28 +298,12 @@ class ConfigurationService:
             info: dict[str, object] = {
                 "singleflight": role,
                 "seconds": seconds,
-                "metrics_delta": snapshot_delta(before,
-                                                METRICS.snapshot()),
             }
             if counts is not None:
                 info["reused"], info["regenerated"] = counts
             return payload, info
         finally:
             self.lifecycle.request_finished()
-
-    def _resolve_options(self, overrides: dict | None) -> PipelineOptions:
-        if not overrides:
-            return self.options
-        unknown = set(overrides) - set(REQUEST_OPTION_KEYS)
-        if unknown:
-            raise BadRequest(
-                f"unknown option(s): {', '.join(sorted(unknown))}; "
-                f"requests may set {', '.join(REQUEST_OPTION_KEYS)}")
-        return self.options.replace(**overrides)
-
-    def _semantic(self, options: PipelineOptions) -> dict[str, object]:
-        return {key: getattr(options, key)
-                for key in REQUEST_OPTION_KEYS}
 
     def _engine_slot(self, options: PipelineOptions):
         """The warm incremental engine for one semantic-options set.
@@ -305,7 +318,7 @@ class ConfigurationService:
         instead of evicting the engine a returning client keeps warm,
         whose next edit would otherwise pay a cold rebuild.
         """
-        key = fingerprint(self._semantic(options),
+        key = fingerprint(semantic_options(options),
                           salt=SERVICE_GENERATE_SALT)
         with self._engines_lock:
             slot = self._engines.get(key)
@@ -522,7 +535,7 @@ class ServiceRequestHandler(JSONRequestHandler):
             self._send_error(status, exc.code, str(exc),
                              retriable=exc.retriable, retry_after=1)
         except BadRequest as exc:
-            self._send_error(400, "bad-request", str(exc))
+            self._send_error(exc.status, exc.code, str(exc))
         except SysMLError as exc:
             self._send_error(400, "invalid-model", str(exc))
         except Exception as exc:  # noqa: BLE001 - last-resort boundary

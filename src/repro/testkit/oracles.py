@@ -262,7 +262,7 @@ def _check_sharded(ctx: TrialContext) -> None:
     pipeline run — for any worker count."""
     from ..fingerprint import SERVICE_GENERATE_SALT, fingerprint
     from ..service import LocalWorker, RouterService
-    from ..service.server import REQUEST_OPTION_KEYS
+    from ..service.server import semantic_options
     reference = ctx.direct_payload
     options = ctx.options
 
@@ -287,10 +287,9 @@ def _check_sharded(ctx: TrialContext) -> None:
         # owning worker derives after actually parsing the sources —
         # that identity is what keeps per-shard single-flight/memo
         # collapsing effective
-        semantic = {key: getattr(options, key)
-                    for key in REQUEST_OPTION_KEYS}
         worker_key = fingerprint(ctx.model.content_fingerprint,
-                                 semantic, salt=SERVICE_GENERATE_SALT)
+                                 semantic_options(options),
+                                 salt=SERVICE_GENERATE_SALT)
         if router.routing_key(ctx.sources) != worker_key:
             raise OracleFailure(
                 "router routing key differs from the worker-side "

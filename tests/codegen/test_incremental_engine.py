@@ -18,7 +18,7 @@ from repro.codegen import (GenerationPipeline, IncrementalEngine,
 from repro.icelab.model_gen import icelab_sources
 from repro.isa95.levels import VariableSpec
 from repro.machines.specs import ICE_LAB_SPECS
-from repro.obs import METRICS
+from repro.obs import METRICS, Tracer
 from repro.service import bundle_bytes
 from repro.sysml import load_model
 from repro.sysml.errors import ValidationError
@@ -163,6 +163,18 @@ class TestRenameEdit:
         result = engine.generate(*renamed)
         assert counters()["full_runs"] == before["full_runs"] + 1
         assert result.manifests == cold_manifests(renamed).manifests
+
+    def test_records_why_it_fell_back(self, engine):
+        name = "incremental.fallbacks._EngineFallback"
+        before = METRICS.snapshot().get(name, 0)
+        renamed = [s.replace("speaDriverInstance", "speaDriverInstanceB")
+                   for s in icelab_sources()]
+        tracer = Tracer()
+        with tracer.activate():
+            engine.generate(*renamed)
+        assert METRICS.snapshot()[name] == before + 1
+        span = tracer.trace().find("engine-incremental")
+        assert span.attributes["fallback"] == "_EngineFallback"
 
 
 class TestPointCountEdit:

@@ -188,6 +188,13 @@ MALFORMED_CONTENT_LENGTHS = ("abc", "-5", "1e3", "1_0")
 #: over it, and one too long for ``int()`` to convert at all.
 OVERSIZED_CONTENT_LENGTHS = (str(MAX_BODY_BYTES + 1), "9" * 5000)
 
+#: Request ``options`` that ``PipelineOptions`` refuses; each must get a
+#: typed ``400 bad-option`` from a worker and from the router.
+BAD_OPTIONS = ({"capacity": "abc"}, {"capacity": 0}, {"capacity": True},
+               {"namespace": "Bad Name!"})
+BAD_OPTION_IDS = ("capacity-abc", "capacity-0", "capacity-true",
+                  "namespace-bad-name")
+
 
 def post_with_content_length(port, value, body=b"part def X;"):
     """``POST /v1/generate`` over a raw socket with a verbatim

@@ -9,8 +9,8 @@ import dataclasses
 
 import pytest
 
-from repro.codegen import (GenerationPipeline, PipelineOptions,
-                           generate_configuration)
+from repro.codegen import (GenerationPipeline, OptionError,
+                           PipelineOptions, generate_configuration)
 from repro.obs import Tracer
 
 
@@ -18,6 +18,36 @@ from repro.obs import Tracer
 def model():
     from repro.icelab import icelab_model
     return icelab_model()
+
+
+class TestValidation:
+    """Every field is checked once, in the constructor."""
+
+    @pytest.mark.parametrize("namespace", [
+        "factory", "icelab", "plant", "plant-b", "proc", "tenant-7",
+        "line-0", "ns-1", "n", "a" * 63])
+    def test_namespaces_in_use_pass(self, namespace):
+        assert PipelineOptions(namespace=namespace).namespace == namespace
+
+    @pytest.mark.parametrize("changes", [
+        {"capacity": "abc"}, {"capacity": None}, {"capacity": 0},
+        {"capacity": -1}, {"capacity": 1.5}, {"capacity": True},
+        {"namespace": "Bad Name!"}, {"namespace": ""}, {"namespace": 123},
+        {"namespace": "-edge"}, {"namespace": "a" * 64},
+        {"namespace": "Upper"}, {"validate": "yes"},
+        {"broker_url": ["x"]}, {"database_url": None},
+        {"grouping": "worst-fit"}])
+    def test_bad_value_raises_option_error(self, changes):
+        field = next(iter(changes))
+        with pytest.raises(OptionError, match=field):
+            PipelineOptions(**changes)
+        with pytest.raises(OptionError, match=field):
+            PipelineOptions().replace(**changes)
+        with pytest.raises(OptionError, match=field):
+            PipelineOptions.from_dict(changes)
+
+    def test_option_error_is_a_value_error(self):
+        assert issubclass(OptionError, ValueError)
 
 
 class TestDataclassSemantics:

@@ -39,6 +39,14 @@ def _boom(value):
     raise ValueError(f"unit {value} is broken")
 
 
+_UNITS = METRICS.counter("test.parallel.units")
+
+
+def _counted_double(value):
+    _UNITS.inc()
+    return value * 2
+
+
 def _double_or_die_in_child(value, *, parent):
     # kills the worker process outright (no exception, no cleanup), but
     # runs normally once the caller re-runs the unit in its own process
@@ -86,6 +94,15 @@ class TestFallbacks:
         map_ordered(lambda _: seen.append(threading.get_ident()),
                     [1, 2, 3], jobs=jobs)
         assert seen == [threading.get_ident()] * 3
+
+
+class TestWorkerCounters:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counters_bumped_in_workers_reach_the_caller(self, jobs):
+        before = _UNITS.value
+        assert map_ordered(_counted_double, list(range(5)),
+                           jobs=jobs) == [0, 2, 4, 6, 8]
+        assert _UNITS.value == before + 5
 
 
 class TestCrashResilience:

@@ -6,13 +6,15 @@ registry, so cross-shard sums are only provably exact with real
 ``repro serve`` child processes (:class:`WorkerProcess`).
 """
 
+import json
 import socket
 import threading
 
 import pytest
 
-from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
-                      OVERSIZED_CONTENT_LENGTHS, post_with_content_length)
+from fixtures import (BAD_OPTION_IDS, BAD_OPTIONS, EMCO_WORKCELL_SOURCE,
+                      MALFORMED_CONTENT_LENGTHS, OVERSIZED_CONTENT_LENGTHS,
+                      post_with_content_length)
 
 from repro.codegen import PipelineOptions
 from repro.faults import FaultPlan, FaultSpec
@@ -20,7 +22,8 @@ from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from repro.obs import METRICS, aggregate_snapshots, snapshot_delta
 from repro.service import (LocalWorker, RetriableServiceError,
                            RouterHTTPServer, RouterService, ServiceClient,
-                           WorkerEndpoint, WorkerProcess)
+                           WorkerEndpoint, WorkerProcess,
+                           semantic_options)
 from repro.sysml import load_model
 from repro.testkit import wait_until
 
@@ -69,7 +72,7 @@ class TestRoutingKey:
         service = workers[0].service
         model = load_model(*SOURCES)
         worker_key = fingerprint(model.content_fingerprint,
-                                 service._semantic(service.options),
+                                 semantic_options(service.options),
                                  salt=SERVICE_GENERATE_SALT)
         assert router.routing_key(SOURCES) == worker_key
 
@@ -269,6 +272,18 @@ class TestHTTPFrontEnd:
         assert status == 400
         assert document["error"]["code"] == "bad-request"
         with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
+
+    @pytest.mark.parametrize("overrides", BAD_OPTIONS, ids=BAD_OPTION_IDS)
+    def test_bad_option_is_a_typed_400(self, front, overrides):
+        server, _, _ = front
+        with ServiceClient(server.port) as client:
+            status, headers, body = client.generate_raw(SOURCES,
+                                                        options=overrides)
+            assert status == 400, body
+            assert json.loads(body)["error"]["code"] == "bad-option"
+            # refused at the router: no worker saw the request
+            assert "x-repro-worker" not in headers
             assert client.generate_raw(SOURCES)[0] == 200
 
     @pytest.mark.parametrize("length", OVERSIZED_CONTENT_LENGTHS,

@@ -13,15 +13,16 @@ import time
 
 import pytest
 
-from fixtures import (EMCO_WORKCELL_SOURCE, MALFORMED_CONTENT_LENGTHS,
-                      OVERSIZED_CONTENT_LENGTHS, post_with_content_length,
-                      rejected_revision)
+from fixtures import (BAD_OPTION_IDS, BAD_OPTIONS, EMCO_WORKCELL_SOURCE,
+                      MALFORMED_CONTENT_LENGTHS, OVERSIZED_CONTENT_LENGTHS,
+                      post_with_content_length, rejected_revision)
 
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
-from repro.obs import METRICS, snapshot_delta
-from repro.service import (ConfigurationService, ServiceClient,
-                           ServiceError, ServiceHTTPServer, bundle_bytes)
+from repro.obs import METRICS, MetricsRegistry, snapshot_delta
+from repro.service import (BadOption, ConfigurationService, ServiceClient,
+                           ServiceError, ServiceHTTPServer, bundle_bytes,
+                           semantic_options)
 from repro.service.server import MAX_ENGINES
 from repro.icelab.model_gen import icelab_sources
 from repro.sysml import content_fingerprint_of_sources, load_model
@@ -73,7 +74,7 @@ def generate_key(service):
     """The generation single-flight key the service derives for SOURCES."""
     model = load_model(*SOURCES)
     return fingerprint(model.content_fingerprint,
-                       service._semantic(service.options),
+                       semantic_options(service.options),
                        salt=SERVICE_GENERATE_SALT)
 
 
@@ -147,6 +148,7 @@ class TestGenerateEndpoint:
             with pytest.raises(ServiceError) as info:
                 client.generate(SOURCES, options={"jobs": 4})
         assert info.value.status == 400  # execution knobs stay server-side
+        assert info.value.code == "bad-request"
 
     def test_unknown_route_is_404(self, serve):
         server, _ = serve()
@@ -165,6 +167,39 @@ class TestMalformedContentLength:
         assert length in document["error"]["message"]
         with ServiceClient(server.port) as client:
             assert client.generate_raw(SOURCES)[0] == 200
+
+
+class TestBadOptions:
+    @pytest.mark.parametrize("overrides", BAD_OPTIONS, ids=BAD_OPTION_IDS)
+    def test_typed_400_then_the_server_keeps_serving(self, serve,
+                                                     overrides):
+        server, _ = serve()
+        with ServiceClient(port=server.port) as client:
+            status, _, body = client.generate_raw(SOURCES,
+                                                  options=overrides)
+            assert status == 400, body
+            assert json.loads(body)["error"]["code"] == "bad-option"
+            assert client.generate_raw(SOURCES)[0] == 200
+
+    def test_in_process_request_raises_bad_option(self):
+        service = ConfigurationService(PipelineOptions())
+        with pytest.raises(BadOption, match="capacity"):
+            service.generate(SOURCES, {"capacity": 0})
+
+
+class TestRequestTelemetry:
+    def test_a_request_takes_no_registry_snapshot(self, monkeypatch):
+        # a snapshot copies and sorts every histogram's observations,
+        # so a per-request one costs more with every request served
+        calls = []
+        snapshot = MetricsRegistry.snapshot
+        monkeypatch.setattr(
+            MetricsRegistry, "snapshot",
+            lambda registry: calls.append(1) or snapshot(registry))
+        service = ConfigurationService(PipelineOptions())
+        payload, info = service.generate(SOURCES)
+        assert payload and info["singleflight"] == "leader"
+        assert calls == []
 
 
 class TestOversizedBody:

@@ -170,7 +170,10 @@ class TestOptionErrors:
         ["plan", "--problems", "-1"], ["plan", "--problems", "0"],
         ["simulate", "--base-jobs", "0"], ["simulate", "--base-jobs", "-2"],
         ["plan", "--jobs", "0"], ["plan", "--jobs", "-2"],
-        ["conformance", "--jobs", "0"], ["conformance", "--jobs", "-1"]])
+        ["conformance", "--jobs", "0"], ["conformance", "--jobs", "-1"],
+        ["generate", "--capacity", "0"], ["trace", "--capacity", "-1"],
+        ["generate", "--namespace", "Bad_Name"],
+        ["serve", "--namespace", "Edge"]])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -75,6 +75,19 @@ class TestReport:
         assert (METRICS.counter("conformance.failures").value
                 == before + report.failure_count)
 
+    def test_pooled_trials_count_like_serial_ones(self):
+        def counted(jobs):
+            before = METRICS.counter_values()
+            run_conformance(2, oracles=["sim"], jobs=jobs, shrink=False)
+            return {name: value - before.get(name, 0)
+                    for name, value in METRICS.counter_values().items()
+                    if value != before.get(name, 0)
+                    and not name.startswith("parallel.")}
+
+        serial = counted(1)
+        assert serial["sim.scenarios"] == 12
+        assert counted(2) == serial
+
     @pytest.mark.parametrize("jobs", [0, -1, True])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
