@@ -99,10 +99,6 @@ class MessageBroker:
             del self._subscriptions[sid]
         return len(doomed)
 
-    def subscriptions_for(self, client_id: str) -> list[Subscription]:
-        return [s for s in self._subscriptions.values()
-                if s.client_id == client_id]
-
     # -- publishing ----------------------------------------------------------
 
     def publish(self, topic: str, payload: Payload,

@@ -179,14 +179,13 @@ def group_machines(machines: list[MachineInfo],
     return groups
 
 
-def grouping_signature(machines: list[MachineInfo], capacity: int,
-                       algorithm: str) -> tuple:
-    """Exactly the inputs :func:`group_machines` reads: the capacity,
-    the algorithm and each machine's (name, point count). Anything
-    else — variable renames, driver parameters, hierarchy labels —
-    cannot move a machine between groups, so equal signatures mean
-    equal membership."""
-    return (capacity, algorithm,
+def grouping_signature(machines: list[MachineInfo], capacity: int) -> tuple:
+    """Exactly the inputs the pipeline's :func:`group_machines` call
+    reads: the capacity and each machine's (name, point count).
+    Anything else — variable renames, driver parameters, hierarchy
+    labels — cannot move a machine between groups, so equal signatures
+    mean equal membership."""
+    return (capacity,
             tuple(sorted((m.name, m.point_count) for m in machines)))
 
 

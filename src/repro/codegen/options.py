@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from ..cache import DEFAULT_CACHE_MAX_BYTES
 from ..obs import Tracer
-from .grouping import DEFAULT_CLIENT_CAPACITY, GROUPING_ALGORITHMS
+from .grouping import DEFAULT_CLIENT_CAPACITY
 
 #: A Kubernetes namespace name: an RFC 1123 (DNS) label.
 _DNS_LABEL = re.compile(r"[a-z0-9]([-a-z0-9]{0,61}[a-z0-9])?")
@@ -43,10 +43,6 @@ class PipelineOptions:
     """Everything configurable about one generation pipeline run."""
 
     capacity: int = DEFAULT_CLIENT_CAPACITY
-    #: Client bin-packing algorithm (``repro.codegen.grouping``):
-    #: ``"first-fit"`` (default, byte-compatible) or ``"best-fit"``
-    #: (never more clients than first-fit).
-    grouping: str = "first-fit"
     namespace: str = "factory"
     broker_url: str = "mqtt://broker:1883"
     database_url: str = "ts://factorydb:8086"
@@ -64,8 +60,6 @@ class PipelineOptions:
             # bool is an int subclass; ``capacity=True`` is not one point
             ("capacity", type(self.capacity) is int and self.capacity >= 1,
              "an integer >= 1"),
-            ("grouping", self.grouping in GROUPING_ALGORITHMS,
-             f"one of {', '.join(GROUPING_ALGORITHMS)}"),
             ("namespace", isinstance(self.namespace, str)
              and _DNS_LABEL.fullmatch(self.namespace) is not None,
              "a DNS-1123 label (at most 63 lowercase alphanumerics "
@@ -79,6 +73,12 @@ class PipelineOptions:
                 raise OptionError(f"{name} must be {expected}, "
                                   f"got {getattr(self, name)!r}")
 
+    @property
+    def grouping(self) -> str:
+        """The client packing every pipeline run uses; not an option
+        (``benchmarks/e2e`` reads it to trace the packing)."""
+        return "first-fit"
+
     def replace(self, **changes) -> "PipelineOptions":
         """A copy with *changes* applied (frozen-dataclass update)."""
         return replace(self, **changes)
@@ -87,7 +87,6 @@ class PipelineOptions:
         """Serializable form; the (unserializable) tracer is omitted."""
         return {
             "capacity": self.capacity,
-            "grouping": self.grouping,
             "namespace": self.namespace,
             "broker_url": self.broker_url,
             "database_url": self.database_url,

@@ -176,38 +176,41 @@ class GenerationResult(Summarizable):
 
     # -- file output ----------------------------------------------------------
 
+    def files(self) -> dict[str, str]:
+        """Every output file's text by relative path: JSON configs under
+        ``intermediate/``, manifests under ``manifests/``."""
+        files: dict[str, str] = {}
+        # sanitize: raw model names may carry characters that are
+        # unsafe or inconsistent with the server/client file naming
+        for name, config in self.machine_configs.items():
+            files[f"intermediate/machine-{k8s_name(name)}.json"] = \
+                _json_text(config)
+        for name, config in self.server_configs.items():
+            files[f"intermediate/server-{k8s_name(name)}.json"] = \
+                _json_text(config)
+        for config in self.client_configs:
+            files[f"intermediate/{config['client']}.json"] = \
+                _json_text(config)
+        for config in self.storage_configs:
+            files[f"intermediate/{config['historian']}.json"] = \
+                _json_text(config)
+        for filename, text in self.manifests.items():
+            files[f"manifests/{filename}"] = text
+        return files
+
     def write_to(self, directory: str | Path) -> list[Path]:
         """Materialize every JSON and YAML file; returns written paths."""
-        base = Path(directory)
         written: list[Path] = []
-        json_dir = base / "intermediate"
-        yaml_dir = base / "manifests"
-        json_dir.mkdir(parents=True, exist_ok=True)
-        yaml_dir.mkdir(parents=True, exist_ok=True)
-        for name, config in self.machine_configs.items():
-            # sanitize: raw model names may carry characters that are
-            # unsafe or inconsistent with the server/client file naming
-            written.append(_write_json(
-                json_dir / f"machine-{k8s_name(name)}.json", config))
-        for name, config in self.server_configs.items():
-            written.append(_write_json(
-                json_dir / f"server-{k8s_name(name)}.json", config))
-        for config in self.client_configs:
-            written.append(_write_json(
-                json_dir / f"{config['client']}.json", config))
-        for config in self.storage_configs:
-            written.append(_write_json(
-                json_dir / f"{config['historian']}.json", config))
-        for filename, text in self.manifests.items():
-            path = yaml_dir / filename
+        for relative, text in self.files().items():
+            path = Path(directory) / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             written.append(path)
         return written
 
 
-def _write_json(path: Path, config: dict) -> Path:
-    path.write_text(json.dumps(config, indent=2) + "\n")
-    return path
+def _json_text(config: dict) -> str:
+    return json.dumps(config, indent=2) + "\n"
 
 
 def _settle_replay(result: GenerationResult,
@@ -340,7 +343,6 @@ class GenerationPipeline:
         """The options that shape output bytes — *not* cache settings."""
         return {
             "capacity": self.options.capacity,
-            "grouping": self.options.grouping,
             "namespace": self.options.namespace,
             "broker_url": self.options.broker_url,
             "database_url": self.options.database_url,
@@ -446,19 +448,17 @@ class GenerationPipeline:
         """Bin-pack the machines — or, when the packing's inputs equal
         *previous*'s, rebuild *previous*'s membership around the current
         machines (the packing is a pure function of its signature)."""
-        capacity, algorithm = self.options.capacity, self.options.grouping
+        capacity = self.options.capacity
         if previous is not None and grouping_signature(
-                topology.machines, capacity, algorithm) \
-                == grouping_signature(previous.topology.machines,
-                                      capacity, algorithm):
+                topology.machines, capacity) \
+                == grouping_signature(previous.topology.machines, capacity):
             by_name = {m.name: m for m in topology.machines}
             return [ClientGroup(index=group.index, capacity=group.capacity,
                                 machines=[by_name[m.name]
                                           for m in group.machines],
                                 oversized=group.oversized)
                     for group in previous.groups]
-        return group_machines(topology.machines, capacity,
-                              algorithm=algorithm)
+        return group_machines(topology.machines, capacity)
 
     # -- step 2: Kubernetes YAML -----------------------------------------------------
 

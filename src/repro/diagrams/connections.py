@@ -41,11 +41,6 @@ class ConnectionFigure:
                 and self.machine_service_ports == self.driver_method_ports)
 
 
-def _count_ports(node, *, conjugated: bool) -> int:
-    return sum(1 for n in node.walk()
-               if n.kind == "port" and n.conjugated == conjugated)
-
-
 def _is_machine(usage: PartUsage) -> bool:
     typ = usage.effective_type()
     return typ is not None and any(

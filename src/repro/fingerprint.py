@@ -55,9 +55,8 @@ TOPOLOGY_SALT = "isa95-topology/2"
 #: carry machine node paths.)
 RESULT_SALT = "generation-result/2"
 
-#: Service-layer single-flight and memo keys.
+#: The service's request key: result memo, single-flight and routing.
 SERVICE_GENERATE_SALT = "service-generate/1"
-SERVICE_MEMO_SALT = "service-memo/1"
 
 #: Consistent-hash ring of the sharded serving tier: vnode placement
 #: points (:mod:`repro.service.ring`). Bumping it remaps every key —
@@ -139,7 +138,7 @@ def fingerprint_of(value: object, *, salt: str = "") -> str:
 __all__ = [
     "CACHE_SCHEMA_VERSION", "Fingerprintable", "MODEL_SALT", "NODE_SALT",
     "PARSE_TREE_SALT", "PLAN_SALT", "RESULT_SALT", "ROUTER_RING_SALT",
-    "SERVICE_GENERATE_SALT", "SERVICE_MEMO_SALT", "SIM_BRIEFING_SALT",
+    "SERVICE_GENERATE_SALT", "SIM_BRIEFING_SALT",
     "SIM_REPORT_SALT", "TOPOLOGY_SALT", "WORKLOAD_SALT", "canonical_json",
     "fingerprint", "fingerprint_of",
 ]

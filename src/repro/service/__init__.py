@@ -41,7 +41,7 @@ from .router import (RouterHTTPServer, RouterRequestHandler,
 from .server import (BadOption, BadRequest, ConfigurationService,
                      ServiceHTTPServer, ServiceRequestHandler,
                      bundle_bytes, bundle_from_result,
-                     parse_generate_body, request_options,
+                     parse_generate_body, request_key, request_options,
                      semantic_options)
 from .singleflight import SingleFlight
 from .topology import (serving_topology_manifests, serving_topology_sysml,
@@ -61,7 +61,8 @@ __all__ = [
     "ServiceLifecycle", "ServiceRequestHandler", "SingleFlight",
     "TokenBucket", "TopologyDrainReport", "WorkerEndpoint",
     "WorkerProcess", "bundle_bytes", "bundle_from_result",
-    "deploy_serving_topology", "parse_generate_body", "request_options",
+    "deploy_serving_topology", "parse_generate_body", "request_key",
+    "request_options",
     "semantic_options", "serving_topology_manifests",
     "serving_topology_sysml",
 ]

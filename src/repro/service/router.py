@@ -4,10 +4,10 @@
 single-node service stack, see :mod:`repro.service.worker`) and
 forwards every ``/v1/generate`` request to the worker that *owns* it
 on a consistent-hash ring (:mod:`repro.service.ring`). The routing
-key is exactly the worker-side generation single-flight key::
+key is exactly the worker-side request key (its result memo and
+generation single-flight key)::
 
-    fingerprint(content_fingerprint_of_sources(sources),
-                semantic_options, salt=SERVICE_GENERATE_SALT)
+    request_key(content_fingerprint_of_sources(sources), options)
 
 computed without parsing (the content fingerprint is a pure hash of
 the source texts). Identical requests therefore always land on the
@@ -50,7 +50,6 @@ from urllib.parse import urlsplit
 
 from ..codegen.options import PipelineOptions
 from ..faults import FaultInjected, InjectedCrash, fault_point
-from ..fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from ..obs import METRICS, Summarizable, aggregate_snapshots, record_span
 from ..resilience import CircuitBreaker, CircuitOpen
 from ..sysml import content_fingerprint_of_sources
@@ -59,7 +58,7 @@ from .client import RetriableServiceError, ServiceClient
 from .lifecycle import DrainReport, ServiceLifecycle
 from .ring import DEFAULT_VNODES, HashRing, RingEmpty
 from .server import (BadRequest, JSONRequestHandler, _STATUS_BY_CODE,
-                     parse_generate_body, request_options, semantic_options)
+                     parse_generate_body, request_key, request_options)
 from .worker import WorkerEndpoint
 
 _REQUESTS = METRICS.counter("router.requests")
@@ -163,14 +162,12 @@ class RouterService:
     def routing_key(self, sources, overrides: dict | None = None) -> str:
         """The shard-affinity key for one request.
 
-        Byte-for-byte the key the owning worker derives for its
-        generation single-flight — computed here from a pure hash of
-        the source texts, no parsing.
+        Byte-for-byte the key the owning worker derives for its result
+        memo and generation single-flight — computed here from a pure
+        hash of the source texts, no parsing.
         """
-        options = request_options(self.options, overrides)
-        return fingerprint(content_fingerprint_of_sources(list(sources)),
-                           semantic_options(options),
-                           salt=SERVICE_GENERATE_SALT)
+        return request_key(content_fingerprint_of_sources(list(sources)),
+                           request_options(self.options, overrides))
 
     def assign(self, sources, overrides: dict | None = None) -> str:
         """The healthy worker currently owning this request."""

@@ -56,8 +56,7 @@ from ..codegen.incremental import IncrementalEngine
 from ..codegen.options import OptionError, PipelineOptions
 from ..codegen.pipeline import GenerationResult
 from ..faults import FaultInjected, fault_point
-from ..fingerprint import (SERVICE_GENERATE_SALT, SERVICE_MEMO_SALT,
-                           fingerprint)
+from ..fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from ..obs import METRICS
 from ..sysml import content_fingerprint_of_sources
 from ..sysml.errors import SysMLError
@@ -168,6 +167,13 @@ def semantic_options(options: PipelineOptions) -> dict[str, object]:
     return {key: getattr(options, key) for key in REQUEST_OPTION_KEYS}
 
 
+def request_key(model_fingerprint: str, options: PipelineOptions) -> str:
+    """The one key of a generation request: its result memo entry, its
+    single-flight and, in the sharded tier, its routing key."""
+    return fingerprint(model_fingerprint, semantic_options(options),
+                       salt=SERVICE_GENERATE_SALT)
+
+
 def bundle_from_result(result: GenerationResult, model_fingerprint: str,
                        options: PipelineOptions) -> dict[str, object]:
     """The deterministic manifest bundle for one generation result.
@@ -268,30 +274,24 @@ class ConfigurationService:
         started = time.perf_counter()
         try:
             options = request_options(self.options, overrides)
-            memo_key = fingerprint(list(sources),
-                                   semantic_options(options),
-                                   salt=SERVICE_MEMO_SALT)
-            payload = self._memo_get(memo_key)
+            # the warm engine parses only what changed; the source hash
+            # is the fingerprint load_model would have given the model
+            model_fingerprint = content_fingerprint_of_sources(
+                list(sources))
+            key = request_key(model_fingerprint, options)
+            payload = self._memo_get(key)
             counts = None
             if payload is not None:
                 _MEMO_HITS.inc()
                 role = "memo"
             else:
                 with self.admission.slot():
-                    # the warm engine parses only what changed; the
-                    # source hash is the fingerprint load_model would
-                    # have given the model
-                    model_fingerprint = content_fingerprint_of_sources(
-                        list(sources))
-                    generate_key = fingerprint(
-                        model_fingerprint, semantic_options(options),
-                        salt=SERVICE_GENERATE_SALT)
                     (payload, counts), leader = self._generate_flight.do(
-                        generate_key,
+                        key,
                         lambda: self._execute(options, list(sources),
                                               model_fingerprint))
                     role = "leader" if leader else "follower"
-                self._memo_put(memo_key, payload)
+                self._memo_put(key, payload)
             seconds = time.perf_counter() - started
             _LATENCY.observe(seconds)
             _RESPONSES.inc()

@@ -18,7 +18,7 @@ imports and documentation comments.
 """
 
 from .builder import build_model
-from .depgraph import (DepGraph, DepRecorder, NodeIndex, NodeKey, ROOT_KEY,
+from .depgraph import (DepGraph, DepRecorder, NodeKey, ROOT_KEY,
                        anchor_key, deep_fingerprint, node_key, node_path,
                        scope_fingerprint)
 from .files import (convert_model_file, load_model_file, load_model_files,
@@ -63,7 +63,7 @@ __all__ = [
     "PartUsage", "PerformAction", "PortDefinition", "PortUsage",
     "RedefinitionUsage", "ResolutionError", "SourceLocation", "SysMLError",
     "DepGraph", "DepRecorder", "ModelSession",
-    "ModelUpdate", "NodeIndex", "NodeKey", "ROOT_KEY", "anchor_key",
+    "ModelUpdate", "NodeKey", "ROOT_KEY", "anchor_key",
     "clear_resolved_state", "content_fingerprint_of_sources",
     "convert_model_file", "deep_fingerprint",
     "load_model_file", "load_model_files", "node_key",

@@ -24,6 +24,10 @@ children plus every *named* package or part usage. Everything else
 (attributes, connectors, anonymous members) belongs to its nearest
 anchor. :class:`NodeKey` names an anchor by class + path, stably across
 loads of the same sources.
+
+Both fingerprints are cached on the elements. Nothing here snapshots a
+whole model: :class:`~repro.sysml.ModelSession`'s merge measures the
+elements it touches before and after an edit and diffs those.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from typing import Iterable
 
 from ..fingerprint import NODE_SALT, fingerprint
 from .elements import (Alias, Assignment, BindingConnector, Connector,
-                       Definition, Element, Import, Model, Namespace,
-                       Package, PartUsage, PerformAction, RedefinitionUsage,
-                       Type, Usage)
+                       Definition, Element, Import, Model, Package,
+                       PartUsage, PerformAction, RedefinitionUsage, Type,
+                       Usage)
 from .ast_nodes import FeatureRefExpr, Literal
 
 # Cached-attribute names (stored in element __dict__, invalidated by the
@@ -260,48 +264,6 @@ def find_by_path(model: Model, path: str) -> Element | None:
             return None
         scope = found
     return scope
-
-
-# -- the per-model index -----------------------------------------------------
-
-class NodeIndex:
-    """Snapshot of every anchor's deep hash and every namespace's scope
-    hash, for one resolved model state."""
-
-    def __init__(self) -> None:
-        #: anchor key -> deep (Merkle) fingerprint
-        self.deep: dict[NodeKey, str] = {}
-        #: namespace key -> scope fingerprint (includes :data:`ROOT_KEY`)
-        self.scope: dict[NodeKey, str] = {}
-
-    @classmethod
-    def of_model(cls, model: Model) -> "NodeIndex":
-        index = cls()
-        index.scope[ROOT_KEY] = scope_fingerprint(model)
-
-        def visit(element: Element) -> None:
-            if is_anchor(element):
-                index.deep[node_key(element)] = deep_fingerprint(element)
-            if isinstance(element, Namespace):
-                index.scope[node_key(element)] = scope_fingerprint(element)
-            for child in element.owned_elements:
-                visit(child)
-
-        for child in model.owned_elements:
-            visit(child)
-        return index
-
-    def changed_since(self, previous: "NodeIndex"
-                      ) -> tuple[set[NodeKey], set[NodeKey]]:
-        """Keys whose deep / scope hash differs from *previous* —
-        including keys present on only one side (added or removed)."""
-        deep_changed = {key for key in self.deep.keys()
-                        | previous.deep.keys()
-                        if self.deep.get(key) != previous.deep.get(key)}
-        scope_changed = {key for key in self.scope.keys()
-                         | previous.scope.keys()
-                         if self.scope.get(key) != previous.scope.get(key)}
-        return deep_changed, scope_changed
 
 
 # -- the dependency graph ----------------------------------------------------

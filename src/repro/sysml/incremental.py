@@ -9,10 +9,12 @@ needed to absorb source edits without a cold reload:
    **merged** into the live model — elements whose subtree fingerprint
    is unchanged are *kept by identity*, so resolved references from the
    rest of the model stay valid;
-3. the per-node fingerprint index (:class:`~.depgraph.NodeIndex`) is
-   recomputed (Merkle caches make this cheap) and diffed against the
-   previous state — the diff plus the recorded dependency graph yields
-   the **dirty anchor set**;
+3. the merge is the change detector: it measures, under their keys,
+   the deep fingerprints of the anchors and the scope fingerprints of
+   the namespaces it touches — kept, taken, dropped and re-keyed
+   elements, before and after — and never walks what it left alone.
+   Where the two measurements differ, plus the recorded dependency
+   graph, yields the **dirty anchor set**;
 4. only elements anchored in dirty subtrees get their resolved state
    cleared and re-resolved (:meth:`Resolver.resolve_only`); a fixpoint
    loop catches second-order effects (an element whose *resolution*
@@ -20,9 +22,11 @@ needed to absorb source edits without a cold reload:
    re-dirties its consumers).
 
 Any failure mid-update falls back to a cold rebuild, so the session is
-never left half-merged; if the *cold* rebuild also fails the error
-propagates exactly as a fresh :func:`load_model` would have raised it,
-and the next update rebuilds cold as well.
+never left half-merged; the fallback bumps
+``incremental.session_fallbacks.<Exception>`` and names the exception
+on the ``incremental-update`` span. If the *cold* rebuild also fails
+the error propagates exactly as a fresh :func:`load_model` would have
+raised it, and the next update rebuilds cold as well.
 """
 
 from __future__ import annotations
@@ -30,16 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fingerprint import fingerprint
-from ..obs import span as _span
+from ..obs import METRICS, span as _span
 from .builder import ModelBuilder
 from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
-                       NodeIndex, NodeKey, _name_of, anchor_key,
-                       deep_fingerprint, elements_anchored_in, node_key,
-                       own_signature, subtree_anchor_keys, DepGraph,
-                       DepRecorder)
+                       NodeKey, _name_of, anchor_key, deep_fingerprint,
+                       elements_anchored_in, is_anchor, node_key,
+                       own_signature, scope_fingerprint,
+                       subtree_anchor_keys, DepGraph, DepRecorder)
 from .elements import (Alias, Assignment, BindingConnector, Connector,
-                       Element, Import, Model, Package, PerformAction,
-                       RedefinitionUsage, Type, Usage)
+                       Element, Import, Model, Namespace, Package,
+                       PerformAction, RedefinitionUsage, Type, Usage)
 from .resolver import (Resolver, _load_sources, _parse_sources,
                        _stdlib_prefixed, model_fingerprint)
 
@@ -199,10 +203,44 @@ def _copy_head(old: Element, new: Element) -> None:
                 setattr(old, field_name, getattr(new, field_name))
 
 
-class _Merger:
-    """One-shot structural merge of fragment subtrees into a live model."""
+class _Fingerprints:
+    """Anchor deep and namespace scope fingerprints, by key, of the
+    elements one merge measured."""
 
     def __init__(self) -> None:
+        self.deep: dict[NodeKey, str] = {}
+        self.scope: dict[NodeKey, str] = {}
+
+    def measure(self, element: Element, subtree: bool = False) -> None:
+        if is_anchor(element):
+            self.deep[node_key(element)] = deep_fingerprint(element)
+        if isinstance(element, Namespace):
+            self.scope[node_key(element)] = scope_fingerprint(element)
+        if subtree:
+            for child in element.owned_elements:
+                self.measure(child, subtree)
+
+
+def _changed(before: dict[NodeKey, str], after: dict[NodeKey, str]
+             ) -> set[NodeKey]:
+    """Keys whose value differs, including keys on one side only."""
+    return {key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)}
+
+
+class _Merger:
+    """One-shot structural merge of fragment subtrees into a live model.
+
+    It is also the session's change detector: it measures what it
+    touches before the merge (kept elements, dropped subtrees,
+    anonymous subtrees whose position moved) and after it (kept
+    elements, taken and moved subtrees, the root scope). What it
+    leaves alone keeps its key and fingerprints, so the two partial
+    maps differ exactly where whole-model snapshots would.
+    """
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
         #: Old subtrees replaced or removed — kept alive until the
         #: semantic fixpoint is done comparing object identities.
         self.dropped: list[Element] = []
@@ -214,6 +252,41 @@ class _Merger:
         #: them is fresh and unresolved, even where its deep hash equals
         #: that of a dropped element (a package moved between sources).
         self.taken: list[Element] = []
+        #: Old anonymous subtrees kept at a new position: their
+        #: positional (``#ordinal``) keys moved.
+        self.shifted: list[Element] = []
+        self.before = _Fingerprints()
+        self.before.measure(model)
+        self.after = _Fingerprints()
+
+    def drop(self, elements: list[Element]) -> None:
+        for element in elements:
+            self.before.measure(element, subtree=True)
+            self.dropped.append(element)
+
+    def shift_moved(self, old_list: list[Element],
+                    merged: list[Element]) -> None:
+        """Re-key the anonymous subtrees of *old_list* that *merged*
+        keeps at another position (measured first, under the old key,
+        while *old_list* still gives their old ordinals)."""
+        old_positions = {id(old): index for index, old in enumerate(old_list)}
+        for index, kept in enumerate(merged):
+            if old_positions.get(id(kept), index) != index \
+                    and _match_key(kept) is None:
+                self.before.measure(kept, subtree=True)
+                self.shifted.append(kept)
+                _clear_keys_deep(kept)
+
+    def changes(self) -> tuple[set[NodeKey], set[NodeKey], frozenset]:
+        """``(deep_changed, scope_changed, removed)`` once the merge is
+        complete."""
+        for element in self.taken + self.shifted:
+            self.after.measure(element, subtree=True)
+        self.after.measure(self.model)
+        before, after = self.before, self.after
+        return (_changed(before.deep, after.deep),
+                _changed(before.scope, after.scope),
+                frozenset(before.deep.keys() - after.deep.keys()))
 
     def merge_lists(self, old_list: list[Element], new_list: list[Element],
                     parent: Element) -> tuple[list[Element], bool, bool]:
@@ -252,25 +325,25 @@ class _Merger:
             any_changed = True
 
         for leftovers in named.values():
-            self.dropped.extend(leftovers)
+            self.drop(leftovers)
         for leftovers in anonymous.values():
-            self.dropped.extend(leftovers)
+            self.drop(leftovers)
 
         list_changed = len(merged) != len(old_list) or any(
             kept is not old for kept, old in zip(merged, old_list))
         if list_changed:
             any_changed = True
             self.changed.append(parent)
-            # positional (#ordinal) path segments of kept anonymous
-            # children may have shifted — recompute their keys lazily
-            for kept in merged:
-                if _match_key(kept) is None:
-                    _clear_keys_deep(kept)
+            # a root slice is only part of the root's list: the session
+            # re-keys root children once the whole list is merged
+            if parent is not self.model:
+                self.shift_moved(old_list, merged)
         return merged, list_changed, any_changed
 
     def merge_element(self, old: Element, new: Element) -> bool:
         """Merge *new* into the kept *old* object; True if anything in
         the subtree changed."""
+        self.before.measure(old)
         head_changed = own_signature(old) != own_signature(new)
         if head_changed:
             _copy_head(old, new)
@@ -286,6 +359,8 @@ class _Merger:
             old.__dict__.pop(_DEEP_ATTR, None)
         if head_changed or list_changed:
             old.__dict__.pop(_SCOPE_ATTR, None)
+        # a named element keeps its key, and its subtree is final now
+        self.after.measure(old)
         return head_changed or children_changed
 
 
@@ -307,7 +382,6 @@ class ModelSession:
         self.cache = cache
         self.model: Model = None  # type: ignore[assignment]
         self.graph: DepGraph = None  # type: ignore[assignment]
-        self.index: NodeIndex = None  # type: ignore[assignment]
         self._sources: list[str] = []
         self._names: list[str] = []
         self._source_fps: list[str] = []
@@ -324,7 +398,6 @@ class ModelSession:
             cache=self.cache, recorder=DepRecorder(graph))
         self.model = model
         self.graph = graph
-        self.index = NodeIndex.of_model(model)
         self._sources = sources
         self._names = names
         self._source_fps = [fingerprint(text, salt=_SOURCE_SALT)
@@ -339,23 +412,28 @@ class ModelSession:
         rebuild on any incremental failure."""
         sources, names = _stdlib_prefixed(
             texts, filenames, include_stdlib=self.include_stdlib)
-        try:
-            if self._half_merged:
-                raise IncrementalFallback("last update failed mid-merge")
-            with _span("incremental-update"):
+        with _span("incremental-update") as s:
+            try:
+                if self._half_merged:
+                    raise IncrementalFallback("last update failed mid-merge")
                 return self._update_incremental(sources, names)
-        except Exception:  # noqa: BLE001 - safety valve
-            # Cold rebuild; if the *sources* are broken this raises the
-            # same error a fresh load would. A failed merge may already
-            # have changed the live model, so until a cold rebuild
-            # succeeds every update takes this path.
-            self._half_merged = True
-            self._load_cold(texts, filenames)
-            self._half_merged = False
-            return ModelUpdate(
-                changed_sources=tuple(names[1:]
-                                      if self.include_stdlib else names),
-                full_rebuild=True)
+            except Exception as exc:  # noqa: BLE001 - safety valve
+                # a bug must not pass for a slow edit: say which one
+                reason = type(exc).__name__
+                s.set("fallback", reason)
+                METRICS.counter(
+                    f"incremental.session_fallbacks.{reason}").inc()
+        # Cold rebuild; if the *sources* are broken this raises the
+        # same error a fresh load would. A failed merge may already have
+        # changed the live model, so until a cold rebuild succeeds every
+        # update takes this path.
+        self._half_merged = True
+        self._load_cold(texts, filenames)
+        self._half_merged = False
+        return ModelUpdate(
+            changed_sources=tuple(names[1:]
+                                  if self.include_stdlib else names),
+            full_rebuild=True)
 
     def _update_incremental(self, sources: list[str],
                             names: list[str]) -> ModelUpdate:
@@ -375,7 +453,7 @@ class ModelSession:
         changed_names = tuple(names[index] for index in changed
                               if index < len(names))
         trees = self._parse_changed(sources, names, changed)
-        merger = _Merger()
+        merger = _Merger(self.model)
         self._merge_root(trees, changed, len(sources), merger)
         # anchors inside wholesale-taken subtrees count as edited even
         # when their deep hash is unchanged: their objects are new and
@@ -386,17 +464,12 @@ class ModelSession:
         edited = frozenset(taken.union(anchor_key(element)
                                        for element in merger.changed))
 
-        new_index = NodeIndex.of_model(self.model)
-        deep_changed, scope_changed = new_index.changed_since(self.index)
+        deep_changed, scope_changed, removed = merger.changes()
         deep_changed |= taken
-        removed = frozenset(key for key in self.index.deep
-                            if key not in new_index.deep)
         self.graph.drop_consumers(removed)
 
-        dirty_now = self._present_anchors(deep_changed, new_index) \
-            | self._present_anchors(
-                self.graph.consumers_affected(deep_changed, scope_changed),
-                new_index)
+        dirty_now = (deep_changed | self.graph.consumers_affected(
+            deep_changed, scope_changed)) - removed
 
         all_dirty: set[NodeKey] = set()
         semantic: set[NodeKey] = set()
@@ -422,11 +495,9 @@ class ModelSession:
             deep2 = {anchor_key(e) for e in sem_changed}
             scope2 = {node_key(e) for e in sem_changed}
             semantic |= deep2
-            dirty_now = self._present_anchors(
-                self.graph.consumers_affected(deep2, scope2),
-                new_index) - all_dirty
+            dirty_now = self.graph.consumers_affected(deep2, scope2) \
+                - removed - all_dirty
 
-        self.index = new_index
         self.model.content_fingerprint = model_fingerprint(
             sources, names, include_stdlib=self.include_stdlib)
         self._set_sources(sources, names, new_fps)
@@ -439,12 +510,6 @@ class ModelSession:
                            edited_anchors=edited,
                            semantic_anchors=frozenset(semantic),
                            reresolved_elements=reresolved, rounds=rounds)
-
-    @staticmethod
-    def _present_anchors(keys: set[NodeKey], index: NodeIndex
-                         ) -> set[NodeKey]:
-        """Restrict to anchors that still exist in the merged model."""
-        return {key for key in keys if key in index.deep}
 
     def _set_sources(self, sources: list[str], names: list[str],
                      fps: list[str]) -> None:
@@ -483,17 +548,16 @@ class ModelSession:
             merged_root.extend(merged)
             counts.append(len(merged))
         for index in range(source_count, len(old_slices)):
-            merger.dropped.extend(old_slices[index])
+            merger.drop(old_slices[index])
             root_changed = True
 
         if root_changed:
             self.model.__dict__.pop(_SCOPE_ATTR, None)
         if merged_root != self.model.owned_elements:
+            merger.shift_moved(self.model.owned_elements, merged_root)
             for element in merged_root:
                 if element.owner is not self.model:
                     element.owner = self.model
-                if _match_key(element) is None:
-                    _clear_keys_deep(element)
             self.model.owned_elements = merged_root
         self._slice_counts = counts
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import (Definition, Element, Model,
-                       PortDefinition, Type, Usage)
+from .elements import Definition, Element, Model, Type, Usage
 from .instances import InstanceNode, elaborate
 
 
@@ -151,11 +150,6 @@ def scope_counts(model: Model, usage: Usage) -> ElementCounts:
         binding_connectors=counts.binding_connectors,
         connectors=counts.connectors,
     )
-
-
-def find_port_definitions(model: Model, scope: Element | None = None) -> list[PortDefinition]:
-    root = scope or model
-    return [e for e in root.descendants() if isinstance(e, PortDefinition)]
 
 
 def model_summary(model: Model) -> dict[str, int]:

@@ -34,42 +34,3 @@ package Base {
 
 #: Packages whose members are visible without an explicit import.
 IMPLICIT_LIBRARY_PACKAGES = ("ScalarValues", "Base")
-
-#: Scalar type names -> Python types, used by instance elaboration and
-#: the configuration generator when emitting typed variable nodes.
-PYTHON_TYPES = {
-    "Boolean": bool,
-    "String": str,
-    "Integer": int,
-    "Natural": int,
-    "Positive": int,
-    "Real": float,
-    "Double": float,
-    "Float": float,
-    "Rational": float,
-    "Number": float,
-    "Complex": complex,
-}
-
-DEFAULT_VALUES = {
-    "Boolean": False,
-    "String": "",
-    "Integer": 0,
-    "Natural": 0,
-    "Positive": 1,
-    "Real": 0.0,
-    "Double": 0.0,
-    "Float": 0.0,
-    "Rational": 0.0,
-    "Number": 0.0,
-}
-
-
-def scalar_python_type(type_name: str) -> type | None:
-    """Python type for a scalar value type name (or None if unknown)."""
-    return PYTHON_TYPES.get(type_name)
-
-
-def scalar_default(type_name: str):
-    """A neutral default value for a scalar value type name."""
-    return DEFAULT_VALUES.get(type_name)

@@ -19,12 +19,10 @@ from __future__ import annotations
 import functools
 import json
 import re
-import time
 
 from ..obs import METRICS
 
 _RENDERS = METRICS.counter("templates.renders")
-_RENDER_SECONDS = METRICS.histogram("templates.render_seconds")
 
 
 class TemplateError(ValueError):
@@ -237,12 +235,10 @@ class Template:
         return nodes, index
 
     def render(self, context: dict) -> str:
-        started = time.perf_counter()
         out: list[str] = []
         for node in self.nodes:
             node.render(dict(context), out)
         _RENDERS.inc()
-        _RENDER_SECONDS.observe(time.perf_counter() - started)
         return "".join(out)
 
 

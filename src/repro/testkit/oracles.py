@@ -12,7 +12,7 @@ Each oracle states one differential property:
   a direct pipeline run produces;
 * ``incremental``  — the incremental engine's output is byte-identical
   to a cold pipeline run, and no-op / comment-only edits reuse every
-  artifact;
+  artifact without any engine or session fallback;
 * ``grouping``     — client grouping is a partition (every machine
   assigned exactly once), respects capacity, and is deterministic.
 * ``sim``          — scenario-engine briefings for one seed are
@@ -210,6 +210,14 @@ def _comparable_bundle(result, options: PipelineOptions) -> bytes:
                        indent=2).encode("utf-8")
 
 
+def _fallback_count() -> int:
+    """Fallbacks the engines and model sessions of this process took."""
+    from ..obs import METRICS
+    return sum(value for name, value in METRICS.counter_values().items()
+               if name.startswith(("incremental.fallbacks.",
+                                   "incremental.session_fallbacks.")))
+
+
 def _check_incremental(ctx: TrialContext) -> None:
     from ..codegen import GenerationPipeline, IncrementalEngine
     options = ctx.options
@@ -222,7 +230,10 @@ def _check_incremental(ctx: TrialContext) -> None:
         raise OracleFailure(
             "incremental engine cold run differs from direct pipeline run")
 
+    fallbacks = _fallback_count()
     repeat_result = engine.generate(*ctx.sources)
+    if _fallback_count() != fallbacks:
+        raise OracleFailure("identical re-generate took a fallback")
     if _comparable_bundle(repeat_result, options) != reference:
         raise OracleFailure("identical re-generate changed bundle bytes")
     stale = sorted(artifact for artifact, state
@@ -237,6 +248,8 @@ def _check_incremental(ctx: TrialContext) -> None:
     touched = [ctx.sources[0] + "\n// conformance touch\n"] \
         + list(ctx.sources[1:])
     touched_result = engine.generate(*touched)
+    if _fallback_count() != fallbacks:
+        raise OracleFailure("comment-only edit took a fallback")
     if _comparable_bundle(touched_result, options) != reference:
         raise OracleFailure("comment-only edit changed bundle bytes")
     stale = sorted(artifact for artifact, state
@@ -260,9 +273,7 @@ def _check_incremental(ctx: TrialContext) -> None:
 def _check_sharded(ctx: TrialContext) -> None:
     """The sharded tier must be observationally identical to a direct
     pipeline run — for any worker count."""
-    from ..fingerprint import SERVICE_GENERATE_SALT, fingerprint
-    from ..service import LocalWorker, RouterService
-    from ..service.server import semantic_options
+    from ..service import LocalWorker, RouterService, request_key
     reference = ctx.direct_payload
     options = ctx.options
 
@@ -287,9 +298,7 @@ def _check_sharded(ctx: TrialContext) -> None:
         # owning worker derives after actually parsing the sources —
         # that identity is what keeps per-shard single-flight/memo
         # collapsing effective
-        worker_key = fingerprint(ctx.model.content_fingerprint,
-                                 semantic_options(options),
-                                 salt=SERVICE_GENERATE_SALT)
+        worker_key = request_key(ctx.model.content_fingerprint, options)
         if router.routing_key(ctx.sources) != worker_key:
             raise OracleFailure(
                 "router routing key differs from the worker-side "
@@ -595,7 +604,8 @@ ORACLES: dict[str, Oracle] = {
                _check_serve),
         Oracle("incremental",
                "incremental engine output byte-identical to cold runs; "
-               "no-op and comment-only edits reuse every artifact",
+               "no-op and comment-only edits reuse every artifact and "
+               "take no engine or session fallback",
                _check_incremental),
         Oracle("grouping",
                "client grouping partitions machines within capacity, "

@@ -25,7 +25,6 @@ from .codegen.incremental import IncrementalEngine
 from .codegen.options import PipelineOptions
 from .obs import METRICS
 from .sysml.errors import SysMLError
-from .yamlgen import parse_documents
 
 _POLLS = METRICS.counter("watch.polls")
 _REBUILDS = METRICS.counter("watch.rebuilds")
@@ -170,34 +169,12 @@ class WatchSession:
         file-watchers (including another WatchSession!) see exactly
         the real change set.
         """
-        import json
-
-        from .templates.engine import k8s_name
-
-        base = self.out_dir
-        json_dir = base / "intermediate"
-        yaml_dir = base / "manifests"
-        json_dir.mkdir(parents=True, exist_ok=True)
-        yaml_dir.mkdir(parents=True, exist_ok=True)
-        targets: list[tuple[Path, str]] = []
-        for name, config in result.machine_configs.items():
-            targets.append((json_dir / f"machine-{k8s_name(name)}.json",
-                            json.dumps(config, indent=2) + "\n"))
-        for name, config in result.server_configs.items():
-            targets.append((json_dir / f"server-{k8s_name(name)}.json",
-                            json.dumps(config, indent=2) + "\n"))
-        for config in result.client_configs:
-            targets.append((json_dir / f"{config['client']}.json",
-                            json.dumps(config, indent=2) + "\n"))
-        for config in result.storage_configs:
-            targets.append((json_dir / f"{config['historian']}.json",
-                            json.dumps(config, indent=2) + "\n"))
-        for filename, text in result.manifests.items():
-            targets.append((yaml_dir / filename, text))
         written: list[Path] = []
-        for path, text in targets:
+        for relative, text in result.files().items():
+            path = self.out_dir / relative
             if self._written.get(path) == text and path.exists():
                 continue
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             self._written[path] = text
             written.append(path)
@@ -224,14 +201,3 @@ class WatchSession:
                 break
             self._sleep(self.interval)
         return rebuilds
-
-
-def document_names(manifest_text: str) -> list[str]:
-    """``kind/name`` of every document in one manifest file (diff aid)."""
-    names = []
-    for document in parse_documents(manifest_text):
-        if document:
-            metadata = document.get("metadata", {}) or {}
-            names.append(f"{document.get('kind', '?')}/"
-                         f"{metadata.get('name', '?')}")
-    return names

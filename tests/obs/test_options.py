@@ -35,8 +35,7 @@ class TestValidation:
         {"namespace": "Bad Name!"}, {"namespace": ""}, {"namespace": 123},
         {"namespace": "-edge"}, {"namespace": "a" * 64},
         {"namespace": "Upper"}, {"validate": "yes"},
-        {"broker_url": ["x"]}, {"database_url": None},
-        {"grouping": "worst-fit"}])
+        {"broker_url": ["x"]}, {"database_url": None}])
     def test_bad_value_raises_option_error(self, changes):
         field = next(iter(changes))
         with pytest.raises(OptionError, match=field):
@@ -119,6 +118,14 @@ class TestLegacyShim:
     def test_generate_configuration_kwargs_raise_type_error(self, model):
         with pytest.raises(TypeError, match="unexpected keyword"):
             generate_configuration(model, capacity=600)
+
+    def test_grouping_is_not_an_option(self):
+        # every run packs first-fit; best-fit is the grouping oracle's
+        with pytest.raises(TypeError, match="grouping"):
+            PipelineOptions(grouping="best-fit")
+        with pytest.raises(TypeError, match="grouping"):
+            PipelineOptions.from_dict({"grouping": "best-fit"})
+        assert "grouping" not in PipelineOptions().to_dict()
 
     def test_pipeline_kwargs_raise_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

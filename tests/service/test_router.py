@@ -76,6 +76,24 @@ class TestRoutingKey:
                                  salt=SERVICE_GENERATE_SALT)
         assert router.routing_key(SOURCES) == worker_key
 
+    def test_memo_singleflight_and_routing_share_one_key(
+            self, shards, monkeypatch):
+        router, workers = shards(count=2)
+        service = workers[0].service
+        keys = []
+
+        def recording(method):
+            def record(key, *args):
+                keys.append(key)
+                return method(key, *args)
+            return record
+
+        for owner, name in ((service, "_memo_get"), (service, "_memo_put"),
+                            (service._generate_flight, "do")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        service.generate(SOURCES)
+        assert keys == [router.routing_key(SOURCES)] * 3
+
     def test_semantic_overrides_change_the_key(self, shards):
         router, _ = shards(count=2)
         assert router.routing_key(SOURCES) \

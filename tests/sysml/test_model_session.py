@@ -12,9 +12,10 @@ import pytest
 
 from fixtures import graph_signature
 from repro.icelab import icelab_sources
+from repro.obs import METRICS
 from repro.sysml import load_model, node_path
 from repro.sysml.depgraph import find_by_path
-from repro.sysml.incremental import ModelSession
+from repro.sysml.incremental import ModelSession, _Merger
 
 LIBRARY = """
 package Lib {
@@ -125,6 +126,38 @@ class TestStructuralChange:
         assert size.value.value == 3
         assert find_by_path(live.model, "Plant::w2").typ is \
             find_by_path(live.model, "Lib::Widget")
+
+
+class TestSafetyValve:
+    """A session that falls back to a cold rebuild says why."""
+
+    COUNTER = "incremental.session_fallbacks.RuntimeError"
+
+    def test_failed_merge_bumps_the_fallback_counter(self, monkeypatch):
+        live = session()
+
+        def broken_merge(*args):
+            raise RuntimeError("merge bug")
+
+        monkeypatch.setattr(_Merger, "merge_lists", broken_merge)
+        before = METRICS.counter(self.COUNTER).value
+        update = live.update(LIBRARY, PLANT.replace("= 3", "= 4"),
+                             filenames=NAMES)
+        assert update.full_rebuild
+        assert METRICS.counter(self.COUNTER).value == before + 1
+
+    def test_ordinary_edit_takes_no_fallback(self):
+        def fallbacks():
+            return {name: value
+                    for name, value in METRICS.counter_values().items()
+                    if name.startswith("incremental.session_fallbacks.")}
+
+        live = session()
+        before = fallbacks()
+        update = live.update(LIBRARY, PLANT.replace("= 3", "= 4"),
+                             filenames=NAMES)
+        assert not update.full_rebuild
+        assert fallbacks() == before
 
 
 class TestMovedPackage:

@@ -89,6 +89,22 @@ class TestPartialWrites:
                              / "machine-emco.json").read_text()
 
 
+    def test_out_tree_equals_write_to(self, source_file, tmp_path):
+        def tree(root):
+            return {path.relative_to(root): path.read_bytes()
+                    for path in root.rglob("*") if path.is_file()}
+
+        out = tmp_path / "out"
+        session = WatchSession([source_file], out_dir=out)
+        for revision in range(2):
+            if revision:
+                edit(source_file, "10.197.12.11", EDITED_IP)
+            session.poll()
+            reference = tmp_path / f"write-to-{revision}"
+            session.engine.previous.write_to(reference)
+            assert tree(out) == tree(reference)
+
+
 class TestBrokenModel:
     def test_parse_error_keeps_previous_generation(self, source_file):
         session = WatchSession([source_file])

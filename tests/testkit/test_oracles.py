@@ -51,6 +51,18 @@ class TestOraclesTrip:
         with pytest.raises(OracleFailure):
             run_oracle("roundtrip", ctx)
 
+    def test_incremental_catches_a_session_fallback(self, monkeypatch):
+        from repro.sysml.incremental import _Merger
+
+        def broken_merge(*args):
+            raise RuntimeError("merge bug")
+
+        # the cold rebuild hides the bug from the bytes, not the counter
+        monkeypatch.setattr(_Merger, "merge_lists", broken_merge)
+        ctx = TrialContext(scenario=generate_scenario(0))
+        with pytest.raises(OracleFailure, match="fallback"):
+            run_oracle("incremental", ctx)
+
     def test_context_requires_input(self):
         with pytest.raises(ValueError):
             TrialContext()
