@@ -48,12 +48,14 @@ MODEL_SALT = "sysml-model/1"
 NODE_SALT = "sysml-node/1"
 
 #: The extracted ISA-95 topology pickle. (v2: machines carry their
-#: model node path for incremental re-elaboration.)
-TOPOLOGY_SALT = "isa95-topology/2"
+#: model node path for incremental re-elaboration; v3: node paths
+#: quote names that contain ``::``.)
+TOPOLOGY_SALT = "isa95-topology/3"
 
 #: The whole-result bundle of one pipeline run. (v2: pickled groups
-#: carry machine node paths.)
-RESULT_SALT = "generation-result/2"
+#: carry machine node paths; v3: node paths quote names that contain
+#: ``::``.)
+RESULT_SALT = "generation-result/3"
 
 #: The service's request key: result memo, single-flight and routing.
 SERVICE_GENERATE_SALT = "service-generate/1"

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ..codegen import DEFAULT_CLIENT_CAPACITY, GenerationResult, \
-    PipelineOptions, generate_configuration
+from ..codegen import DEFAULT_CLIENT_CAPACITY
 from ..isa95 import FactoryTopology, extract_topology
 from ..machines.specs import ICE_LAB_SPECS
 from ..pipeline import EndToEndResult, run_factory
@@ -19,15 +18,6 @@ def icelab_model() -> Model:
 def icelab_topology(model: Model | None = None) -> FactoryTopology:
     """The extracted ISA-95 topology of the ICE lab."""
     return extract_topology(model if model is not None else icelab_model())
-
-
-def generate_icelab_configuration(
-        *, capacity: int = DEFAULT_CLIENT_CAPACITY,
-        namespace: str = "icelab") -> GenerationResult:
-    """Run the paper's generation pipeline on the ICE-lab model."""
-    return generate_configuration(
-        icelab_model(), options=PipelineOptions(capacity=capacity,
-                                                namespace=namespace))
 
 
 def run_icelab(*, capacity: int = DEFAULT_CLIENT_CAPACITY,

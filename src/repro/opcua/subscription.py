@@ -33,12 +33,10 @@ class DataChangeNotification:
 class MonitoredItem:
     """One monitored variable inside a subscription."""
 
-    def __init__(self, subscription: "Subscription", node: VariableNode,
-                 sampling_interval: float = 0.0):
+    def __init__(self, subscription: "Subscription", node: VariableNode):
         self.item_id = next(_item_ids)
         self.subscription = subscription
         self.node = node
-        self.sampling_interval = sampling_interval
         self.notification_count = 0
         node.on_change(self._on_change)
 
@@ -71,9 +69,8 @@ class Subscription:
         self.dropped = 0
         self.active = True
 
-    def monitor(self, node: VariableNode,
-                sampling_interval: float = 0.0) -> MonitoredItem:
-        item = MonitoredItem(self, node, sampling_interval)
+    def monitor(self, node: VariableNode) -> MonitoredItem:
+        item = MonitoredItem(self, node)
         self.items[item.item_id] = item
         return item
 

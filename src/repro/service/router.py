@@ -72,6 +72,14 @@ _WORKERS_UP = METRICS.counter("router.workers_marked_up")
 _HEALTHY = METRICS.gauge("router.workers_healthy")
 _LATENCY = METRICS.histogram("router.request_seconds")
 
+#: Timeouts (s) of a health probe or stats read and of a forwarded
+#: request; a worker's breaker opens after this many failures in a
+#: row and lets a trial request through after this many seconds.
+_PROBE_TIMEOUT_S = 2.0
+_WORKER_TIMEOUT_S = 60.0
+_BREAKER_THRESHOLD = 3
+_BREAKER_RESET_S = 2.0
+
 
 @dataclass
 class TopologyDrainReport(Summarizable):
@@ -107,12 +115,8 @@ class RouterService:
     def __init__(self, workers, options: PipelineOptions | None = None, *,
                  vnodes: int = DEFAULT_VNODES,
                  probe_interval: float = 0.5,
-                 probe_timeout: float = 2.0,
                  failure_threshold: int = 3,
                  dispatch_deadline: float = 30.0,
-                 worker_timeout: float = 60.0,
-                 breaker_threshold: int = 3,
-                 breaker_reset: float = 2.0,
                  clock=time.monotonic):
         """*workers*: :class:`~repro.service.worker.WorkerEndpoint`
         instances or worker objects exposing ``.endpoint`` (and then
@@ -123,10 +127,8 @@ class RouterService:
         self.options = base
         self.vnodes = vnodes
         self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
         self.failure_threshold = failure_threshold
         self.dispatch_deadline = dispatch_deadline
-        self.worker_timeout = worker_timeout
         self._clock = clock
         self.lifecycle = ServiceLifecycle()
         self._workers: dict[str, object] = {}
@@ -146,8 +148,8 @@ class RouterService:
         self._healthy_ring = self._ring
         self._breakers = {
             name: CircuitBreaker(name=f"router.worker.{name}",
-                                 failure_threshold=breaker_threshold,
-                                 reset_timeout=breaker_reset,
+                                 failure_threshold=_BREAKER_THRESHOLD,
+                                 reset_timeout=_BREAKER_RESET_S,
                                  clock=clock)
             for name in self._endpoints}
         self._shard_counters = {
@@ -221,7 +223,7 @@ class RouterService:
             ok = False
             try:
                 with ServiceClient(endpoint.port, endpoint.host,
-                                   timeout=self.probe_timeout) as client:
+                                   timeout=_PROBE_TIMEOUT_S) as client:
                     status, _, _ = client.request("GET", "/healthz")
                 ok = status == 200
             except Exception:  # noqa: BLE001 - any transport failure
@@ -354,7 +356,7 @@ class RouterService:
         if client_id:
             headers["X-Client-Id"] = client_id
         with ServiceClient(endpoint.port, endpoint.host,
-                           timeout=self.worker_timeout) as client:
+                           timeout=_WORKER_TIMEOUT_S) as client:
             return client.request("POST", "/v1/generate", body=body,
                                   headers=headers)
 
@@ -364,7 +366,7 @@ class RouterService:
         endpoint = self._endpoints[name]
         try:
             with ServiceClient(endpoint.port, endpoint.host,
-                               timeout=self.probe_timeout) as client:
+                               timeout=_PROBE_TIMEOUT_S) as client:
                 status, _, body = client.request("GET", path)
             if status != 200:
                 return None

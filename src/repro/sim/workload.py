@@ -142,15 +142,14 @@ class ServiceTimeModel:
     ``duration = base * (1 + 0.5*inputs + 0.25*outputs) * width`` where
     *width* stretches services of data-rich machines (a machine holding
     many data points models a physically bigger operation: milling vs a
-    pick). Base and the resulting durations are in ticks; overrides
-    (``machine.service`` -> model time units) pin known-long operations
-    exactly, the way the old example's duration map did.
+    pick). *base* is one model time unit (``TICKS_PER_UNIT`` ticks) and
+    durations are in ticks; overrides (``machine.service`` -> model time
+    units) pin known-long operations exactly, the way the old example's
+    duration map did.
     """
 
     def __init__(self, topology: FactoryTopology, *,
-                 base_units: float = 1.0,
                  overrides: dict[str, float] | None = None):
-        self.base_ticks = round(base_units * TICKS_PER_UNIT)
         self.overrides = {name: round(duration * TICKS_PER_UNIT)
                           for name, duration in (overrides or {}).items()}
         self._machines: dict[str, MachineInfo] = {
@@ -177,7 +176,7 @@ class ServiceTimeModel:
             arity_quarters += 2 * len(spec.inputs) + len(spec.outputs)
         num, den = self._width(machine)
         # base * arity/4 * num/den, rounded up to a whole tick
-        raw = self.base_ticks * arity_quarters * num
+        raw = TICKS_PER_UNIT * arity_quarters * num
         return max(1, -(-raw // (4 * den)))
 
     def service_names(self, machine_name: str) -> list[str]:
@@ -255,7 +254,7 @@ def generate_workload(topology: FactoryTopology, *, seed: int,
                 service = "process"  # data-only machine: generic handling
             steps.append(JobStep(machine_name, service,
                                  times.duration(machine_name, service)
-                                 if services else times.base_ticks))
+                                 if services else TICKS_PER_UNIT))
         release = release_offset + int(
             _frac(seed, f"{stream}:release", index) * release_window)
         work = sum(step.duration for step in steps)

@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class ProcessError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProcessStep:
     """One service invocation within a process."""

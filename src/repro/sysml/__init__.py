@@ -31,8 +31,7 @@ from .elements import (Alias, Assignment, AttributeDefinition,
                        InterfaceDefinition, InterfaceUsage,
                        Model, Namespace, Package, PartDefinition, PartUsage,
                        PerformAction, PortDefinition, PortUsage,
-                       RedefinitionUsage, Type, Usage, iter_definitions,
-                       iter_usages)
+                       RedefinitionUsage, Type, Usage)
 from .errors import (Diagnostic, DiagnosticReport, LexerError, ParseError,
                      ResolutionError, SourceLocation, SysMLError,
                      ValidationError)
@@ -70,8 +69,7 @@ __all__ = [
     "node_path", "save_model_file", "scope_fingerprint",
     "Type", "Usage", "ValidationError", "build_model",
     "count_definition_closure", "definitions_in", "elaborate",
-    "elaborate_model", "instance_counts", "iter_definitions", "iter_usages",
-    "load_model", "model_from_dict", "model_from_json", "model_summary",
+    "elaborate_model", "instance_counts", "load_model", "model_from_dict", "model_from_json", "model_summary",
     "model_to_dict", "model_to_json", "parse", "print_element",
     "print_model", "propagate_bindings", "resolve_model", "scope_counts",
     "specializations_of", "tokenize", "usages_in", "usages_typed_by",

@@ -3,9 +3,10 @@
 The incremental engine needs two facts about every part of a model:
 
 * **what is here** — :func:`deep_fingerprint`, a Merkle hash over the
-  purely *syntactic* content of a subtree (names, kinds, typings,
-  values, connector chains — never resolved pointers, never source
-  locations, so comment-only edits hash equal);
+  purely *syntactic* content of a subtree: each element's class, name
+  and the ``syntax_fields`` its class declares in
+  :mod:`repro.sysml.elements` — never resolved pointers, never source
+  locations, so comment-only edits hash equal;
 * **who resolved through what** — a :class:`DepGraph` recorded while
   the resolver runs, with two edge kinds:
 
@@ -23,7 +24,10 @@ Anchors are the granularity of invalidation: the model root's direct
 children plus every *named* package or part usage. Everything else
 (attributes, connectors, anonymous members) belongs to its nearest
 anchor. :class:`NodeKey` names an anchor by class + path, stably across
-loads of the same sources.
+loads of the same sources. A path joins names with ``::`` and spells an
+anonymous element ``#ordinal``; a name that would not split back out
+(one containing ``::``, say) is quoted the way the printer quotes it,
+so :func:`find_by_path` inverts :func:`node_path` exactly.
 
 Both fingerprints are cached on the elements. Nothing here snapshots a
 whole model: :class:`~repro.sysml.ModelSession`'s merge measures the
@@ -36,11 +40,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..fingerprint import NODE_SALT, fingerprint
-from .elements import (Alias, Assignment, BindingConnector, Connector,
-                       Definition, Element, Import, Model, Package,
-                       PartUsage, PerformAction, RedefinitionUsage, Type,
-                       Usage)
-from .ast_nodes import FeatureRefExpr, Literal
+from .ast_nodes import (FeatureChain, FeatureRefExpr, Literal, Multiplicity,
+                        QualifiedName)
+from .elements import (Alias, Definition, Element, Import, Model, Package,
+                       PartUsage, RedefinitionUsage, Type, Usage)
+from .printer import format_name
 
 # Cached-attribute names (stored in element __dict__, invalidated by the
 # merge along changed ancestor chains).
@@ -69,21 +73,30 @@ class NodeKey:
 ROOT_KEY = NodeKey("Model", "")
 
 
-def _segment(element: Element) -> str:
+def _segment(element: Element, index: int | None = None) -> str:
     """One path segment — syntactic, so it is identical before and
     after resolution (``:>> ip = ...`` contributes ``ip`` even while
-    its resolver-assigned name is still unset)."""
+    its resolver-assigned name is still unset). An element without a
+    name is ``#`` plus its position (*index*, when the caller knows it).
+
+    A name that would not split back out of a ``::``-joined path (it
+    contains ``::`` or ends with ``:``), or that would read as a
+    position or a quoted name (it starts with ``#`` or ``'``), is
+    quoted the way the printer quotes names."""
     name = element.name
     if name is None and isinstance(element, RedefinitionUsage) \
             and element.redefinition_names:
         name = element.redefinition_names[0].parts[-1]
-    if name:
-        return name
-    return f"#{element.local_ordinal}"
+    if not name:
+        return f"#{element.local_ordinal if index is None else index}"
+    if "::" in name or name.endswith(":") or name.startswith(("#", "'")):
+        return format_name(name)
+    return name
 
 
 def node_path(element: Element) -> str:
-    """``Pkg::Part::child`` path of an element from the model root."""
+    """``Pkg::Part::child`` path of an element from the model root;
+    :func:`find_by_path` is its inverse."""
     parts: list[str] = []
     node: Element | None = element
     while node is not None and not isinstance(node, Model):
@@ -151,52 +164,30 @@ def _name_of(element: Element) -> str | None:
     return element.name
 
 
-def own_signature(element: Element) -> tuple:
-    """Every syntactic fact about one element, children excluded.
+#: How a syntactic field's value enters a signature, by value type;
+#: strings, booleans and ``None`` enter as they are.
+_SIGNATURE_OF = {
+    QualifiedName: str, FeatureChain: str,
+    list: lambda names: tuple(map(str, names)),
+    Multiplicity: lambda bounds: (bounds.lower, bounds.upper),
+    Literal: _value_signature, FeatureRefExpr: _value_signature,
+}
 
-    Deliberately omits resolved pointers (``typ``, ``specializations``,
-    ``redefines``, connector ends) and source locations: the signature
+
+def own_signature(element: Element) -> tuple:
+    """Every syntactic fact about one element, children excluded: its
+    class, its syntactic name and its class's ``syntax_fields``.
+
+    Resolved pointers and source locations stay out: the signature
     must be identical before and after resolution, and comment-only
     edits — which only shift locations — must hash equal.
     """
-    signature: list[object] = [type(element).__name__, _name_of(element),
-                               element.documentation]
-    if isinstance(element, Package):
-        signature.append(("library", element.is_library))
-    if isinstance(element, Import):
-        signature.append(("import", str(element.target_name),
-                          element.wildcard, element.recursive))
-    if isinstance(element, Alias):
-        signature.append(("alias", str(element.target_name)))
-    if isinstance(element, Type):
-        signature.append(("type", element.is_abstract,
-                          tuple(str(n)
-                                for n in element.specialization_names)))
-    if isinstance(element, Usage):
-        multiplicity = element.multiplicity
-        signature.append((
-            "usage", element.kind, element.direction, element.is_reference,
-            str(element.type_name) if element.type_name else None,
-            element.conjugated,
-            tuple(str(n) for n in element.redefinition_names),
-            _value_signature(element.value),
-            (multiplicity.lower, multiplicity.upper)
-            if multiplicity is not None else None,
-        ))
-    if isinstance(element, BindingConnector):
-        signature.append(("bind", str(element.left_chain),
-                          str(element.right_chain)))
-    if isinstance(element, Connector):
-        signature.append(("connect", element.connector_kind,
-                          str(element.type_name)
-                          if element.type_name else None,
-                          str(element.source_chain),
-                          str(element.target_chain)))
-    if isinstance(element, PerformAction):
-        signature.append(("perform", str(element.target_chain)))
-    if isinstance(element, Assignment):
-        signature.append(("assign", element.direction,
-                          _value_signature(element.value)))
+    cls = type(element)
+    signature = [cls.__name__, _name_of(element)]
+    for field in cls.syntax_fields:
+        value = getattr(element, field)
+        convert = _SIGNATURE_OF.get(type(value))
+        signature.append(value if convert is None else convert(value))
     return tuple(signature)
 
 
@@ -249,21 +240,34 @@ def scope_fingerprint(element: Element) -> str:
     return fp
 
 
-def find_by_path(model: Model, path: str) -> Element | None:
-    """Resolve a :func:`node_path` back to its element (None if gone)."""
+def _elements_at(model: Model, path: str) -> list[Element]:
+    """Every element whose :func:`node_path` is *path*, in pre-order
+    (more than one only where siblings repeat a name).
+
+    A name that could run into the next segment is quoted, so a child
+    whose rendered segment plus ``::`` starts the rest of the path is
+    the child the path goes through."""
     if not path:
-        return model
-    scope: Element = model
-    for part in path.split("::"):
-        found = None
-        for child in scope.owned_elements:
-            if _segment(child) == part:
-                found = child
-                break
-        if found is None:
-            return None
-        scope = found
-    return scope
+        return [model]
+    found: list[Element] = []
+
+    def descend(scope: Element, rest: str) -> None:
+        for index, child in enumerate(scope.owned_elements):
+            segment = _segment(child, index)
+            if rest == segment:
+                found.append(child)
+            elif rest.startswith(segment) \
+                    and rest.startswith("::", len(segment)):
+                descend(child, rest[len(segment) + 2:])
+
+    descend(model, path)
+    return found
+
+
+def find_by_path(model: Model, path: str) -> Element | None:
+    """The element at a :func:`node_path` (None if gone)."""
+    found = _elements_at(model, path)
+    return found[0] if found else None
 
 
 # -- the dependency graph ----------------------------------------------------
@@ -368,7 +372,19 @@ def elements_anchored_in(model: Model, dirty: set[NodeKey]
     """Pre-order list of every element whose nearest anchor is dirty.
 
     A clean anchor nested inside a dirty one keeps its subtree out of
-    the list (its own resolution state is still valid)."""
+    the list (its own resolution state is still valid). The walk finds
+    the dirty anchors by path and enters only their subtrees and the
+    owner chains leading to them."""
+    leads: set[int] = set()
+    for key in dirty:
+        for element in _elements_at(model, key.path):
+            if element is model or not is_anchor(element) \
+                    or node_key(element) != key:
+                continue
+            node: Element | None = element
+            while node is not None and id(node) not in leads:
+                leads.add(id(node))
+                node = node.owner
     collected: list[Element] = []
 
     def visit(element: Element, inside_dirty: bool) -> None:
@@ -376,10 +392,12 @@ def elements_anchored_in(model: Model, dirty: set[NodeKey]
             inside_dirty = node_key(element) in dirty
         if inside_dirty:
             collected.append(element)
+        elif id(element) not in leads:
+            return
         for child in element.owned_elements:
             visit(child, inside_dirty)
 
     for child in model.owned_elements:
-        visit(child, False)
+        if id(child) in leads:
+            visit(child, False)
     return collected
-

@@ -14,7 +14,7 @@ definition/usage paradigm the paper relies on:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .ast_nodes import Expr, FeatureChain, Multiplicity, QualifiedName
 from .errors import SourceLocation
@@ -23,7 +23,17 @@ _id_counter = itertools.count(1)
 
 
 class Element:
-    """Base class of every model element."""
+    """Base class of every model element.
+
+    Each class names its instance fields, extending its base's lists:
+    ``syntax_fields`` are written from the source text (besides
+    ``name`` and ``location``); ``resolved_fields`` are written by the
+    resolver, each one element (``None`` until resolved) or a list of
+    them (empty until resolved). ``ModelSession`` reads only these.
+    """
+
+    syntax_fields: tuple[str, ...] = ("documentation",)
+    resolved_fields: tuple[str, ...] = ()
 
     def __init__(self, name: str | None = None,
                  location: SourceLocation | None = None):
@@ -106,6 +116,8 @@ class Package(Namespace):
     may freely reuse names like ``Base``.
     """
 
+    syntax_fields = Namespace.syntax_fields + ("is_library",)
+
     def __init__(self, name: str | None = None,
                  location: SourceLocation | None = None):
         super().__init__(name, location)
@@ -114,6 +126,10 @@ class Package(Namespace):
 
 class Import(Element):
     """An ``import Pkg::*;`` membership-import relationship."""
+
+    syntax_fields = Element.syntax_fields + ("target_name", "wildcard",
+                                             "recursive")
+    resolved_fields = ("target",)
 
     def __init__(self, target_name: QualifiedName, wildcard: bool,
                  recursive: bool, location: SourceLocation | None = None):
@@ -126,6 +142,10 @@ class Import(Element):
 
 class Type(Namespace):
     """Common base of definitions and usages: supports specialization."""
+
+    syntax_fields = Namespace.syntax_fields + ("is_abstract",
+                                               "specialization_names")
+    resolved_fields = ("specializations",)
 
     def __init__(self, name: str | None = None, *, is_abstract: bool = False,
                  location: SourceLocation | None = None):
@@ -237,6 +257,11 @@ class Usage(Type):
 
     kind: str = "usage"
 
+    syntax_fields = Type.syntax_fields + (
+        "direction", "is_reference", "multiplicity", "type_name",
+        "conjugated", "redefinition_names", "value")
+    resolved_fields = Type.resolved_fields + ("typ", "redefines")
+
     def __init__(self, name: str | None = None, *, is_abstract: bool = False,
                  location: SourceLocation | None = None):
         super().__init__(name, is_abstract=is_abstract, location=location)
@@ -338,6 +363,9 @@ class EnumerationLiteral(Usage):
 class Alias(Element):
     """``alias Short for Long::Name;`` — a membership alias."""
 
+    syntax_fields = Element.syntax_fields + ("target_name",)
+    resolved_fields = ("target",)
+
     def __init__(self, name: str, target_name: QualifiedName,
                  location: SourceLocation | None = None):
         super().__init__(name=name, location=location)
@@ -347,6 +375,9 @@ class Alias(Element):
 
 class BindingConnector(Element):
     """``bind a.b = c.d;`` — equates two features."""
+
+    syntax_fields = Element.syntax_fields + ("left_chain", "right_chain")
+    resolved_fields = ("left", "right")
 
     def __init__(self, left_chain: FeatureChain, right_chain: FeatureChain,
                  location: SourceLocation | None = None):
@@ -359,6 +390,10 @@ class BindingConnector(Element):
 
 class Connector(Element):
     """``connect a to b`` — a connection or interface usage with ends."""
+
+    syntax_fields = Element.syntax_fields + (
+        "connector_kind", "type_name", "source_chain", "target_chain")
+    resolved_fields = ("typ", "source", "target")
 
     def __init__(self, kind: str, name: str | None,
                  source_chain: FeatureChain, target_chain: FeatureChain,
@@ -376,6 +411,9 @@ class Connector(Element):
 class PerformAction(Element):
     """``perform port.action { out x = other.y; }``."""
 
+    syntax_fields = Element.syntax_fields + ("target_chain",)
+    resolved_fields = ("target",)
+
     def __init__(self, target_chain: FeatureChain,
                  location: SourceLocation | None = None):
         super().__init__(name=None, location=location)
@@ -385,6 +423,9 @@ class PerformAction(Element):
 
 class Assignment(Element):
     """``out name = chain;`` inside actions and performs."""
+
+    syntax_fields = Element.syntax_fields + ("direction", "value")
+    resolved_fields = ("resolved_value",)
 
     def __init__(self, direction: str | None, name: str, value: Expr,
                  location: SourceLocation | None = None):
@@ -458,18 +499,3 @@ class Model(Namespace):
     def packages(self) -> list[Package]:
         return [e for e in self.owned_elements if isinstance(e, Package)]
 
-
-def iter_usages(root: Element, kind: str | None = None) -> Iterable[Usage]:
-    """All usages under *root*, optionally filtered by kind."""
-    for element in root.descendants():
-        if isinstance(element, Usage):
-            if kind is None or element.kind == kind:
-                yield element
-
-
-def iter_definitions(root: Element, kind: str | None = None) -> Iterable[Definition]:
-    """All definitions under *root*, optionally filtered by kind."""
-    for element in root.descendants():
-        if isinstance(element, Definition):
-            if kind is None or element.kind == kind:
-                yield element

@@ -3,8 +3,9 @@
 A :class:`ModelSession` holds one resolved model plus the bookkeeping
 needed to absorb source edits without a cold reload:
 
-1. per-source text fingerprints decide which sources even need
-   reparsing (the parse cache absorbs repeats of previously-seen text);
+1. comparing each source text with the previous revision's decides
+   which sources even need reparsing (the parse cache absorbs repeats
+   of previously-seen text);
 2. changed sources are rebuilt into throwaway element fragments and
    **merged** into the live model — elements whose subtree fingerprint
    is unchanged are *kept by identity*, so resolved references from the
@@ -15,11 +16,19 @@ needed to absorb source edits without a cold reload:
    elements, before and after — and never walks what it left alone.
    Where the two measurements differ, plus the recorded dependency
    graph, yields the **dirty anchor set**;
-4. only elements anchored in dirty subtrees get their resolved state
-   cleared and re-resolved (:meth:`Resolver.resolve_only`); a fixpoint
+4. only elements anchored in dirty subtrees — found by walking down
+   from each dirty anchor's path, never over the whole model — get
+   their resolved state cleared and re-resolved
+   (:meth:`Resolver.resolve_only`); a fixpoint
    loop catches second-order effects (an element whose *resolution*
    changed without its syntax changing — e.g. through new shadowing —
    re-dirties its consumers).
+
+Which fields of an element are syntax and which ones the resolver
+writes is stated once per element class, as ``syntax_fields`` and
+``resolved_fields`` in :mod:`repro.sysml.elements`. The merge compares
+(:func:`~repro.sysml.depgraph.own_signature`) and copies the first; the
+reset and the semantic snapshot of step 4 read the second (:func:`clear_resolved_state`, :func:`_semantic_state`).
 
 Any failure mid-update falls back to a cold rebuild, so the session is
 never left half-merged; the fallback bumps
@@ -33,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fingerprint import fingerprint
 from ..obs import METRICS, span as _span
 from .builder import ModelBuilder
 from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
@@ -41,13 +49,10 @@ from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
                        elements_anchored_in, is_anchor, node_key,
                        own_signature, scope_fingerprint,
                        subtree_anchor_keys, DepGraph, DepRecorder)
-from .elements import (Alias, Assignment, BindingConnector, Connector,
-                       Element, Import, Model, Namespace, Package,
-                       PerformAction, RedefinitionUsage, Type, Usage)
+from .elements import (Connector, Element, Model, Namespace, Package,
+                       RedefinitionUsage)
 from .resolver import (Resolver, _load_sources, _parse_sources,
                        _stdlib_prefixed, model_fingerprint)
-
-_SOURCE_SALT = "sysml-source-text/1"
 
 #: Second-order re-resolution rounds before giving up on convergence
 #: and falling back to a cold rebuild.
@@ -102,32 +107,15 @@ class ModelUpdate:
 
 
 def clear_resolved_state(element: Element) -> None:
-    """Reset every resolver-written field of *element* to its
-    freshly-built state (syntactic fields are untouched)."""
-    if isinstance(element, Type):
-        element.specializations = []
-    if isinstance(element, Usage):
-        element.typ = None
-        element.redefines = []
-        if isinstance(element, RedefinitionUsage) \
-                and element.redefinition_names:
-            # the resolver re-derives the name from the redefined feature
-            element.name = None
-    if isinstance(element, Import):
-        element.target = None
-    if isinstance(element, Alias):
-        element.target = None
-    if isinstance(element, BindingConnector):
-        element.left = None
-        element.right = None
-    if isinstance(element, Connector):
-        element.typ = None
-        element.source = None
-        element.target = None
-    if isinstance(element, PerformAction):
-        element.target = None
-    if isinstance(element, Assignment):
-        element.resolved_value = None
+    """Reset every resolver-written field of *element* (its class's
+    ``resolved_fields``) to its freshly-built state; syntactic fields
+    are untouched."""
+    for field in type(element).resolved_fields:
+        setattr(element, field,
+                [] if isinstance(getattr(element, field), list) else None)
+    if isinstance(element, RedefinitionUsage) and element.redefinition_names:
+        # the resolver re-derives the name from the redefined feature
+        element.name = None
 
 
 def _semantic_state(element: Element) -> tuple:
@@ -135,26 +123,10 @@ def _semantic_state(element: Element) -> tuple:
     states compare equal exactly when re-resolution landed on the same
     objects."""
     state: list[object] = []
-    if isinstance(element, Type):
-        state.append(tuple(id(t) for t in element.specializations))
-    if isinstance(element, Usage):
-        state.append((id(element.typ) if element.typ is not None else None,
-                      tuple(id(r) for r in element.redefines)))
-    if isinstance(element, (Import, Alias, PerformAction)):
-        state.append(id(element.target)
-                     if element.target is not None else None)
-    if isinstance(element, BindingConnector):
-        state.append((id(element.left) if element.left is not None else None,
-                      id(element.right)
-                      if element.right is not None else None))
-    if isinstance(element, Connector):
-        state.append((
-            id(element.typ) if element.typ is not None else None,
-            id(element.source) if element.source is not None else None,
-            id(element.target) if element.target is not None else None))
-    if isinstance(element, Assignment):
-        state.append(id(element.resolved_value)
-                     if element.resolved_value is not None else None)
+    for field in type(element).resolved_fields:
+        value = getattr(element, field)
+        state.append(tuple(map(id, value)) if isinstance(value, list)
+                     else id(value))
     return tuple(state)
 
 
@@ -175,32 +147,6 @@ def _clear_keys_deep(element: Element) -> None:
     element.__dict__.pop(_ANCHOR_ATTR, None)
     for child in element.owned_elements:
         _clear_keys_deep(child)
-
-
-_HEAD_FIELDS = {
-    Package: ("is_library",),
-    Import: ("target_name", "wildcard", "recursive"),
-    Alias: ("target_name",),
-    Type: ("is_abstract", "specialization_names"),
-    Usage: ("direction", "is_reference", "multiplicity", "type_name",
-            "conjugated", "redefinition_names", "value"),
-    BindingConnector: ("left_chain", "right_chain"),
-    Connector: ("type_name", "source_chain", "target_chain"),
-    PerformAction: ("target_chain",),
-    Assignment: ("direction", "value"),
-}
-
-
-def _copy_head(old: Element, new: Element) -> None:
-    """Carry *new*'s syntactic declaration onto the kept *old* object
-    (same class, same name) so references *to* old stay valid while its
-    content tracks the edit."""
-    old.documentation = new.documentation
-    old.location = new.location
-    for cls, fields in _HEAD_FIELDS.items():
-        if isinstance(old, cls):
-            for field_name in fields:
-                setattr(old, field_name, getattr(new, field_name))
 
 
 class _Fingerprints:
@@ -346,7 +292,12 @@ class _Merger:
         self.before.measure(old)
         head_changed = own_signature(old) != own_signature(new)
         if head_changed:
-            _copy_head(old, new)
+            # carry the new declaration onto the kept object, so
+            # references *to* it stay valid while its content tracks
+            # the edit
+            old.location = new.location
+            for field in type(old).syntax_fields:
+                setattr(old, field, getattr(new, field))
             self.changed.append(old)
         merged, list_changed, children_changed = self.merge_lists(
             old.owned_elements, new.owned_elements, old)
@@ -383,8 +334,6 @@ class ModelSession:
         self.model: Model = None  # type: ignore[assignment]
         self.graph: DepGraph = None  # type: ignore[assignment]
         self._sources: list[str] = []
-        self._names: list[str] = []
-        self._source_fps: list[str] = []
         self._slice_counts: list[int] = []
         self._half_merged = False
         self._load_cold(texts, filenames)
@@ -393,15 +342,12 @@ class ModelSession:
 
     def _load_cold(self, texts, filenames: list[str] | None) -> None:
         graph = DepGraph()
-        model, sources, names, counts = _load_sources(
+        model, sources, _names, counts = _load_sources(
             texts, filenames, include_stdlib=self.include_stdlib,
             cache=self.cache, recorder=DepRecorder(graph))
         self.model = model
         self.graph = graph
         self._sources = sources
-        self._names = names
-        self._source_fps = [fingerprint(text, salt=_SOURCE_SALT)
-                            for text in sources]
         self._slice_counts = counts
 
     # -- incremental path ----------------------------------------------------
@@ -437,17 +383,17 @@ class ModelSession:
 
     def _update_incremental(self, sources: list[str],
                             names: list[str]) -> ModelUpdate:
-        new_fps = [fingerprint(text, salt=_SOURCE_SALT) for text in sources]
+        previous = self._sources
         changed = [index for index in range(len(sources))
-                   if index >= len(self._source_fps)
-                   or new_fps[index] != self._source_fps[index]]
-        removed_slices = len(self._source_fps) > len(sources)
+                   if index >= len(previous)
+                   or sources[index] != previous[index]]
+        removed_slices = len(previous) > len(sources)
         if not changed and not removed_slices:
             # filenames feed the model fingerprint even when no text
             # changed, so recompute it regardless
             self.model.content_fingerprint = model_fingerprint(
                 sources, names, include_stdlib=self.include_stdlib)
-            self._set_sources(sources, names, new_fps)
+            self._sources = sources
             return ModelUpdate()
 
         changed_names = tuple(names[index] for index in changed
@@ -500,7 +446,7 @@ class ModelSession:
 
         self.model.content_fingerprint = model_fingerprint(
             sources, names, include_stdlib=self.include_stdlib)
-        self._set_sources(sources, names, new_fps)
+        self._sources = sources
         # `merger` stays referenced to here, keeping dropped subtrees
         # alive while the fixpoint compared object identities above.
         assert merger.dropped is not None
@@ -510,12 +456,6 @@ class ModelSession:
                            edited_anchors=edited,
                            semantic_anchors=frozenset(semantic),
                            reresolved_elements=reresolved, rounds=rounds)
-
-    def _set_sources(self, sources: list[str], names: list[str],
-                     fps: list[str]) -> None:
-        self._sources = sources
-        self._names = names
-        self._source_fps = fps
 
     def _parse_changed(self, sources: list[str], names: list[str],
                        changed: list[int]) -> dict[int, object]:

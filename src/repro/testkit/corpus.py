@@ -61,6 +61,8 @@ _HOSTILE_STRINGS = (
     "opc.tcp://host:4840/'quoted'", "line1\nline2", "tab\tsep",
     "back\\slash", "mixed \\' \n end", "*/", "ünïcode",
 )
+#: Share of hostile-mode name draws that come from the hostile pools.
+_HOSTILE_RATE = 0.25
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,9 @@ class _NamePool:
     cannot collapse onto one manifest name.
     """
 
-    def __init__(self, rng: random.Random, hostile: bool,
-                 hostile_rate: float = 0.25):
+    def __init__(self, rng: random.Random, hostile: bool):
         self.rng = rng
         self.hostile = hostile
-        self.hostile_rate = hostile_rate
         self.used: set[str] = set()
         self.used_sanitized: set[str] = set()
 
@@ -185,7 +185,7 @@ class _NamePool:
 
     def _raw(self, words: tuple[str, ...], style: str,
              structural: bool) -> str:
-        if self.hostile and self.rng.random() < self.hostile_rate:
+        if self.hostile and self.rng.random() < _HOSTILE_RATE:
             pool = (_HOSTILE_STRUCTURAL_NAMES if structural
                     else _HOSTILE_NAMES)
             return self.rng.choice(pool)

@@ -11,8 +11,9 @@ Each oracle states one differential property:
 * ``serve``        — the configuration service returns exactly the bytes
   a direct pipeline run produces;
 * ``incremental``  — the incremental engine's output is byte-identical
-  to a cold pipeline run, and no-op / comment-only edits reuse every
-  artifact without any engine or session fallback;
+  to a cold pipeline run, no-op / comment-only edits reuse every
+  artifact, and neither they nor an edit of one driver parameter of
+  each machine in turn take any engine or session fallback;
 * ``grouping``     — client grouping is a partition (every machine
   assigned exactly once), respects capacity, and is deterministic.
 * ``sim``          — scenario-engine briefings for one seed are
@@ -44,6 +45,7 @@ covers failure messages, so nondeterministic text would break replay).
 
 from __future__ import annotations
 
+import copy
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,7 +54,8 @@ from ..codegen import (PipelineOptions, generate_configuration,
                        group_machines, lower_bound_clients)
 from ..isa95.topology import extract_topology
 from ..sysml import load_model, print_element
-from ..sysml.elements import Model
+from ..sysml.ast_nodes import Literal
+from ..sysml.elements import Model, PartUsage, Usage
 from ..sysml.interchange import element_to_dict, model_from_json, model_to_json
 
 from .corpus import FactoryScenario
@@ -221,53 +224,80 @@ def _fallback_count() -> int:
 def _check_incremental(ctx: TrialContext) -> None:
     from ..codegen import GenerationPipeline, IncrementalEngine
     options = ctx.options
-    reference = _comparable_bundle(
-        generate_configuration(ctx.model, options=options), options)
+
+    def cold(model: Model) -> bytes:
+        return _comparable_bundle(
+            GenerationPipeline(options).run_on_model(model), options)
 
     engine = IncrementalEngine(options)
-    cold = _comparable_bundle(engine.generate(*ctx.sources), options)
-    if cold != reference:
+    reference = cold(ctx.model)
+    if _comparable_bundle(engine.generate(*ctx.sources), options) \
+            != reference:
         raise OracleFailure(
             "incremental engine cold run differs from direct pipeline run")
-
     fallbacks = _fallback_count()
-    repeat_result = engine.generate(*ctx.sources)
-    if _fallback_count() != fallbacks:
-        raise OracleFailure("identical re-generate took a fallback")
-    if _comparable_bundle(repeat_result, options) != reference:
-        raise OracleFailure("identical re-generate changed bundle bytes")
-    stale = sorted(artifact for artifact, state
-                   in repeat_result.provenance.items()
-                   if state != "reused")
-    if stale:
-        raise OracleFailure(
-            f"identical re-generate regenerated artifacts: {stale}")
 
+    def regenerate(what: str, sources: list[str], expected: bytes,
+                   reuses_all: bool = False) -> None:
+        """The engine's next revision takes no fallback and emits the
+        *expected* bytes of a cold run."""
+        result = engine.generate(*sources)
+        if _fallback_count() != fallbacks:
+            raise OracleFailure(f"{what} took a fallback")
+        if _comparable_bundle(result, options) != expected:
+            raise OracleFailure(
+                f"{what} differs from a cold run over the same sources")
+        stale = sorted(artifact for artifact, state
+                       in result.provenance.items() if state != "reused")
+        if reuses_all and stale:
+            raise OracleFailure(f"{what} regenerated artifacts: {stale}")
+
+    regenerate("identical re-generate", ctx.sources, reference,
+               reuses_all=True)
     # a comment-only edit changes the text but no anchor fingerprint,
-    # so the engine must reuse everything and emit identical bytes
-    touched = [ctx.sources[0] + "\n// conformance touch\n"] \
+    # so the engine must reuse everything
+    sources = [ctx.sources[0] + "\n// conformance touch\n"] \
         + list(ctx.sources[1:])
-    touched_result = engine.generate(*touched)
-    if _fallback_count() != fallbacks:
-        raise OracleFailure("comment-only edit took a fallback")
-    if _comparable_bundle(touched_result, options) != reference:
-        raise OracleFailure("comment-only edit changed bundle bytes")
-    stale = sorted(artifact for artifact, state
-                   in touched_result.provenance.items()
-                   if state != "reused")
-    if stale:
-        raise OracleFailure(
-            f"comment-only edit regenerated artifacts: {stale}")
+    model = load_model(*sources)
+    regenerate("comment-only edit", sources, cold(model), reuses_all=True)
+    # machine-local edits, one driver parameter of each machine in turn
+    for machine in engine.previous.topology.machines:
+        edited = _driver_edit(model, sources, machine)
+        if edited is not None:
+            sources, model = edited, load_model(*edited)
+            regenerate(f"driver edit of machine {machine.name!r}",
+                       sources, cold(model))
 
-    # and the engine's output for the edited text must byte-match what
-    # a cold pipeline run over that same text produces
-    cold_touched = _comparable_bundle(
-        GenerationPipeline(options).run_on_model(load_model(*touched)),
-        options)
-    if _comparable_bundle(touched_result, options) != cold_touched:
-        raise OracleFailure(
-            "incremental output for edited sources differs from a cold "
-            "run over the same sources")
+
+def _driver_edit(model: Model, sources: list[str],
+                 machine) -> list[str] | None:
+    """*sources* (loaded as *model*) with the first one-line literal
+    value under *machine*'s driver instance changed; None when there is
+    none or the driver's name is not unique."""
+    drivers = [element for element in model.all_elements()
+               if isinstance(element, PartUsage) and machine.driver
+               and element.name == machine.driver.name]
+    if len(drivers) != 1:
+        return None
+    for element in drivers[0].descendants():
+        literal = element.value if isinstance(element, Usage) else None
+        if not isinstance(literal, Literal):
+            continue
+        location = element.location
+        index = int(location.filename[len("<model"):-1])
+        lines = sources[index].split("\n")
+        line = lines[location.line - 1]
+        if not line.rstrip().endswith(";"):
+            continue
+        value = literal.value
+        edited = copy.copy(element)
+        edited.value = Literal(
+            not value if isinstance(value, bool)
+            else value + ("+" if isinstance(value, str) else 1))
+        lines[location.line - 1] = (line[:location.column - 1]
+                                    + print_element(edited).strip())
+        return sources[:index] + ["\n".join(lines)] + sources[index + 1:]
+    return None
 
 
 def _check_sharded(ctx: TrialContext) -> None:

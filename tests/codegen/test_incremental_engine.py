@@ -251,6 +251,33 @@ class TestUnrelatedFactories:
             == bundle_bytes(cold, model.content_fingerprint, options)
 
 
+class TestQuotedMachinePath:
+    """A machine whose name contains ``::`` is found again by path."""
+
+    def test_driver_edit_takes_the_partial_path(self):
+        from repro.testkit.corpus import CorpusConfig
+        scenario = generate_scenario(10, CorpusConfig(hostile=True))
+        options = PipelineOptions(capacity=scenario.capacity)
+        sources = list(scenario.sources)
+        driver = next(index for index, text in enumerate(sources)
+                      if text.startswith("part 'Zelle::XDriverInstance'"))
+        engine = IncrementalEngine(options)
+        engine.generate(*sources)
+        sources[driver] = sources[driver].replace(
+            ":>> param0 = 35005;", ":>> param0 = 35006;", 1)
+        name = "incremental.fallbacks._EngineFallback"
+        fallbacks = METRICS.snapshot().get(name, 0)
+        before = counters()
+        result = engine.generate(*sources)
+        assert METRICS.snapshot().get(name, 0) == fallbacks
+        assert counters()["partial_runs"] == before["partial_runs"] + 1
+        assert "machine:Zelle::X" in regenerated_ids(result)
+        model = load_model(*sources)
+        cold = GenerationPipeline(options).run_on_model(model)
+        assert bundle_bytes(result, model.content_fingerprint, options) \
+            == bundle_bytes(cold, model.content_fingerprint, options)
+
+
 class TestEngineOptions:
     def test_incremental_option_is_gone(self):
         # reuse across edits is the engine's job, not an option

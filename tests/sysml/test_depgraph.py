@@ -12,10 +12,15 @@ The incremental engine's correctness rests on a few invariants of
   dirty exactly when it or something it resolved through changed.
 """
 
+import pytest
+
+from repro.icelab.model_gen import icelab_sources
 from repro.sysml import ModelSession, load_model
 from repro.sysml.depgraph import (NodeKey, anchor_key, deep_fingerprint,
-                                  find_by_path, node_path,
+                                  find_by_path, is_anchor, node_path,
                                   subtree_anchor_keys)
+from repro.testkit.corpus import CorpusConfig, generate_scenario
+from repro.testkit.scale import mega_factory_sources
 
 LIBRARY = """
 package Lib {
@@ -73,6 +78,60 @@ class TestNodeKey:
         assert w1 is not None
         assert node_path(w1) == "Plant::w1"
         assert find_by_path(model, node_path(w1)) is w1
+        # a name holding "::" is quoted, so it still splits back out
+        model = load_model(LIBRARY, PLANT.replace("w2", "'Zelle::X'"))
+        cell = model.owned_elements[-1].owned_elements[-1]
+        assert node_path(cell) == "Plant::'Zelle::X'"
+        assert find_by_path(model, node_path(cell)) is cell
+        size = cell.owned_elements[0]
+        assert find_by_path(model, node_path(size)) is size
+
+    @pytest.mark.parametrize("name, segment", [
+        ("ends:", "'ends:'"),
+        ("#0", "'#0'"),
+        ("'", "'\\''"),
+        ("it's", "it's"),
+        ("name with spaces", "name with spaces"),
+    ])
+    def test_names_that_would_not_split_back_are_quoted(self, name, segment):
+        quoted = name.replace("\\", "\\\\").replace("'", "\\'")
+        model = load_model(f"""
+            package 'P::Q' {{
+                part def W;
+                part '{quoted}' : W {{
+                    part inner : W;
+                    part : W;
+                }}
+            }}
+            """)
+        part = model.owned_elements[-1].owned_elements[1]
+        assert part.name == name
+        assert node_path(part) == f"'P::Q'::{segment}"
+        for element in [part, *part.owned_elements]:
+            assert find_by_path(model, node_path(element)) is element
+        assert node_path(part.owned_elements[1]) \
+            == f"'P::Q'::{segment}::#1"
+
+    def test_every_anchor_roundtrips(self):
+        # ICE lab, mega x2 and corpus seeds 0-39, tame and hostile (the
+        # hostile pools draw names such as 'Zelle::X')
+        models = [icelab_sources(), mega_factory_sources(2)] + [
+            generate_scenario(seed, CorpusConfig(hostile=hostile)).sources
+            for hostile in (False, True) for seed in range(40)]
+        anchors = 0
+        for sources in models:
+            model = load_model(*sources)
+            for element in model.all_elements():
+                if is_anchor(element):
+                    anchors += 1
+                    assert find_by_path(model, node_path(element)) \
+                        is element, node_path(element)
+        assert anchors > 10000
+
+    def test_malformed_paths_find_nothing(self):
+        model = load_model(LIBRARY, PLANT)
+        for path in ("'Plant", "'Plant'w1", "Plant::#x", "Plant::#9"):
+            assert find_by_path(model, path) is None
 
 
 class TestDeepFingerprint:

@@ -63,6 +63,30 @@ class TestOraclesTrip:
         with pytest.raises(OracleFailure, match="fallback"):
             run_oracle("incremental", ctx)
 
+    def test_incremental_catches_a_fallback_on_a_driver_edit(
+            self, monkeypatch):
+        from repro.codegen.incremental import (IncrementalEngine,
+                                               _EngineFallback)
+        reextract = IncrementalEngine._reextract
+
+        def lost_machine(engine, dirty):
+            # only a machine-local edit has dirty machines
+            if dirty:
+                raise _EngineFallback("machine path vanished")
+            return reextract(engine, dirty)
+
+        monkeypatch.setattr(IncrementalEngine, "_reextract", lost_machine)
+        ctx = TrialContext(scenario=generate_scenario(0))
+        with pytest.raises(OracleFailure,
+                           match="driver edit of machine .* fallback"):
+            run_oracle("incremental", ctx)
+
+    def test_incremental_edits_a_machine_named_with_colons(self):
+        # hostile seed 10 has a machine named 'Zelle::X'
+        ctx = TrialContext(
+            scenario=generate_scenario(10, CorpusConfig(hostile=True)))
+        run_oracle("incremental", ctx)
+
     def test_context_requires_input(self):
         with pytest.raises(ValueError):
             TrialContext()
