@@ -36,9 +36,10 @@ CACHE_SCHEMA_VERSION = 1
 # -- per-layer salts ---------------------------------------------------------
 # Bump a salt whenever the corresponding layer's artifact format changes.
 
-#: Cached parse trees: embeds the parser/AST generation, so grammar or
-#: node-layout changes never replay stale trees.
-PARSE_TREE_SALT = "sysml-parse-tree/1"
+#: Cached parse trees (pickled root elements): embeds the parser and
+#: element-layout generation, so grammar or layout changes never replay
+#: stale trees.
+PARSE_TREE_SALT = "sysml-parse-tree/2"
 
 #: The whole-model fingerprint derived from the source texts.
 MODEL_SALT = "sysml-model/1"

@@ -17,7 +17,6 @@ specialization (``:>``), redefinition (``:>>``), port conjugation
 imports and documentation comments.
 """
 
-from .builder import build_model
 from .depgraph import (DepGraph, DepRecorder, NodeKey, ROOT_KEY,
                        anchor_key, deep_fingerprint, node_key, node_path,
                        scope_fingerprint)
@@ -41,7 +40,7 @@ from .instances import (ElaborationError, InstanceNode, elaborate,
 from .interchange import (model_from_dict, model_from_json, model_to_dict,
                           model_to_json)
 from .lexer import tokenize
-from .parser import parse
+from .parser import build_model, parse
 from .printer import print_element, print_model
 from .queries import (ElementCounts, count_definition_closure,
                       definitions_in, instance_counts, model_summary,

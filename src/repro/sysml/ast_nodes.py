@@ -1,21 +1,21 @@
-"""Parse-tree (AST) node dataclasses for the SysML v2 textual notation.
+"""Name and expression nodes of the SysML v2 textual notation.
 
-The parser produces these plain dataclasses; :mod:`repro.sysml.builder`
-turns them into the semantic element graph. Keeping the two layers apart
-means parse trees stay cheap to construct and trivially printable, while
-semantic elements carry resolved cross-references.
+The parser builds semantic elements (:mod:`repro.sysml.elements`)
+directly; what stays syntax inside them — qualified names, feature
+chains, multiplicities and value expressions — is made of these plain
+dataclasses, each with the location it was written at.
+:class:`ModelNode` holds the root elements of one parsed source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import SourceLocation
 
-#: Usage/definition kinds supported by the subset.
-KINDS = ("package", "part", "attribute", "port", "action", "interface",
-         "connection", "item")
+if TYPE_CHECKING:
+    from .elements import Element
 
 
 @dataclass
@@ -55,17 +55,6 @@ class Multiplicity:
 
 
 @dataclass
-class TypeRef:
-    """A reference to a type, optionally conjugated (``~Port``)."""
-
-    name: QualifiedName
-    conjugated: bool = False
-
-    def __str__(self) -> str:
-        return ("~" if self.conjugated else "") + str(self.name)
-
-
-@dataclass
 class Literal:
     """A literal expression value (str/int/float/bool)."""
 
@@ -84,140 +73,8 @@ Expr = Union[Literal, FeatureRefExpr]
 
 
 @dataclass
-class DocNode:
-    text: str
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class ImportNode:
-    name: QualifiedName
-    wildcard: bool = False
-    recursive: bool = False
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class PackageNode:
-    name: str
-    members: list["MemberNode"] = field(default_factory=list)
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class DefinitionNode:
-    """``part def`` / ``port def`` / ``attribute def`` / ... declarations."""
-
-    kind: str
-    name: str
-    is_abstract: bool = False
-    specializes: list[QualifiedName] = field(default_factory=list)
-    members: list["MemberNode"] = field(default_factory=list)
-    doc: str = ""
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class UsageNode:
-    """Feature usages: ``part x : T``, ``attribute ip : String = '..'``, ...
-
-    ``kind`` may also be the pseudo-kind ``"redefinition"`` for the
-    shorthand form ``:>> name = value;`` whose real kind is discovered at
-    resolution time from the redefined feature.
-    """
-
-    kind: str
-    name: str | None = None
-    direction: str | None = None  # "in" | "out" | "inout" | None
-    is_ref: bool = False
-    is_abstract: bool = False
-    multiplicity: Multiplicity | None = None
-    type: TypeRef | None = None
-    specializes: list[QualifiedName] = field(default_factory=list)
-    redefines: list[QualifiedName] = field(default_factory=list)
-    value: Expr | None = None
-    members: list["MemberNode"] = field(default_factory=list)
-    doc: str = ""
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class BindNode:
-    """``bind left = right;`` — a binding connector between two features."""
-
-    left: FeatureChain
-    right: FeatureChain
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class ConnectNode:
-    """``connect a to b``, optionally named/typed (connection or interface)."""
-
-    kind: str  # "connection" | "interface"
-    name: str | None
-    type: TypeRef | None
-    source: FeatureChain
-    target: FeatureChain
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class PerformNode:
-    """``perform chain { out x = other.y; }``."""
-
-    target: FeatureChain
-    members: list["MemberNode"] = field(default_factory=list)
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class AssignmentNode:
-    """``out name = feature.chain;`` inside actions/performs."""
-
-    direction: str | None
-    name: str
-    value: Expr
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class EndNode:
-    """``end name : Type;`` inside interface/connection definitions."""
-
-    name: str
-    type: TypeRef | None
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class AliasNode:
-    """``alias Short for Long::Qualified::Name;``"""
-
-    name: str
-    target: QualifiedName
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-@dataclass
-class EnumDefinitionNode:
-    """``enum def State { idle; running; }``"""
-
-    name: str
-    literals: list[str] = field(default_factory=list)
-    specializes: list[QualifiedName] = field(default_factory=list)
-    doc: str = ""
-    location: SourceLocation = field(default_factory=SourceLocation)
-
-
-MemberNode = Union[PackageNode, DefinitionNode, UsageNode, ImportNode,
-                   BindNode, ConnectNode, PerformNode, AssignmentNode,
-                   EndNode, DocNode, AliasNode, EnumDefinitionNode]
-
-
-@dataclass
 class ModelNode:
-    """Root of a parsed source text: the top-level member list."""
+    """One parsed source text: its root elements, unresolved."""
 
-    members: list[MemberNode] = field(default_factory=list)
+    members: list["Element"] = field(default_factory=list)
     filename: str = "<model>"

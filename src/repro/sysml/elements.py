@@ -1,6 +1,6 @@
 """Semantic element graph for SysML v2 models.
 
-The builder turns parse trees into instances of these classes and the
+The parser builds instances of these classes and the
 resolver links them together (specializations, feature typing,
 redefinitions, connector ends). The design follows the KerML
 definition/usage paradigm the paper relies on:

@@ -6,7 +6,7 @@ needed to absorb source edits without a cold reload:
 1. comparing each source text with the previous revision's decides
    which sources even need reparsing (the parse cache absorbs repeats
    of previously-seen text);
-2. changed sources are rebuilt into throwaway element fragments and
+2. changed sources are parsed into fresh element fragments and
    **merged** into the live model — elements whose subtree fingerprint
    is unchanged are *kept by identity*, so resolved references from the
    rest of the model stay valid;
@@ -30,8 +30,10 @@ writes is stated once per element class, as ``syntax_fields`` and
 (:func:`~repro.sysml.depgraph.own_signature`) and copies the first; the
 reset and the semantic snapshot of step 4 read the second (:func:`clear_resolved_state`, :func:`_semantic_state`).
 
-Any failure mid-update falls back to a cold rebuild, so the session is
-never left half-merged; the fallback bumps
+Changed sources are parsed before the merge starts: a revision that
+does not lex or parse raises its error with the session untouched.
+Any later failure mid-update falls back to a cold rebuild, so the
+session is never left half-merged; the fallback bumps
 ``incremental.session_fallbacks.<Exception>`` and names the exception
 on the ``incremental-update`` span. If the *cold* rebuild also fails
 the error propagates exactly as a fresh :func:`load_model` would have
@@ -43,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs import METRICS, span as _span
-from .builder import ModelBuilder
 from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
                        NodeKey, _name_of, anchor_key, deep_fingerprint,
                        elements_anchored_in, is_anchor, node_key,
@@ -355,14 +356,23 @@ class ModelSession:
     def update(self, *texts: str,
                filenames: list[str] | None = None) -> ModelUpdate:
         """Absorb a new revision of the sources; falls back to a cold
-        rebuild on any incremental failure."""
+        rebuild on any incremental failure.
+
+        A source that does not lex or parse raises before anything
+        changes: the session stays on its previous revision."""
         sources, names = _stdlib_prefixed(
             texts, filenames, include_stdlib=self.include_stdlib)
+        previous = self._sources
+        changed = [index for index in range(len(sources))
+                   if index >= len(previous)
+                   or sources[index] != previous[index]]
         with _span("incremental-update") as s:
+            trees = self._parse_changed(sources, names, changed)
             try:
                 if self._half_merged:
                     raise IncrementalFallback("last update failed mid-merge")
-                return self._update_incremental(sources, names)
+                return self._update_incremental(sources, names, changed,
+                                                trees)
             except Exception as exc:  # noqa: BLE001 - safety valve
                 # a bug must not pass for a slow edit: say which one
                 reason = type(exc).__name__
@@ -381,13 +391,10 @@ class ModelSession:
                                   if self.include_stdlib else names),
             full_rebuild=True)
 
-    def _update_incremental(self, sources: list[str],
-                            names: list[str]) -> ModelUpdate:
-        previous = self._sources
-        changed = [index for index in range(len(sources))
-                   if index >= len(previous)
-                   or sources[index] != previous[index]]
-        removed_slices = len(previous) > len(sources)
+    def _update_incremental(self, sources: list[str], names: list[str],
+                            changed: list[int],
+                            trees: dict[int, object]) -> ModelUpdate:
+        removed_slices = len(self._sources) > len(sources)
         if not changed and not removed_slices:
             # filenames feed the model fingerprint even when no text
             # changed, so recompute it regardless
@@ -398,7 +405,6 @@ class ModelSession:
 
         changed_names = tuple(names[index] for index in changed
                               if index < len(names))
-        trees = self._parse_changed(sources, names, changed)
         merger = _Merger(self.model)
         self._merge_root(trees, changed, len(sources), merger)
         # anchors inside wholesale-taken subtrees count as edited even
@@ -473,9 +479,7 @@ class ModelSession:
         for index in range(source_count):
             old_slice = old_slices[index] if index < len(old_slices) else []
             if index in trees:
-                fragment = ModelBuilder()
-                fragment.add(trees[index])
-                new_elements = fragment.model.owned_elements
+                new_elements = trees[index].members
                 if self.include_stdlib and index == 0:
                     for element in new_elements:
                         if isinstance(element, Package):

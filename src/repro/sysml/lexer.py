@@ -16,9 +16,10 @@ Two properties matter at mega-factory scale (ICE-Lab×100 is ~3 million
 tokens):
 
 * **Streaming.** :func:`iter_tokens` yields tokens as they are scanned
-  instead of materializing the whole ``list[Token]`` per file, so the
-  parser's working set stays at its (bounded) lookahead window no
-  matter how large one package source grows. :func:`tokenize` remains
+  instead of materializing the whole ``list[Token]`` per file. The
+  parser never rewinds and holds the current token plus at most two of
+  lookahead, so its token working set stays at three no matter how
+  large one package source grows. :func:`tokenize` remains
   as the list-building convenience wrapper.
 * **Throughput.** Scanning is driven by one compiled master regex — a
   single C-level match per token — instead of per-character ``_peek``

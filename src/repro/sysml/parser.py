@@ -6,115 +6,103 @@ definitions and usages, `abstract`, `ref`, direction prefixes,
 specialization ``:>``, redefinition ``:>>``, conjugated port types ``~T``,
 multiplicities ``[*]``, value assignments, ``bind``, ``connect ... to ...``,
 ``perform``, ``end``, imports and ``doc`` comments.
+
+The parser builds the semantic elements of :mod:`repro.sysml.elements`
+directly, in one pass over the token stream: each element is created
+when its declaration starts, before its body is parsed, so
+``element_id`` runs in pre-order. The first non-empty doc comment in a
+body documents the body's owner; top-level docs are dropped.
+:func:`parse` returns the root elements of one source, unresolved;
+:func:`build_model` folds the roots of several sources into one
+:class:`~repro.sysml.elements.Model` for the resolver.
+
+The parser never backtracks. It reads the current token and at most
+two more (``_peek(1)``, ``_peek(2)``), so its working set stays that
+small however large a source grows. Bodies nest at most
+:data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
-from .ast_nodes import (AssignmentNode, BindNode, ConnectNode, DefinitionNode,
-                        DocNode, Expr, FeatureChain, FeatureRefExpr,
-                        ImportNode, Literal, MemberNode, ModelNode,
-                        Multiplicity, PackageNode, PerformNode, QualifiedName,
-                        TypeRef, UsageNode, EndNode)
-from .errors import ParseError
+from .ast_nodes import (Expr, FeatureChain, FeatureRefExpr, Literal,
+                        ModelNode, Multiplicity, QualifiedName)
+from .elements import (Alias, Assignment, BindingConnector, Connector,
+                       DEFINITION_CLASSES, Definition, Element, EndUsage,
+                       EnumerationDefinition, EnumerationLiteral, Import,
+                       Model, Package, PerformAction, RedefinitionUsage,
+                       USAGE_CLASSES)
+from .errors import ParseError, SysMLError
 from .lexer import iter_tokens
 from .tokens import Token, TokenKind
 
 _USAGE_KINDS = ("part", "attribute", "port", "action", "interface",
                 "connection", "item")
 _DIRECTIONS = ("in", "out", "inout")
+_NAME_KINDS = (TokenKind.IDENT, TokenKind.STRING)
+
+#: Deepest nesting of ``{ ... }`` bodies a source may have. It keeps the
+#: recursion of every later pass (and of the parse cache's pickling)
+#: far from Python's limit; generated factory models nest 9 deep.
+MAX_NESTING = 128
 
 
 class Parser:
     """Parses one source text into a :class:`ModelNode`."""
 
     def __init__(self, text: str, filename: str = "<model>"):
-        #: Token source: a streaming lexer plus a small lookahead
-        #: buffer. The grammar needs at most three tokens of lookahead
-        #: (``_peek(2)``), so the buffer stays tiny even for
-        #: multi-megabyte package sources — the full ``list[Token]`` is
-        #: never materialized.
         self._stream = iter_tokens(text, filename)
-        self._buffer: list[Token] = []
-        self._cursor = 0
-        self._speculating = 0
-        self._eof: Token | None = None
-        self.token_count = 0
+        #: The current token, and up to two tokens after it.
+        self._token: Token = next(self._stream)
+        self._ahead: list[Token] = []
+        self._depth = 0
+        self.token_count = 1
         self.filename = filename
 
     # -- token stream helpers ---------------------------------------------
 
-    def _fill(self, count: int) -> None:
-        buffer = self._buffer
-        while len(buffer) < count:
-            if self._eof is not None:
-                buffer.append(self._eof)
-                continue
-            token = next(self._stream)
-            self.token_count += 1
-            if token.kind is TokenKind.EOF:
-                self._eof = token
-            buffer.append(token)
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = self._cursor + offset
-        if len(self._buffer) <= index:
-            self._fill(index + 1)
-        return self._buffer[index]
-
-    def _advance(self) -> Token:
-        cursor = self._cursor
-        if len(self._buffer) <= cursor:
-            self._fill(cursor + 1)
-        token = self._buffer[cursor]
-        if token.kind is not TokenKind.EOF:
-            self._cursor = cursor + 1
-            # Compact consumed tokens unless a speculative parse could
-            # still rewind past them; the window therefore stays at the
-            # grammar's tiny lookahead for arbitrarily large sources.
-            if self._speculating == 0 and self._cursor > 32:
-                del self._buffer[:self._cursor]
-                self._cursor = 0
+    def _next(self) -> Token:
+        token = next(self._stream)
+        self.token_count += 1
         return token
 
-    # -- speculative parsing ----------------------------------------------
+    def _peek(self, offset: int) -> Token:
+        """The token *offset* (1 or 2) places after the current one."""
+        ahead = self._ahead
+        while len(ahead) < offset:
+            last = ahead[-1] if ahead else self._token
+            ahead.append(last if last.kind is TokenKind.EOF
+                         else self._next())
+        return ahead[offset - 1]
 
-    def _mark(self) -> int:
-        """Open a rewind point; pair with :meth:`_rewind` or :meth:`_commit`."""
-        self._speculating += 1
-        return self._cursor
+    def _advance(self) -> Token:
+        token = self._token
+        if token.kind is not TokenKind.EOF:
+            self._token = self._ahead.pop(0) if self._ahead \
+                else self._next()
+        return token
 
-    def _rewind(self, checkpoint: int) -> None:
-        self._speculating -= 1
-        self._cursor = checkpoint
-
-    def _commit(self) -> None:
-        self._speculating -= 1
-
-    def _check(self, kind: TokenKind, value: str | None = None) -> bool:
-        token = self._peek()
-        if token.kind is not kind:
-            return False
-        return value is None or token.value == value
+    def _check(self, kind: TokenKind) -> bool:
+        return self._token.kind is kind
 
     def _check_keyword(self, *words: str) -> bool:
-        token = self._peek()
+        token = self._token
         return token.kind is TokenKind.IDENT and token.value in words
 
-    def _match(self, kind: TokenKind, value: str | None = None) -> Token | None:
-        if self._check(kind, value):
+    def _match(self, kind: TokenKind) -> Token | None:
+        if self._token.kind is kind:
             return self._advance()
         return None
 
-    def _expect(self, kind: TokenKind, value: str | None = None) -> Token:
-        token = self._peek()
-        if not self._check(kind, value):
-            want = value or kind.value
+    def _expect(self, kind: TokenKind) -> Token:
+        token = self._token
+        if token.kind is not kind:
             raise ParseError(
-                f"expected {want!r} but found {token.value!r}", token.location)
+                f"expected {kind.value!r} but found {token.value!r}",
+                token.location)
         return self._advance()
 
     def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
+        token = self._token
         if not token.is_keyword(word):
             raise ParseError(
                 f"expected keyword {word!r} but found {token.value!r}",
@@ -126,11 +114,11 @@ class Parser:
     # STRING tokens and the parser accepts them contextually.
 
     def _check_name(self) -> bool:
-        return self._check(TokenKind.IDENT) or self._check(TokenKind.STRING)
+        return self._token.kind in _NAME_KINDS
 
     def _expect_name(self) -> str:
-        token = self._peek()
-        if token.kind not in (TokenKind.IDENT, TokenKind.STRING):
+        token = self._token
+        if token.kind not in _NAME_KINDS:
             raise ParseError(
                 f"expected a name but found {token.value!r}", token.location)
         return self._advance().value
@@ -138,92 +126,110 @@ class Parser:
     # -- entry point --------------------------------------------------------
 
     def parse_model(self) -> ModelNode:
-        members: list[MemberNode] = []
-        while not self._check(TokenKind.EOF):
-            members.append(self._parse_member())
+        members: list[Element] = []
+        while self._token.kind is not TokenKind.EOF:
+            if not self._take_doc(None):
+                members.append(self._parse_member())
         return ModelNode(members=members, filename=self.filename)
+
+    # -- bodies and docs ----------------------------------------------------
+
+    def _open_body(self) -> None:
+        brace = self._expect(TokenKind.LBRACE)
+        if self._depth == MAX_NESTING:
+            raise ParseError(
+                f"bodies nest deeper than {MAX_NESTING} levels",
+                brace.location)
+        self._depth += 1
+
+    def _parse_body(self, owner: Element) -> None:
+        self._open_body()
+        while self._token.kind is not TokenKind.RBRACE:
+            if self._token.kind is TokenKind.EOF:
+                raise ParseError("unterminated body: missing '}'",
+                                 self._token.location)
+            if not self._take_doc(owner):
+                owner.add_owned(self._parse_member())
+        self._advance()
+        self._depth -= 1
+
+    def _take_doc(self, owner: Element | None) -> bool:
+        """Consume a doc comment if one comes next; the first non-empty
+        one documents *owner* (``None``: dropped)."""
+        token = self._token
+        if token.is_keyword("doc"):
+            self._advance()
+            token = self._token
+            if token.kind is not TokenKind.DOC_COMMENT:
+                raise ParseError("expected /* ... */ block after 'doc'",
+                                 token.location)
+        elif token.kind is not TokenKind.DOC_COMMENT:
+            return False
+        self._advance()
+        if owner is not None and not owner.documentation:
+            owner.documentation = token.value
+        return True
 
     # -- member dispatch ----------------------------------------------------
 
-    def _parse_member(self) -> MemberNode:
-        token = self._peek()
-        if token.kind is TokenKind.DOC_COMMENT:
-            self._advance()
-            return DocNode(token.value, token.location)
-        if token.is_keyword("doc"):
-            return self._parse_doc()
-        if token.is_keyword("package"):
-            return self._parse_package()
-        if token.is_keyword("import"):
-            return self._parse_import()
-        if token.is_keyword("bind"):
-            return self._parse_bind()
-        if token.is_keyword("perform"):
-            return self._parse_perform()
-        if token.is_keyword("connect"):
-            return self._parse_anonymous_connect()
-        if token.is_keyword("end"):
-            return self._parse_end()
-        if token.is_keyword("alias"):
-            return self._parse_alias()
-        if token.is_keyword("enum"):
-            return self._parse_enum_definition()
+    def _parse_member(self) -> Element:
+        token = self._token
         if token.kind is TokenKind.REDEFINES:
             return self._parse_shorthand_redefinition()
+        if token.kind is TokenKind.IDENT:
+            word = token.value
+            if word == "package":
+                return self._parse_package()
+            if word == "import":
+                return self._parse_import()
+            if word == "bind":
+                return self._parse_bind()
+            if word == "perform":
+                return self._parse_perform()
+            if word == "connect":
+                return self._parse_connect("connection", None, None, token)
+            if word == "end":
+                return self._parse_end()
+            if word == "alias":
+                return self._parse_alias()
+            if word == "enum":
+                return self._parse_enum_definition()
         return self._parse_prefixed_member()
 
-    def _parse_alias(self) -> "AliasNode":
-        from .ast_nodes import AliasNode
-        start = self._expect_keyword("alias")
+    def _parse_alias(self) -> Alias:
+        start = self._advance()
         name = self._expect_name()
         self._expect_keyword("for")
         target = self._parse_qualified_name()
         self._expect(TokenKind.SEMI)
-        return AliasNode(name, target, start.location)
+        return Alias(name, target, start.location)
 
-    def _parse_enum_definition(self) -> "EnumDefinitionNode":
-        from .ast_nodes import EnumDefinitionNode
-        start = self._expect_keyword("enum")
+    def _parse_enum_definition(self) -> EnumerationDefinition:
+        start = self._advance()
         self._expect_keyword("def")
-        name = self._expect_name()
-        specializes: list[QualifiedName] = []
+        definition = EnumerationDefinition(self._expect_name(),
+                                           location=start.location)
         if self._match(TokenKind.SPECIALIZES):
-            specializes.append(self._parse_qualified_name())
-        node = EnumDefinitionNode(name, specializes=specializes,
-                                  location=start.location)
-        self._expect(TokenKind.LBRACE)
+            definition.specialization_names.append(
+                self._parse_qualified_name())
+        self._open_body()
         while not self._check(TokenKind.RBRACE):
-            token = self._peek()
-            if token.kind is TokenKind.DOC_COMMENT:
-                self._advance()
-                node.doc = node.doc or token.value
-                continue
-            if token.is_keyword("doc"):
-                doc = self._parse_doc()
-                node.doc = node.doc or doc.text
-                continue
-            literal = self._expect_name()
-            self._expect(TokenKind.SEMI)
-            node.literals.append(literal)
-        self._expect(TokenKind.RBRACE)
-        return node
+            if not self._take_doc(definition):
+                literal = self._expect_name()
+                self._expect(TokenKind.SEMI)
+                definition.add_owned(EnumerationLiteral(literal))
+        self._advance()
+        self._depth -= 1
+        return definition
 
-    def _parse_doc(self) -> DocNode:
-        start = self._expect_keyword("doc")
-        token = self._peek()
-        if token.kind is TokenKind.DOC_COMMENT:
-            self._advance()
-            return DocNode(token.value, start.location)
-        raise ParseError("expected /* ... */ block after 'doc'", token.location)
+    def _parse_package(self) -> Package:
+        start = self._advance()
+        package = Package(self._expect_name(), start.location)
+        self._parse_body(package)
+        return package
 
-    def _parse_package(self) -> PackageNode:
-        start = self._expect_keyword("package")
-        name = self._expect_name()
-        members = self._parse_body()
-        return PackageNode(name=name, members=members, location=start.location)
-
-    def _parse_import(self) -> ImportNode:
-        start = self._expect_keyword("import")
+    def _parse_import(self) -> Import:
+        start = self._advance()
         parts = [self._expect_name()]
         wildcard = False
         recursive = False
@@ -236,65 +242,66 @@ class Parser:
                 break
             parts.append(self._expect_name())
         self._expect(TokenKind.SEMI)
-        return ImportNode(QualifiedName(parts, start.location), wildcard,
-                          recursive, start.location)
+        return Import(QualifiedName(parts, start.location), wildcard,
+                      recursive, start.location)
 
-    def _parse_bind(self) -> BindNode:
-        start = self._expect_keyword("bind")
+    def _parse_bind(self) -> BindingConnector:
+        start = self._advance()
         left = self._parse_feature_chain()
         self._expect(TokenKind.EQUALS)
         right = self._parse_feature_chain()
         self._expect(TokenKind.SEMI)
-        return BindNode(left, right, start.location)
+        return BindingConnector(left, right, start.location)
 
-    def _parse_perform(self) -> PerformNode:
-        start = self._expect_keyword("perform")
-        target = self._parse_feature_chain()
-        members: list[MemberNode] = []
+    def _parse_perform(self) -> PerformAction:
+        start = self._advance()
+        perform = PerformAction(self._parse_feature_chain(), start.location)
         if self._check(TokenKind.LBRACE):
-            members = self._parse_body()
+            self._parse_body(perform)
         else:
             self._expect(TokenKind.SEMI)
-        return PerformNode(target, members, start.location)
+        return perform
 
-    def _parse_anonymous_connect(self) -> ConnectNode:
-        start = self._expect_keyword("connect")
+    def _parse_connect(self, kind: str, name: str | None,
+                       type_name: QualifiedName | None,
+                       start: Token) -> Connector:
+        """``connect a to b;``, the current token being ``connect``."""
+        self._advance()
         source = self._parse_feature_chain()
         self._expect_keyword("to")
         target = self._parse_feature_chain()
         self._expect(TokenKind.SEMI)
-        return ConnectNode("connection", None, None, source, target,
-                           start.location)
+        connector = Connector(kind, name, source, target, start.location)
+        connector.type_name = type_name
+        return connector
 
-    def _parse_end(self) -> EndNode:
-        start = self._expect_keyword("end")
-        name = self._expect_name()
-        type_ref = None
+    def _parse_end(self) -> EndUsage:
+        start = self._advance()
+        end = EndUsage(self._expect_name(), location=start.location)
         if self._match(TokenKind.COLON):
-            type_ref = self._parse_type_ref()
+            end.type_name, end.conjugated = self._parse_type_ref()
         self._expect(TokenKind.SEMI)
-        return EndNode(name, type_ref, start.location)
+        return end
 
-    def _parse_shorthand_redefinition(self) -> UsageNode:
+    def _parse_shorthand_redefinition(self) -> RedefinitionUsage:
         """``:>> name = value;`` — redefinition with a bound value."""
-        start = self._expect(TokenKind.REDEFINES)
-        redefined = self._parse_qualified_name()
-        node = UsageNode(kind="redefinition", redefines=[redefined],
-                         location=start.location)
+        start = self._advance()
+        usage = RedefinitionUsage(location=start.location)
+        usage.redefinition_names.append(self._parse_qualified_name())
         if self._match(TokenKind.COLON):
-            node.type = self._parse_type_ref()
+            usage.type_name, usage.conjugated = self._parse_type_ref()
         if self._match(TokenKind.EQUALS):
-            node.value = self._parse_expr()
+            usage.value = self._parse_expr()
         if self._check(TokenKind.LBRACE):
-            node.members = self._parse_body()
+            self._parse_body(usage)
         else:
             self._expect(TokenKind.SEMI)
-        return node
+        return usage
 
     # -- prefixed definitions / usages / assignments ------------------------
 
-    def _parse_prefixed_member(self) -> MemberNode:
-        start = self._peek()
+    def _parse_prefixed_member(self) -> Element:
+        start = self._token
         is_abstract = False
         is_ref = False
         direction: str | None = None
@@ -319,7 +326,7 @@ class Parser:
                 continue
             break
 
-        token = self._peek()
+        token = self._token
         if self._check_keyword(*_USAGE_KINDS):
             # With a direction prefix, a kind word directly followed by
             # ':'/'='/';' is actually a *parameter name* that collides
@@ -333,11 +340,8 @@ class Parser:
             if self._check_keyword("def"):
                 self._advance()
                 return self._parse_definition(kind, is_abstract, start)
-            if kind in ("connection", "interface"):
-                connect = self._try_parse_connect_usage(kind, start)
-                if connect is not None:
-                    return connect
-            return self._parse_usage(kind, is_abstract, is_ref, direction, start)
+            return self._parse_usage(kind, is_abstract, is_ref, direction,
+                                     start)
         if direction is not None and self._check_name():
             # ``out ready : Boolean;`` — a bare parameter declaration
             # (the name may be a quoted unrestricted name).
@@ -347,116 +351,102 @@ class Parser:
             f"unexpected token {token.value!r} at start of member",
             token.location)
 
-    def _parse_assignment(self) -> AssignmentNode:
+    def _parse_assignment(self) -> Assignment:
         direction = self._advance().value
         name = self._expect_name()
         self._expect(TokenKind.EQUALS)
         value = self._parse_expr()
         self._expect(TokenKind.SEMI)
-        return AssignmentNode(direction, name, value)
+        return Assignment(direction, name, value)
 
     def _parse_definition(self, kind: str, is_abstract: bool,
-                          start: Token) -> DefinitionNode:
-        name = self._expect_name()
-        specializes: list[QualifiedName] = []
+                          start: Token) -> Definition:
+        cls = DEFINITION_CLASSES.get(kind)
+        if cls is None:
+            raise SysMLError(f"unknown definition kind {kind!r}",
+                             start.location)
+        definition = cls(self._expect_name(), is_abstract=is_abstract,
+                         location=start.location)
         if self._match(TokenKind.SPECIALIZES) or self._check_keyword("specializes"):
             if self._check_keyword("specializes"):
                 self._advance()
+            specializes = definition.specialization_names
             specializes.append(self._parse_qualified_name())
             while self._match(TokenKind.COMMA):
                 specializes.append(self._parse_qualified_name())
-        members: list[MemberNode] = []
         if self._check(TokenKind.LBRACE):
-            members = self._parse_body()
+            self._parse_body(definition)
         else:
             self._expect(TokenKind.SEMI)
-        doc = _extract_doc(members)
-        return DefinitionNode(kind=kind, name=name, is_abstract=is_abstract,
-                              specializes=specializes, members=members,
-                              doc=doc, location=start.location)
-
-    def _try_parse_connect_usage(self, kind: str, start: Token) -> ConnectNode | None:
-        """Parse ``connection|interface [name] [: Type] connect a to b;``.
-
-        Returns None when the member is actually a plain usage (e.g. an
-        interface usage without a connect part), rewinding the stream.
-        """
-        checkpoint = self._mark()
-        name: str | None = None
-        type_ref: TypeRef | None = None
-        if self._check_name() and not self._check_keyword("connect"):
-            name = self._advance().value
-        if self._match(TokenKind.COLON):
-            if not self._check_name():
-                self._rewind(checkpoint)
-                return None
-            type_ref = self._parse_type_ref()
-        if not self._check_keyword("connect"):
-            self._rewind(checkpoint)
-            return None
-        self._commit()
-        self._advance()
-        source = self._parse_feature_chain()
-        self._expect_keyword("to")
-        target = self._parse_feature_chain()
-        self._expect(TokenKind.SEMI)
-        return ConnectNode(kind, name, type_ref, source, target, start.location)
+        return definition
 
     def _parse_usage(self, kind: str, is_abstract: bool, is_ref: bool,
-                     direction: str | None, start: Token) -> UsageNode:
-        node = UsageNode(kind=kind, is_abstract=is_abstract, is_ref=is_ref,
-                         direction=direction, location=start.location)
-        if self._check_name() and not self._check_keyword("def"):
-            node.name = self._advance().value
+                     direction: str | None, start: Token) -> Element:
+        """A usage of *kind* after its prefixes and kind word.
+
+        A connection or interface whose optional name and ``: Type``
+        are followed by ``connect`` is a :class:`Connector` instead;
+        otherwise the name and type parsed so far open the usage.
+        """
+        connects = kind in ("connection", "interface")
+        name: str | None = None
+        if self._check_name() and \
+                not self._check_keyword("connect" if connects else "def"):
+            name = self._advance().value
+        typing: tuple[QualifiedName, bool] | None = None
+        if connects:
+            if self._token.kind is TokenKind.COLON \
+                    and self._peek(1).kind in _NAME_KINDS:
+                self._advance()
+                typing = self._parse_type_ref()
+            if self._check_keyword("connect"):
+                return self._parse_connect(
+                    kind, name, typing[0] if typing else None, start)
+        cls = USAGE_CLASSES.get(kind)
+        if cls is None:
+            raise SysMLError(f"unknown usage kind {kind!r}", start.location)
+        usage = cls(name, is_abstract=is_abstract, location=start.location)
+        usage.direction = direction
+        usage.is_reference = is_ref
+        if typing is not None:
+            usage.type_name, usage.conjugated = typing
         # header clauses in any order: [mult] : type :> spec :>> redef
         while True:
             if self._check(TokenKind.LBRACKET):
-                node.multiplicity = self._parse_multiplicity()
+                usage.multiplicity = self._parse_multiplicity()
                 continue
             if self._check(TokenKind.COLON):
                 self._advance()
-                node.type = self._parse_type_ref()
+                usage.type_name, usage.conjugated = self._parse_type_ref()
                 continue
             if self._check(TokenKind.SPECIALIZES):
                 self._advance()
-                node.specializes.append(self._parse_qualified_name())
+                usage.specialization_names.append(
+                    self._parse_qualified_name())
                 while self._match(TokenKind.COMMA):
-                    node.specializes.append(self._parse_qualified_name())
+                    usage.specialization_names.append(
+                        self._parse_qualified_name())
                 continue
             if self._check_keyword("specializes"):
                 self._advance()
-                node.specializes.append(self._parse_qualified_name())
+                usage.specialization_names.append(
+                    self._parse_qualified_name())
                 continue
-            if self._check(TokenKind.REDEFINES):
+            if self._check(TokenKind.REDEFINES) \
+                    or self._check_keyword("redefines"):
                 self._advance()
-                node.redefines.append(self._parse_qualified_name())
-                continue
-            if self._check_keyword("redefines"):
-                self._advance()
-                node.redefines.append(self._parse_qualified_name())
+                usage.redefinition_names.append(self._parse_qualified_name())
                 continue
             break
         if self._match(TokenKind.EQUALS):
-            node.value = self._parse_expr()
+            usage.value = self._parse_expr()
         if self._check(TokenKind.LBRACE):
-            node.members = self._parse_body()
-            node.doc = _extract_doc(node.members)
+            self._parse_body(usage)
         else:
             self._expect(TokenKind.SEMI)
-        return node
+        return usage
 
     # -- small grammar pieces ------------------------------------------------
-
-    def _parse_body(self) -> list[MemberNode]:
-        self._expect(TokenKind.LBRACE)
-        members: list[MemberNode] = []
-        while not self._check(TokenKind.RBRACE):
-            if self._check(TokenKind.EOF):
-                raise ParseError("unterminated body: missing '}'",
-                                 self._peek().location)
-            members.append(self._parse_member())
-        self._expect(TokenKind.RBRACE)
-        return members
 
     def _parse_multiplicity(self) -> Multiplicity:
         self._expect(TokenKind.LBRACKET)
@@ -475,39 +465,34 @@ class Parser:
         self._expect(TokenKind.RBRACKET)
         return Multiplicity(lower=lower, upper=upper)
 
-    def _parse_type_ref(self) -> TypeRef:
+    def _parse_type_ref(self) -> tuple[QualifiedName, bool]:
+        """A type name and whether it is conjugated (``~T`` or ``T~``)."""
         conjugated = bool(self._match(TokenKind.TILDE))
         name = self._parse_qualified_name()
-        # postfix conjugation (``Port~``) is also legal in SysML v2
         if self._match(TokenKind.TILDE):
             conjugated = True
-        return TypeRef(name=name, conjugated=conjugated)
+        return name, conjugated
 
     def _parse_qualified_name(self) -> QualifiedName:
-        location = self._peek().location
+        location = self._token.location
         parts = [self._expect_name()]
         while self._match(TokenKind.DOUBLE_COLON):
             parts.append(self._expect_name())
         return QualifiedName(parts, location)
 
     def _parse_feature_chain(self) -> FeatureChain:
-        location = self._peek().location
+        location = self._token.location
         parts = [self._expect_name()]
-        while True:
-            if self._match(TokenKind.DOT):
-                parts.append(self._expect_name())
-                continue
-            if self._match(TokenKind.DOUBLE_COLON):
-                parts.append(self._expect_name())
-                continue
-            break
+        while self._match(TokenKind.DOT) or \
+                self._match(TokenKind.DOUBLE_COLON):
+            parts.append(self._expect_name())
         return FeatureChain(parts, location)
 
     def _parse_expr(self) -> Expr:
-        token = self._peek()
+        token = self._token
         if token.kind is TokenKind.MINUS:
             self._advance()
-            number = self._peek()
+            number = self._token
             if number.kind is TokenKind.INTEGER:
                 self._advance()
                 return Literal(-int(number.value), token.location)
@@ -538,15 +523,8 @@ class Parser:
                          token.location)
 
 
-def _extract_doc(members: list[MemberNode]) -> str:
-    for member in members:
-        if isinstance(member, DocNode):
-            return member.text
-    return ""
-
-
 def parse(text: str, filename: str = "<model>") -> ModelNode:
-    """Parse SysML v2 textual notation into an AST."""
+    """Parse SysML v2 textual notation into its root elements."""
     from ..obs import span
     with span("parse", file=filename) as s:
         parser = Parser(text, filename)
@@ -556,3 +534,13 @@ def parse(text: str, filename: str = "<model>") -> ModelNode:
             s.set("bytes", len(text))
             s.set("members", len(tree.members))
     return tree
+
+
+def build_model(*trees: ModelNode) -> Model:
+    """Fold the root elements of parsed sources into one unresolved
+    model; the trees' elements become the model's."""
+    model = Model()
+    for tree in trees:
+        for element in tree.members:
+            model.add_owned(element)
+    return model

@@ -560,7 +560,7 @@ def resolve_model(model: Model) -> Model:
 
 def _parse_sources(sources: list[str], names: list[str], *,
                    cache=None) -> list:
-    """Parse every source, reusing cached trees.
+    """Parse every source, reusing cached trees (pickled root elements).
 
     Cache keys cover the source text *and* its filename (parse trees
     embed source locations), salted with
@@ -630,7 +630,7 @@ def content_fingerprint_of_sources(
 def _load_sources(texts, filenames: list[str] | None, *,
                   include_stdlib: bool, cache=None, recorder=None
                   ) -> tuple[Model, list[str], list[str], list[int]]:
-    """Parse, build and resolve *texts*: the one cold front end.
+    """Parse and resolve *texts*: the one cold front end.
 
     Returns the resolved model, the stdlib-prefixed sources and names
     it was loaded from, and how many root elements each source
@@ -638,20 +638,15 @@ def _load_sources(texts, filenames: list[str] | None, *,
     :class:`~repro.sysml.depgraph.DepRecorder`) is handed to the
     resolver.
     """
-    from .builder import ModelBuilder
     from .elements import Package
+    from .parser import build_model
     from .stdlib import IMPLICIT_LIBRARY_PACKAGES
 
     sources, names = _stdlib_prefixed(texts, filenames,
                                       include_stdlib=include_stdlib)
     trees = _parse_sources(sources, names, cache=cache)
-    builder = ModelBuilder()
-    counts: list[int] = []
-    for tree in trees:
-        before = len(builder.model.owned_elements)
-        builder.add(tree)
-        counts.append(len(builder.model.owned_elements) - before)
-    model = builder.build()
+    counts = [len(tree.members) for tree in trees]
+    model = build_model(*trees)
     if include_stdlib:
         for element in model.owned_elements[:counts[0]]:
             if isinstance(element, Package):
@@ -671,7 +666,7 @@ def _load_sources(texts, filenames: list[str] | None, *,
 
 def load_model(*texts: str, filenames: list[str] | None = None,
                include_stdlib: bool = True, cache=None) -> Model:
-    """Parse, build and resolve one or more textual-notation sources.
+    """Parse and resolve one or more textual-notation sources.
 
     The miniature standard library (``ScalarValues``, ``Base``) is
     prepended unless *include_stdlib* is False. With a *cache*

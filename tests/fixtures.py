@@ -157,6 +157,26 @@ def graph_signature(graph):
             sum(map(len, graph.scope_deps.values())))
 
 
+def front_end_signature(model):
+    """Per element of *model*, in pre-order: its class, node path,
+    source location and the repr of every field in its class's
+    ``syntax_fields`` — what the front end wrote, nothing the process
+    numbered (``element_id``, so no ``qualified_name`` either)."""
+    from repro.sysml import node_path
+    return [(type(element).__name__, node_path(element),
+             repr(element.location),
+             *(repr(getattr(element, field))
+               for field in type(element).syntax_fields))
+            for element in model.descendants()]
+
+
+def front_end_digest(model):
+    """sha256 of :func:`front_end_signature`."""
+    import hashlib
+    text = repr(front_end_signature(model))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def rejected_revision(sources):
     """Revisions B and C of an ICE-lab source list (revision A).
 

@@ -137,6 +137,16 @@ class TestGenerateEndpoint:
         assert info.value.code == "invalid-model"
         assert not info.value.retriable
 
+    def test_over_deep_model_maps_to_400(self, serve):
+        deep = "package P { " * 400 + "}" * 400
+        server, _ = serve()
+        with ServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError) as info:
+                client.generate([deep])
+        assert info.value.status == 400
+        assert info.value.code == "invalid-model"
+        assert "nest deeper than" in str(info.value)
+
     def test_malformed_body_maps_to_400(self, serve):
         server, _ = serve()
         with ServiceClient(port=server.port) as client:

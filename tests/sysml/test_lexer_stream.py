@@ -138,7 +138,8 @@ class TestTokenInterning:
 class TestParallelParseDeterminism:
     """The streaming front end must stay deterministic where its trees
     cross threads or processes: the service parses in concurrent
-    request threads, and the artifact cache pickles parse trees."""
+    request threads, and the artifact cache pickles parse trees (the
+    root elements of each source)."""
 
     @staticmethod
     def _fingerprint(model):
@@ -149,9 +150,13 @@ class TestParallelParseDeterminism:
     def test_parallel_modes_match_serial(self, mode, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 
+        from fixtures import front_end_signature
+
         from repro.cache import ArtifactCache
+        from repro.fingerprint import fingerprint
         from repro.obs import METRICS
-        from repro.sysml import load_model, parse
+        from repro.sysml import build_model, load_model, model_to_dict, parse
+        from repro.sysml.stdlib import SCALAR_VALUES_SOURCE
         sources = icelab_sources()
         if mode == "thread":
             names = [f"<model{i}>" for i in range(len(sources))]
@@ -159,14 +164,25 @@ class TestParallelParseDeterminism:
                       for text, name in zip(sources, names)]
             with ThreadPoolExecutor(4) as pool:
                 threaded = list(pool.map(parse, sources, names))
-            assert threaded == serial
+            assert front_end_signature(build_model(*threaded)) \
+                == front_end_signature(build_model(*serial))
             return
-        # every tree of the second load comes back through pickle
-        serial = load_model(*sources)
         cache = ArtifactCache(tmp_path / "cache")
-        load_model(*sources, cache=cache)
+        # entries written under the salt of the AST-era parse cache
+        # are never replayed as element trees
+        names = ["<stdlib>"] + [f"<model{i}>" for i in range(len(sources))]
+        for text, name in zip([SCALAR_VALUES_SOURCE, *sources], names):
+            cache.put_object(
+                fingerprint(text, name, salt="sysml-parse-tree/1"),
+                "an AST-era parse tree")
+        METRICS.reset()
+        serial = load_model(*sources, cache=cache)
+        assert METRICS.snapshot().get("cache.hits", 0) == 0
+        # every tree of the second load comes back through pickle
         METRICS.reset()
         replayed = load_model(*sources, cache=cache)
         assert METRICS.snapshot()["cache.hits"] == len(sources) + 1
+        assert front_end_signature(replayed) == front_end_signature(serial)
+        assert model_to_dict(replayed) == model_to_dict(serial)
         assert self._fingerprint(replayed) == self._fingerprint(serial)
         assert replayed.content_fingerprint == serial.content_fingerprint

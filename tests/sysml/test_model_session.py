@@ -13,7 +13,8 @@ import pytest
 from fixtures import graph_signature
 from repro.icelab import icelab_sources
 from repro.obs import METRICS
-from repro.sysml import load_model, node_path
+from repro.sysml import (ParseError, load_model, model_to_json, node_path,
+                         print_model)
 from repro.sysml.depgraph import find_by_path
 from repro.sysml.incremental import ModelSession, _Merger
 
@@ -49,6 +50,12 @@ def session():
 
 def paths(keys):
     return sorted(key.path for key in keys)
+
+
+def fallbacks():
+    return {name: value
+            for name, value in METRICS.counter_values().items()
+            if name.startswith("incremental.session_fallbacks.")}
 
 
 class TestCleanUpdates:
@@ -147,17 +154,31 @@ class TestSafetyValve:
         assert METRICS.counter(self.COUNTER).value == before + 1
 
     def test_ordinary_edit_takes_no_fallback(self):
-        def fallbacks():
-            return {name: value
-                    for name, value in METRICS.counter_values().items()
-                    if name.startswith("incremental.session_fallbacks.")}
-
         live = session()
         before = fallbacks()
         update = live.update(LIBRARY, PLANT.replace("= 3", "= 4"),
                              filenames=NAMES)
         assert not update.full_rebuild
         assert fallbacks() == before
+
+    def test_malformed_revision_raises_before_the_valve(self):
+        """A source that does not parse is the author's error, not the
+        session's: it raises with the session still on its previous
+        revision, and the next good revision applies incrementally."""
+        live = session()
+        before = fallbacks()
+        unclosed = PLANT.rstrip().removesuffix("}")
+        with pytest.raises(ParseError, match="missing '}'"):
+            live.update(LIBRARY, unclosed, filenames=NAMES)
+        assert fallbacks() == before
+        edited = PLANT.replace("= 3", "= 4")
+        update = live.update(LIBRARY, edited, filenames=NAMES)
+        assert not update.full_rebuild
+        assert update.changed_sources == ("plant.sysml",)
+        assert fallbacks() == before
+        cold = load_model(LIBRARY, edited, filenames=NAMES)
+        assert print_model(live.model) == print_model(cold)
+        assert model_to_json(live.model) == model_to_json(cold)
 
 
 class TestMovedPackage:

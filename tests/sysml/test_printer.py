@@ -4,9 +4,6 @@ import pytest
 
 from repro.sysml import (load_model, model_to_dict, print_element,
                          print_model, validate_model)
-from repro.sysml.builder import build_model
-from repro.sysml.parser import parse
-from repro.sysml.resolver import resolve_model
 
 import sys
 from pathlib import Path

@@ -21,6 +21,13 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert "ERROR" in capsys.readouterr().out
 
+    def test_validate_over_deep_file_is_a_front_end_error(self, tmp_path,
+                                                          capsys):
+        deep = tmp_path / "deep.sysml"
+        deep.write_text("package P { " * 400 + "}" * 400)
+        assert main(["validate", str(deep)]) == 1
+        assert "nest deeper than" in capsys.readouterr().out
+
     def test_validate_file_ok(self, tmp_path, capsys):
         good = tmp_path / "good.sysml"
         good.write_text("part def M { attribute a : Real; } part m : M;")
