@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from conftest import print_comparison
+from lexer_reference import tokenize_reference
 from repro.codegen import generate_configuration
 from repro.icelab.model_gen import icelab_sources
 from repro.machines.catalog import DriverSpec, MachineSpec
@@ -37,7 +38,6 @@ from repro.machines.catalog import simple_service
 from repro.obs import Tracer
 from repro.sysml import load_model
 from repro.sysml.lexer import iter_tokens
-from repro.sysml.lexer_reference import tokenize_reference
 from repro.testkit import mega_factory_specs, mega_factory_sources
 
 

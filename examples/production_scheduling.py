@@ -16,6 +16,7 @@ Run with:  python examples/production_scheduling.py
 from repro.icelab import run_icelab
 from repro.sim import (FactorySimulation, Job, JobStep, ScenarioReport,
                        ServiceTimeModel, Slowdown, Workload, units)
+from repro.som import OrchestrationError, ServiceLookupError
 
 #: (job, route) — each stop is (machine, service, *broker args).
 RECIPES = {
@@ -46,15 +47,36 @@ OVERRIDES = {"emco.start_program": 4.0, "ur5.play": 3.0,
              "qcPc.inspect": 2.0}
 
 
-def make_workload(times: ServiceTimeModel) -> Workload:
+def make_workload(times: ServiceTimeModel, recipes=RECIPES) -> Workload:
     jobs = []
-    for name, route in RECIPES.items():
+    for name, route in recipes.items():
         steps = tuple(JobStep(machine, service,
                               times.duration(machine, service))
                       for machine, service, *_ in route)
         work = sum(step.duration for step in steps)
         jobs.append(Job(name=name, steps=steps, due=work * 2))
     return Workload(jobs)
+
+
+def dispatch(schedule, orchestrator, recipes=RECIPES) -> tuple[int, int]:
+    """Invoke every scheduled step over the broker, in start order.
+
+    Returns ``(executed, failed)``. A service that fails or is missing
+    counts as failed; any other exception is a bug and propagates.
+    """
+    args_by_step = {(name, index): tuple(rest)
+                    for name, route in recipes.items()
+                    for index, (_, _, *rest) in enumerate(route)}
+    executed = failed = 0
+    for entry in sorted(schedule, key=lambda e: e.start):
+        arguments = args_by_step[(entry.job, entry.step_index)]
+        try:
+            orchestrator.invoke(entry.machine, entry.service, *arguments)
+            executed += 1
+        except (OrchestrationError, ServiceLookupError) as error:
+            failed += 1
+            print(f"  {entry.job}/{entry.service} failed: {error}")
+    return executed, failed
 
 
 def simulate(workload: Workload, **perturbations) -> ScenarioReport:
@@ -78,19 +100,7 @@ def main() -> None:
     print(f"makespan {units(outcome.makespan):g}")
 
     print("\n== dispatch over the broker ==")
-    args_by_step = {(name, index): tuple(rest)
-                    for name, route in RECIPES.items()
-                    for index, (_, _, *rest) in enumerate(route)}
-    executed = failed = 0
-    for entry in sorted(outcome.schedule, key=lambda e: e.start):
-        arguments = args_by_step[(entry.job, entry.step_index)]
-        try:
-            result.orchestrator.invoke(entry.machine, entry.service,
-                                       *arguments)
-            executed += 1
-        except Exception as error:
-            failed += 1
-            print(f"  {entry.job}/{entry.service} failed: {error}")
+    executed, failed = dispatch(outcome.schedule, result.orchestrator)
     print(f"executed {executed} steps ({failed} failed)")
 
     print("\n== machine contention ==")

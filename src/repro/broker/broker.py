@@ -91,14 +91,6 @@ class MessageBroker:
     def unsubscribe(self, subscription_id: int) -> None:
         self._subscriptions.pop(subscription_id, None)
 
-    def unsubscribe_client(self, client_id: str) -> int:
-        """Drop all subscriptions of *client_id*; returns how many."""
-        doomed = [sid for sid, sub in self._subscriptions.items()
-                  if sub.client_id == client_id]
-        for sid in doomed:
-            del self._subscriptions[sid]
-        return len(doomed)
-
     # -- publishing ----------------------------------------------------------
 
     def publish(self, topic: str, payload: Payload,
@@ -139,15 +131,6 @@ class MessageBroker:
                                       or len(drained) < max_messages):
             drained.append(subscription.queue.popleft())
         return drained
-
-    def retained(self, topic: str) -> Message | None:
-        return self._retained.get(topic)
-
-    def clear_retained(self, topic: str | None = None) -> None:
-        if topic is None:
-            self._retained.clear()
-        else:
-            self._retained.pop(topic, None)
 
     # -- introspection -----------------------------------------------------------
 

@@ -145,14 +145,6 @@ class ArtifactCache:
 
     # -- payload codecs --------------------------------------------------
 
-    def get_bytes(self, key: str) -> bytes | None:
-        data = self._load(key)
-        (_HITS if data is not None else _MISSES).inc()
-        return data
-
-    def put_bytes(self, key: str, data: bytes) -> None:
-        self._store(key, data)
-
     def get_object(self, key: str) -> object | None:
         """Unpickle an artifact; a payload that fails to *decode* is a
         miss (evicted + counted), but genuine faults — ``MemoryError``,

@@ -662,8 +662,13 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .sysml.errors import SysMLError
     from .sysml.files import convert_model_file
-    written = convert_model_file(args.source, args.destination)
+    try:
+        written = convert_model_file(args.source, args.destination)
+    except SysMLError as exc:
+        print(f"FRONT-END ERROR: {exc}")
+        return 1
     print(f"wrote {written}")
     return 0
 

@@ -53,9 +53,6 @@ class DriverRuntime:
     def call_method(self, name: str, *args) -> tuple:
         raise NotImplementedError
 
-    def method_names(self) -> list[str]:
-        raise NotImplementedError
-
     def subscribe(self, listener: Callable[[str, object], None]) -> None:
         """Register for variable-change events (name, new value)."""
         raise NotImplementedError
@@ -108,6 +105,3 @@ class SimulatorBackedDriver(DriverRuntime):
 
     def variable_names(self) -> list[str]:
         return self.machine.variable_names()
-
-    def method_names(self) -> list[str]:
-        return self.machine.service_names

@@ -190,6 +190,3 @@ class ModbusDriver(SimulatorBackedDriver):
         except SimulationError as exc:
             raise DriverError(str(exc)) from exc
         return results
-
-    def method_names(self) -> list[str]:
-        return list(self.method_index)

@@ -113,9 +113,3 @@ class OpcUaGenericDriver(DriverRuntime):
         data = self.client.session.server.space.browse_path(
             f"{self.machine_name}/data")
         return [n.browse_name.name for n in data.children]
-
-    def method_names(self) -> list[str]:
-        self._ensure_connected()
-        services = self.client.session.server.space.browse_path(
-            f"{self.machine_name}/services")
-        return [n.browse_name.name for n in services.children]

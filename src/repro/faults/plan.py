@@ -200,21 +200,6 @@ class FaultPlan:
             METRICS.counter(f"faults.injected.{chosen.kind}").inc()
         return chosen
 
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def injection_count(self) -> int:
-        with self._lock:
-            return sum(self._injections.values())
-
-    def injections(self) -> dict[str, int]:
-        """``{"site:kind": count}`` of everything injected so far."""
-        with self._lock:
-            return {f"{spec.site}:{spec.kind}": count
-                    for spec, count in sorted(
-                        self._injections.items(),
-                        key=lambda item: (item[0].site, item[0].kind))}
-
     # -- activation ------------------------------------------------------
 
     @contextmanager
@@ -225,30 +210,6 @@ class FaultPlan:
             yield self
         finally:
             _LOCAL.reset(token)
-
-    # -- parsing ---------------------------------------------------------
-
-    @classmethod
-    def from_string(cls, text: str, seed: int = 0) -> "FaultPlan":
-        """Parse ``site:kind[:probability[:max]]`` comma-separated specs.
-
-        Example: ``cache.get:corrupt:0.2,parallel.worker:crash:0.5:3``.
-        """
-        specs = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) < 2:
-                raise ValueError(
-                    f"bad fault spec {chunk!r}: expected site:kind[...]")
-            site, kind = parts[0], parts[1]
-            probability = float(parts[2]) if len(parts) > 2 else 1.0
-            max_injections = int(parts[3]) if len(parts) > 3 else None
-            specs.append(FaultSpec(site, kind, probability=probability,
-                                   max_injections=max_injections))
-        return cls(seed=seed, specs=tuple(specs))
 
     def __repr__(self) -> str:
         return f"FaultPlan(seed={self.seed}, specs={len(self.specs)})"

@@ -39,7 +39,7 @@ CACHE_SCHEMA_VERSION = 1
 #: Cached parse trees (pickled root elements): embeds the parser and
 #: element-layout generation, so grammar or layout changes never replay
 #: stale trees.
-PARSE_TREE_SALT = "sysml-parse-tree/2"
+PARSE_TREE_SALT = "sysml-parse-tree/3"
 
 #: The whole-model fingerprint derived from the source texts.
 MODEL_SALT = "sysml-model/1"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..codegen import DEFAULT_CLIENT_CAPACITY
-from ..isa95 import FactoryTopology, extract_topology
 from ..machines.specs import ICE_LAB_SPECS
 from ..pipeline import EndToEndResult, run_factory
 from ..sysml.elements import Model
@@ -13,11 +12,6 @@ from .model_gen import load_icelab_model
 def icelab_model() -> Model:
     """The full ICE Laboratory SysML v2 model, parsed and resolved."""
     return load_icelab_model()
-
-
-def icelab_topology(model: Model | None = None) -> FactoryTopology:
-    """The extracted ISA-95 topology of the ICE lab."""
-    return extract_topology(model if model is not None else icelab_model())
 
 
 def run_icelab(*, capacity: int = DEFAULT_CLIENT_CAPACITY,

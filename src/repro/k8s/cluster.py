@@ -120,12 +120,7 @@ class Cluster:
     def _restart_deployment_pods(self, deployment: Deployment) -> None:
         for pod in self.pods_for(deployment.metadata.name,
                                  deployment.metadata.namespace):
-            self._delete_pod(pod)
-
-    def apply_yaml(self, text: str) -> list[object]:
-        from ..yamlgen import parse_documents
-        return [self.apply_manifest(doc) for doc in parse_documents(text)
-                if doc is not None]
+            self.delete_pod(pod)
 
     # -- deployment controller ---------------------------------------------------
 
@@ -137,7 +132,7 @@ class Cluster:
         for _ in range(missing):
             self._create_pod(deployment)
         for pod in existing[deployment.replicas:]:
-            self._delete_pod(pod)
+            self.delete_pod(pod)
 
     def _create_pod(self, deployment: Deployment) -> Pod:
         name = f"{deployment.metadata.name}-{next(self._pod_serial):04d}"
@@ -204,7 +199,9 @@ class Cluster:
             pod.phase = "Failed"
             self._record(f"pod/{pod.metadata.name} failed: {exc}")
 
-    def _delete_pod(self, pod: Pod) -> None:
+    def delete_pod(self, pod: Pod) -> None:
+        """Stop and delete *pod* (kubectl delete pod); its deployment
+        re-creates it on the next reconcile."""
         component = pod.component
         stop = getattr(component, "stop", None)
         if callable(stop):
@@ -230,25 +227,10 @@ class Cluster:
         node.offline = True
         evicted = [p.metadata.name for p in list(node.pods)]
         for pod in list(node.pods):
-            self._delete_pod(pod)
+            self.delete_pod(pod)
         self._record(f"node/{node_name} failed; evicted {len(evicted)} "
                      f"pod(s)")
         return evicted
-
-    def recover_node(self, node_name: str) -> None:
-        node = next((n for n in self.nodes if n.name == node_name), None)
-        if node is None:
-            raise ClusterError(f"no node named {node_name!r}")
-        node.offline = False
-        self._record(f"node/{node_name} recovered")
-
-    def delete_pod(self, name: str, namespace: str = "default") -> None:
-        """Delete one pod (kubectl delete pod); controller re-creates it
-        on the next reconcile."""
-        pod = self.pods.get((namespace, name))
-        if pod is None:
-            raise ClusterError(f"no pod {name!r} in {namespace!r}")
-        self._delete_pod(pod)
 
     def reconcile_all(self, *, order=None) -> None:
         """Bring every deployment back to its replica count.
@@ -270,7 +252,7 @@ class Cluster:
                   if component is None
                   or p.labels.get("component") == component]
         for pod in doomed:
-            self._delete_pod(pod)
+            self.delete_pod(pod)
         return len(doomed)
 
     # -- queries --------------------------------------------------------------------------
@@ -303,7 +285,7 @@ class Cluster:
 
     def shutdown(self) -> None:
         for pod in list(self.pods.values()):
-            self._delete_pod(pod)
+            self.delete_pod(pod)
 
     def stats(self) -> dict[str, int]:
         return {

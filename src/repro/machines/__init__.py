@@ -1,10 +1,9 @@
 """Machine catalog and behavioural simulators."""
 
-from .catalog import (Catalog, DriverSpec, MachineSpec, numbered_variables,
-                      simple_service, spec_from_machine_info)
+from .catalog import (DriverSpec, MachineSpec, simple_service,
+                      spec_from_machine_info)
 from .simulator import MachineSimulator, SimulationError
 from .specs import ICE_LAB_SPECS
 
-__all__ = ["Catalog", "DriverSpec", "ICE_LAB_SPECS", "MachineSimulator",
-           "MachineSpec", "SimulationError", "numbered_variables",
-           "simple_service", "spec_from_machine_info"]
+__all__ = ["DriverSpec", "ICE_LAB_SPECS", "MachineSimulator", "MachineSpec",
+           "SimulationError", "simple_service", "spec_from_machine_info"]

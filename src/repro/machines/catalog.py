@@ -69,15 +69,6 @@ class MachineSpec:
         return self.variable_count + self.service_count
 
 
-def numbered_variables(prefix: str, count: int, *, data_type: str = "Real",
-                       category: str = "", unit: str = "",
-                       start: int = 1) -> list[VariableSpec]:
-    """Generate ``prefix_1 .. prefix_count`` variables."""
-    return [VariableSpec(name=f"{prefix}_{i}", data_type=data_type,
-                         category=category, unit=unit)
-            for i in range(start, start + count)]
-
-
 def simple_service(name: str, *, inputs: list[tuple[str, str]] | None = None,
                    outputs: list[tuple[str, str]] | None = None,
                    description: str = "") -> ServiceSpec:
@@ -126,47 +117,3 @@ def spec_from_machine_info(machine: MachineInfo) -> MachineSpec:
         driver=driver,
         categories={"data": variables} if variables else {},
         services=services)
-
-
-class Catalog:
-    """A named collection of machine specs."""
-
-    def __init__(self, specs: list[MachineSpec] | None = None):
-        self._specs: dict[str, MachineSpec] = {}
-        for spec in specs or []:
-            self.add(spec)
-
-    def add(self, spec: MachineSpec) -> MachineSpec:
-        if spec.name in self._specs:
-            raise ValueError(f"duplicate machine name {spec.name!r}")
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> MachineSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise KeyError(f"no machine spec named {name!r}") from None
-
-    def __iter__(self):
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def by_workcell(self) -> dict[str, list[MachineSpec]]:
-        grouped: dict[str, list[MachineSpec]] = {}
-        for spec in self._specs.values():
-            grouped.setdefault(spec.workcell, []).append(spec)
-        return grouped
-
-    def totals(self) -> dict[str, int]:
-        return {
-            "machines": len(self._specs),
-            "variables": sum(s.variable_count for s in self),
-            "services": sum(s.service_count for s in self),
-            "points": sum(s.point_count for s in self),
-        }

@@ -3,7 +3,7 @@
 Three pieces:
 
 * **Tracing** (:mod:`.tracer`) — hierarchical spans with wall-clock
-  timings, attributes and counters. Instrumented code calls the
+  timings and attributes. Instrumented code calls the
   module-level :func:`span` helper; with no active tracer every call
   resolves to a shared no-op singleton (zero cost when disabled).
 * **Metrics** (:mod:`.metrics`) — a process-wide registry of counters,
@@ -22,12 +22,12 @@ from .metrics import (Counter, Gauge, Histogram, METRICS, MetricsRegistry,
 from .summary import Summarizable
 from .trace import PipelineTrace, SpanRecord, TRACE_SCHEMA_VERSION
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer,
-                     activation, current_tracer, record_span, span)
+                     activation, record_span, span)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "METRICS", "MetricsRegistry",
     "NULL_SPAN", "NULL_TRACER", "NullTracer", "PipelineTrace", "Span",
     "SpanRecord", "Summarizable", "TRACE_SCHEMA_VERSION", "Tracer",
-    "activation", "aggregate_snapshots", "current_tracer", "record_span",
+    "activation", "aggregate_snapshots", "record_span",
     "snapshot_delta", "span",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`PipelineTrace` is the immutable snapshot of everything a
 :class:`~repro.obs.tracer.Tracer` recorded: the span tree (with
-durations, attributes and counters) plus a snapshot of the process-wide
+durations and attributes) plus a snapshot of the process-wide
 metrics registry. It is attached to
 :class:`~repro.codegen.pipeline.GenerationResult` and exportable as
 JSON (``to_json``) or a rendered tree report (``render``)::
@@ -27,7 +27,7 @@ from .metrics import METRICS
 from .summary import Summarizable
 
 #: Bump when the exported JSON layout changes.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -37,7 +37,6 @@ class SpanRecord:
     name: str
     duration_s: float
     attributes: dict[str, object] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
     children: list["SpanRecord"] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, object]:
@@ -45,7 +44,6 @@ class SpanRecord:
             "name": self.name,
             "duration_s": round(self.duration_s, 9),
             "attributes": dict(self.attributes),
-            "counters": dict(self.counters),
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -53,12 +51,6 @@ class SpanRecord:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    @property
-    def self_seconds(self) -> float:
-        """Time not accounted for by child spans."""
-        return max(0.0, self.duration_s
-                   - sum(c.duration_s for c in self.children))
 
 
 def _freeze(span) -> SpanRecord:
@@ -69,7 +61,6 @@ def _freeze(span) -> SpanRecord:
         name=span.name,
         duration_s=duration,
         attributes=dict(span.attributes),
-        counters=dict(span.counters),
         children=[_freeze(child) for child in span.children],
     )
 
@@ -101,10 +92,6 @@ class PipelineTrace(Summarizable):
             if record.name == name:
                 return record
         return None
-
-    def find_all(self, prefix: str) -> list[SpanRecord]:
-        """Every span whose name starts with *prefix*, depth-first."""
-        return [r for r in self.iter_spans() if r.name.startswith(prefix)]
 
     @property
     def span_count(self) -> int:
@@ -178,7 +165,6 @@ class PipelineTrace(Summarizable):
                 return
             label = prefix + tail + record.name
             extras = [f"{k}={v}" for k, v in record.attributes.items()]
-            extras += [f"{k}={v}" for k, v in record.counters.items()]
             suffix = ("  " + " ".join(extras)) if extras else ""
             lines.append(f"{label:<{name_width}} "
                          f"{record.duration_s * 1e3:>9.2f}ms "

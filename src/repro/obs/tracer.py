@@ -3,8 +3,8 @@
 A :class:`Tracer` records a tree of :class:`Span` objects — one per
 instrumented phase of the pipeline (``parse``, ``resolve``,
 ``topology``, ``step1``, ``render:<file>``, ...). Spans nest through a
-stack kept by the tracer, carry wall-clock duration, free-form
-attributes and integer counters, and are later frozen into a
+stack kept by the tracer, carry wall-clock duration and free-form
+attributes, and are later frozen into a
 :class:`~repro.obs.trace.PipelineTrace` for export.
 
 Instrumented code never holds a tracer reference: it calls the
@@ -34,8 +34,8 @@ from contextvars import ContextVar
 class Span:
     """One timed phase; a node in the trace tree."""
 
-    __slots__ = ("name", "attributes", "counters", "children",
-                 "started", "duration", "_tracer")
+    __slots__ = ("name", "attributes", "children", "started", "duration",
+                 "_tracer")
 
     #: Real spans record; call sites can gate expensive attributes on this.
     enabled = True
@@ -43,7 +43,6 @@ class Span:
     def __init__(self, name: str, attributes: dict, tracer: "Tracer"):
         self.name = name
         self.attributes = attributes
-        self.counters: dict[str, int] = {}
         self.children: list[Span] = []
         self.started = 0.0
         self.duration = 0.0
@@ -65,10 +64,6 @@ class Span:
         """Attach an attribute (element counts, file names, bytes...)."""
         self.attributes[key] = value
 
-    def incr(self, key: str, amount: int = 1) -> None:
-        """Bump a per-span counter."""
-        self.counters[key] = self.counters.get(key, 0) + amount
-
     def __repr__(self) -> str:
         return (f"Span({self.name!r}, {self.duration * 1e3:.3f}ms, "
                 f"children={len(self.children)})")
@@ -87,9 +82,6 @@ class _NullSpan:
         return False
 
     def set(self, key: str, value: object) -> None:
-        pass
-
-    def incr(self, key: str, amount: int = 1) -> None:
         pass
 
     def __repr__(self) -> str:
@@ -187,11 +179,6 @@ class Tracer:
         """Freeze the recorded spans into a :class:`PipelineTrace`."""
         from .trace import PipelineTrace
         return PipelineTrace.from_tracer(self)
-
-
-def current_tracer() -> Tracer | NullTracer:
-    """The ambient tracer (the :data:`NULL_TRACER` when none is active)."""
-    return _ACTIVE_TRACER.get()
 
 
 def span(name: str, **attributes) -> Span | _NullSpan:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .address_space import Node, VariableNode
+from .address_space import Node
 from .network import NetworkError, UaNetwork, default_network
 from .nodeids import NodeId
 from .server import OpcUaServer, Session
@@ -57,9 +57,6 @@ class OpcUaClient:
     def browse(self, node_id: NodeId | None = None) -> list[Node]:
         return self.session.browse(node_id)
 
-    def node_id_of(self, browse_path: str) -> NodeId:
-        return self.session.translate_browse_path(browse_path)
-
     def read(self, node: NodeId | str):
         return self.session.read(self._resolve(node)).value
 
@@ -79,12 +76,6 @@ class OpcUaClient:
         for node in nodes:
             self.session.monitor(subscription, self._resolve(node))
         return subscription
-
-    def browse_variables(self) -> list[VariableNode]:
-        """All variables reachable under the Objects folder."""
-        assert self._server is not None
-        return [n for n in self._server.space.objects.descendants()
-                if isinstance(n, VariableNode)]
 
     def _resolve(self, node: NodeId | str) -> NodeId:
         if isinstance(node, NodeId):

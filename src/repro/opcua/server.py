@@ -62,14 +62,6 @@ class OpcUaServer:
             self.running = False
             self.network.unregister(self.endpoint)
 
-    # -- namespace management -------------------------------------------------
-
-    def register_namespace(self, uri: str) -> int:
-        if uri in self.namespace_uris:
-            return self.namespace_uris.index(uri)
-        self.namespace_uris.append(uri)
-        return len(self.namespace_uris) - 1
-
     # -- address-space construction ---------------------------------------------
 
     def next_node_id(self, namespace: int, name: str | None = None) -> NodeId:

@@ -74,11 +74,6 @@ class Subscription:
         self.items[item.item_id] = item
         return item
 
-    def unmonitor(self, item_id: int) -> None:
-        item = self.items.pop(item_id, None)
-        if item is not None:
-            item.detach()
-
     def _dispatch(self, notification: DataChangeNotification) -> None:
         if not self.active:
             return

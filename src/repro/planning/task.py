@@ -21,8 +21,8 @@ Every service in the inventory grounds into a ``start-<service>`` /
 releases both and advances the part's ``current`` step along its
 ``next`` chain. The split is what makes "a machine never executes two
 steps at once" a *plan-visible* invariant instead of a modeling
-convention — exactly the SOM constraint the scheduler layer enforces
-operationally.
+convention — exactly the SOM constraint the sim engine
+(:mod:`repro.sim`) enforces operationally.
 
 Symbols are sanitized into PDDL-safe names by an **injective** mangle
 (the conformance corpus draws hostile machine names with spaces,

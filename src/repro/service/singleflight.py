@@ -101,8 +101,3 @@ class SingleFlight:
         with self._lock:
             flight = self._flights.get(key)
             return flight.followers if flight is not None else 0
-
-    def in_flight(self) -> int:
-        """Number of distinct keys currently executing."""
-        with self._lock:
-            return len(self._flights)

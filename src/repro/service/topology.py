@@ -200,14 +200,6 @@ def serving_topology_manifests(workers=4, *,
     return manifests
 
 
-def serving_topology_yaml(workers=4, *, vnodes: int = DEFAULT_VNODES,
-                          namespace: str = "repro-serving") -> str:
-    """The manifests as one multi-document YAML stream."""
-    from ..yamlgen import emit_documents
-    return emit_documents(serving_topology_manifests(
-        workers, vnodes=vnodes, namespace=namespace))
-
-
 def deploy_serving_topology(cluster, workers=4, *,
                             vnodes: int = DEFAULT_VNODES,
                             namespace: str = "repro-serving"

@@ -6,7 +6,6 @@ from .kpi import KpiMonitor, LineKpi, WorkcellKpi
 from .orchestrator import (OrchestrationError, Orchestrator, ProcessResult,
                            StepResult)
 from .process import ProcessStep, ProductionProcess
-from .scheduler import (Schedule, ScheduledStep, Scheduler, SchedulingError)
 from .services import MachineService, ServiceLookupError, ServiceRegistry
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "KpiMonitor", "LineKpi", "WorkcellKpi",
     "MachineService", "OrchestrationError", "Orchestrator",
     "ProcessResult", "ProcessStep", "ProductionProcess",
-    "Schedule", "ScheduledStep", "Scheduler", "SchedulingError",
     "ServiceLookupError", "ServiceRegistry", "StepResult",
     "UaBrokerBridgeComponent", "WorkcellServerComponent",
 ]

@@ -39,13 +39,6 @@ class ProductionProcess:
                                       description))
         return self
 
-    def machines_involved(self) -> list[str]:
-        seen: list[str] = []
-        for step in self.steps:
-            if step.machine not in seen:
-                seen.append(step.machine)
-        return seen
-
     def validate_against(self, registry) -> list[str]:
         """Names of steps whose service is not in the registry."""
         from .services import ServiceLookupError

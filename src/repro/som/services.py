@@ -73,9 +73,6 @@ class ServiceRegistry:
             raise ServiceLookupError(
                 f"no service {service!r} on machine {machine!r}") from None
 
-    def services_of(self, machine: str) -> list[MachineService]:
-        return [s for s in self._services.values() if s.machine == machine]
-
     def machines(self) -> list[str]:
         return sorted({s.machine for s in self._services.values()})
 

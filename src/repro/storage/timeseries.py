@@ -3,19 +3,14 @@
 Stands in for the factory databases of the paper's architecture. Data is
 organized as *series* identified by a name plus a tag set (machine,
 workcell, variable), holding timestamped points. Queries support time
-ranges, tag filters and simple aggregations — enough for the monitoring
-software the generated configuration deploys.
+ranges and tag filters — enough for the monitoring software the
+generated configuration deploys.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
-
-
-class StorageError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, order=True)
@@ -114,71 +109,11 @@ class TimeSeriesStore:
             return None
         return max(candidates, key=lambda p: p.timestamp)
 
-    def aggregate(self, measurement: str, func: Callable[[Iterable], object],
-                  *, tags: dict[str, str] | None = None,
-                  start: float | None = None, end: float | None = None):
-        points = self.query(measurement, tags=tags, start=start, end=end)
-        if not points:
-            raise StorageError(
-                f"no points for measurement {measurement!r} in range")
-        return func(p.value for p in points)
-
-    # -- retention & downsampling -----------------------------------------------
-
-    def prune(self, *, before: float) -> int:
-        """Drop every point older than *before*; returns how many.
-
-        Empty series are removed entirely. This is what the generated
-        historian's ``retention_days`` setting maps to.
-        """
-        dropped = 0
-        for key in list(self._series):
-            series = self._series[key]
-            keep = [p for p in series.points if p.timestamp >= before]
-            dropped += len(series.points) - len(keep)
-            if keep:
-                series.points = keep
-            else:
-                del self._series[key]
-        return dropped
-
-    def downsample(self, measurement: str, *, window: float,
-                   tags: dict[str, str] | None = None,
-                   start: float | None = None,
-                   end: float | None = None,
-                   reducer: Callable[[list], object] | None = None
-                   ) -> list[Point]:
-        """Aggregate numeric points into fixed windows.
-
-        Windows are aligned at multiples of *window*; each produces one
-        point stamped at the window start. The default reducer averages
-        numeric values (non-numeric points are skipped).
-        """
-        if window <= 0:
-            raise StorageError(f"window must be positive, got {window}")
-        points = self.query(measurement, tags=tags, start=start, end=end)
-        if reducer is None:
-            def reducer(values: list) -> object:
-                return sum(values) / len(values)
-        buckets: dict[float, list] = {}
-        for point in points:
-            value = point.value
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                continue
-            bucket = (point.timestamp // window) * window
-            buckets.setdefault(bucket, []).append(value)
-        return [Point(bucket, reducer(values))
-                for bucket, values in sorted(buckets.items())]
-
     # -- introspection --------------------------------------------------------------
 
     @property
     def series_count(self) -> int:
         return len(self._series)
-
-    def measurements(self) -> list[str]:
-        return sorted({name for name, _ in self._series})
 
     def stats(self) -> dict[str, int]:
         return {

@@ -36,16 +36,14 @@ from .errors import (Diagnostic, DiagnosticReport, LexerError, ParseError,
                      ValidationError)
 from .incremental import ModelSession, ModelUpdate, clear_resolved_state
 from .instances import (ElaborationError, InstanceNode, elaborate,
-                        elaborate_model, propagate_bindings)
+                        propagate_bindings)
 from .interchange import (model_from_dict, model_from_json, model_to_dict,
                           model_to_json)
 from .lexer import tokenize
 from .parser import build_model, parse
 from .printer import print_element, print_model
 from .queries import (ElementCounts, count_definition_closure,
-                      definitions_in, instance_counts, model_summary,
-                      scope_counts, specializations_of, usages_in,
-                      usages_typed_by)
+                      instance_counts, specializations_of, usages_typed_by)
 from .resolver import (content_fingerprint_of_sources, load_model,
                        resolve_model)
 from .validation import validate_model
@@ -67,10 +65,10 @@ __all__ = [
     "load_model_file", "load_model_files", "node_key",
     "node_path", "save_model_file", "scope_fingerprint",
     "Type", "Usage", "ValidationError", "build_model",
-    "count_definition_closure", "definitions_in", "elaborate",
-    "elaborate_model", "instance_counts", "load_model", "model_from_dict", "model_from_json", "model_summary",
+    "count_definition_closure", "elaborate", "instance_counts",
+    "load_model", "model_from_dict", "model_from_json",
     "model_to_dict", "model_to_json", "parse", "print_element",
-    "print_model", "propagate_bindings", "resolve_model", "scope_counts",
-    "specializations_of", "tokenize", "usages_in", "usages_typed_by",
+    "print_model", "propagate_bindings", "resolve_model",
+    "specializations_of", "tokenize", "usages_typed_by",
     "validate_model",
 ]

@@ -183,12 +183,6 @@ class Type(Namespace):
                 table.setdefault(name, member)
         return table
 
-    def effective_members(self) -> dict[str, Element]:
-        """Own members shadowing inherited ones."""
-        table = self.inherited_members()
-        table.update(self.members)
-        return table
-
     def effective_member(self, name: str) -> Element | None:
         own = self.member(name)
         if own is not None:
@@ -475,9 +469,6 @@ class Model(Namespace):
 
     def all_elements(self) -> Iterator[Element]:
         yield from self.descendants()
-
-    def elements_of_type(self, cls: type) -> Iterator[Element]:
-        return (e for e in self.all_elements() if isinstance(e, cls))
 
     def find(self, qualified: str) -> Element | None:
         """Look up an element by ``Pkg::Sub::Name`` path from the root."""

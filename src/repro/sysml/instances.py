@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .ast_nodes import FeatureRefExpr, Literal
-from .elements import (BindingConnector, Connector, Element, Model,
-                       Namespace, Package, PerformAction, Usage)
+from .elements import (BindingConnector, Connector, Element,
+                       PerformAction, Usage)
 from .errors import SysMLError
 
 
@@ -88,16 +88,10 @@ class InstanceNode:
     def child(self, name: str) -> Optional["InstanceNode"]:
         return next((c for c in self.children if c.name == name), None)
 
-    def children_of_kind(self, kind: str) -> list["InstanceNode"]:
-        return [c for c in self.children if c.kind == kind]
-
     # -- metrics --------------------------------------------------------------
 
     def count(self, predicate: Callable[["InstanceNode"], bool]) -> int:
         return sum(1 for node in self.walk() if predicate(node))
-
-    def count_kind(self, kind: str) -> int:
-        return self.count(lambda node: node.kind == kind)
 
     def __repr__(self) -> str:
         extra = f" : {self.type_name}" if self.type_name else ""
@@ -223,24 +217,6 @@ def _connector_node(member: BindingConnector | Connector) -> InstanceNode:
 def elaborate(usage: Usage, *, max_depth: int = 64) -> InstanceNode:
     """Expand a single usage into an instance tree."""
     return Elaborator(max_depth=max_depth).elaborate(usage)
-
-
-def elaborate_model(model: Model, *, max_depth: int = 64) -> list[InstanceNode]:
-    """Elaborate every top-level part usage in the model.
-
-    Top-level means owned by the model root or by a package — i.e. the
-    instantiated system models like ``ICETopology``, not the nested
-    usages inside definitions.
-    """
-    elaborator = Elaborator(max_depth=max_depth)
-    roots: list[InstanceNode] = []
-    scopes: list[Namespace] = [model]
-    scopes.extend(p for p in model.all_elements() if isinstance(p, Package))
-    for scope in scopes:
-        for member in scope.owned_elements:
-            if isinstance(member, Usage) and member.kind == "part":
-                roots.append(elaborator.elaborate(member))
-    return roots
 
 
 def propagate_bindings(root: InstanceNode) -> int:

@@ -4,6 +4,11 @@ Mirrors (a small slice of) the SysML v2 API & Services JSON shape: every
 element becomes a dictionary with ``@type``, ``name``, its kind-specific
 fields, and ``ownedElements``. ``model_to_json`` / ``model_from_json``
 round-trip a model losslessly for the supported subset.
+
+JSON models come from outside, so reading one is a typed boundary:
+invalid JSON, elements nesting deeper than the text parser allows
+(:data:`~repro.sysml.parser.MAX_NESTING` bodies) and a missing or
+ill-typed required key each raise :class:`SysMLError`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .elements import (Assignment, BindingConnector, Connector, Definition,
                        DEFINITION_CLASSES, Element, Import, Model, Package,
                        PerformAction, Usage, USAGE_CLASSES)
 from .errors import SysMLError
+from .parser import MAX_NESTING
 from .resolver import resolve_model
 
 
@@ -100,13 +106,21 @@ def model_to_json(model: Model, *, indent: int | None = 2) -> str:
 
 # -- deserialization -----------------------------------------------------------
 
-def element_from_dict(data: dict) -> Element:
-    """Rebuild an element subtree from :func:`element_to_dict` output."""
-    type_name = data.get("@type", "")
-    element = _construct(type_name, data)
+def element_from_dict(data: dict, depth: int = 1) -> Element:
+    """Rebuild an element subtree from :func:`element_to_dict` output.
+
+    *depth* counts the element's ancestors plus one; an element that
+    owns children at a depth past :data:`MAX_NESTING` would open a body
+    the text parser refuses.
+    """
+    element = _construct(data.get("@type", ""), data)
     element.documentation = data.get("documentation", "")
-    for child_data in data.get("ownedElements", []):
-        element.add_owned(element_from_dict(child_data))
+    children = data.get("ownedElements", [])
+    if children and depth > MAX_NESTING:
+        raise SysMLError(f"elements nest more than {MAX_NESTING} bodies "
+                         f"deep in JSON")
+    for child_data in children:
+        element.add_owned(element_from_dict(child_data, depth + 1))
     return element
 
 
@@ -173,15 +187,26 @@ def _construct(type_name: str, data: dict) -> Element:
 
 def model_from_dict(data: dict, *, resolve: bool = True) -> Model:
     model = Model()
-    for child_data in data.get("ownedElements", []):
-        model.add_owned(element_from_dict(child_data))
+    try:
+        for child_data in data.get("ownedElements", []):
+            model.add_owned(element_from_dict(child_data))
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        # a missing or ill-typed key, caught here at the boundary
+        raise SysMLError(f"malformed JSON model: "
+                         f"{type(error).__name__}: {error}") from None
     if resolve:
         resolve_model(model)
     return model
 
 
 def model_from_json(text: str, *, resolve: bool = True) -> Model:
-    return model_from_dict(json.loads(text), resolve=resolve)
+    try:
+        data = json.loads(text)
+    except ValueError as error:
+        raise SysMLError(f"invalid JSON model: {error}") from None
+    except RecursionError:
+        raise SysMLError("invalid JSON model: nested too deeply") from None
+    return model_from_dict(data, resolve=resolve)
 
 
 # -- expression helpers ----------------------------------------------------------

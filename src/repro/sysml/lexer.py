@@ -28,7 +28,7 @@ tokens):
   slot-based (:class:`~repro.sysml.tokens.Token`).
 
 The original character-at-a-time scanner survives as
-:mod:`repro.sysml.lexer_reference`; differential tests assert both
+``tests/lexer_reference.py``; differential tests assert both
 lexers agree token-for-token (kinds, values, locations and raised
 errors), and the A4 scaling bench reports this lexer's tokens/sec
 speedup over it.

@@ -215,9 +215,11 @@ class Parser:
         self._open_body()
         while not self._check(TokenKind.RBRACE):
             if not self._take_doc(definition):
+                location = self._token.location
                 literal = self._expect_name()
                 self._expect(TokenKind.SEMI)
-                definition.add_owned(EnumerationLiteral(literal))
+                definition.add_owned(
+                    EnumerationLiteral(literal, location=location))
         self._advance()
         self._depth -= 1
         return definition
@@ -352,12 +354,12 @@ class Parser:
             token.location)
 
     def _parse_assignment(self) -> Assignment:
-        direction = self._advance().value
+        start = self._advance()
         name = self._expect_name()
         self._expect(TokenKind.EQUALS)
         value = self._parse_expr()
         self._expect(TokenKind.SEMI)
-        return Assignment(direction, name, value)
+        return Assignment(start.value, name, value, start.location)
 
     def _parse_definition(self, kind: str, is_abstract: bool,
                           start: Token) -> Definition:
@@ -395,11 +397,17 @@ class Parser:
             name = self._advance().value
         typing: tuple[QualifiedName, bool] | None = None
         if connects:
-            if self._token.kind is TokenKind.COLON \
-                    and self._peek(1).kind in _NAME_KINDS:
+            if self._token.kind is TokenKind.COLON and (
+                    self._peek(1).kind in _NAME_KINDS
+                    or self._peek(1).kind is TokenKind.TILDE):
                 self._advance()
+                type_location = self._token.location
                 typing = self._parse_type_ref()
             if self._check_keyword("connect"):
+                if typing is not None and typing[1]:
+                    raise ParseError(
+                        f"{kind} type before 'connect' cannot be "
+                        f"conjugated", type_location)
                 return self._parse_connect(
                     kind, name, typing[0] if typing else None, start)
         cls = USAGE_CLASSES.get(kind)

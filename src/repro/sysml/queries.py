@@ -1,15 +1,16 @@
 """Model navigation and metric queries.
 
-These are the measurements behind Table I: per-scope counts of part
-definitions, part/attribute/port instances, and generic "find usages
-typed by X" navigation used by the ISA-95 topology extractor.
+These are the measurements behind Table I: the part definitions a
+usage's closure involves, its part/attribute/port instances, and
+generic "find usages typed by X" navigation used by the ISA-95
+topology extractor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import Definition, Element, Model, Type, Usage
+from .elements import Definition, Model, Type, Usage
 from .instances import InstanceNode, elaborate
 
 
@@ -35,22 +36,6 @@ class ElementCounts:
             self.binding_connectors + other.binding_connectors,
             self.connectors + other.connectors,
         )
-
-
-def definitions_in(scope: Element, kind: str | None = None) -> list[Definition]:
-    """All definitions declared under *scope* (transitively)."""
-    found = [e for e in scope.descendants() if isinstance(e, Definition)]
-    if kind is not None:
-        found = [d for d in found if d.kind == kind]
-    return found
-
-
-def usages_in(scope: Element, kind: str | None = None) -> list[Usage]:
-    """All usages declared under *scope* (transitively)."""
-    found = [e for e in scope.descendants() if isinstance(e, Usage)]
-    if kind is not None:
-        found = [u for u in found if u.kind == kind]
-    return found
 
 
 def usages_typed_by(model: Model, definition: Type,
@@ -136,26 +121,3 @@ def instance_counts_of_tree(tree: InstanceNode) -> ElementCounts:
         binding_connectors=binds,
         connectors=connectors,
     )
-
-
-def scope_counts(model: Model, usage: Usage) -> ElementCounts:
-    """Full Table-I style counts for a machine/driver usage pair scope."""
-    counts = instance_counts(usage)
-    return ElementCounts(
-        part_definitions=count_definition_closure(usage),
-        part_instances=counts.part_instances,
-        attribute_instances=counts.attribute_instances,
-        port_instances=counts.port_instances,
-        action_instances=counts.action_instances,
-        binding_connectors=counts.binding_connectors,
-        connectors=counts.connectors,
-    )
-
-
-def model_summary(model: Model) -> dict[str, int]:
-    """Whole-model element census, keyed by element class name."""
-    summary: dict[str, int] = {}
-    for element in model.all_elements():
-        key = type(element).__name__
-        summary[key] = summary.get(key, 0) + 1
-    return summary

@@ -26,7 +26,7 @@ from .harness import ConformanceReport, TrialResult, run_conformance, run_trial
 from .oracles import (ORACLES, OracleFailure, TrialContext, chaos_plan,
                       oracle_names, run_oracle)
 from .shrink import ddmin, shrink_failure, write_reproducer
-from .waiting import Deadline, wait_for_event, wait_until
+from .waiting import Deadline, wait_until
 
 __all__ = [
     "ConformanceReport", "CorpusConfig", "Deadline", "FactoryScenario",
@@ -34,5 +34,5 @@ __all__ = [
     "mega_factory_specs", "TrialContext", "TrialResult",
     "chaos_plan", "ddmin", "generate_scenario", "oracle_names",
     "run_conformance", "run_oracle", "run_trial", "shrink_failure",
-    "wait_for_event", "wait_until", "write_reproducer",
+    "wait_until", "write_reproducer",
 ]

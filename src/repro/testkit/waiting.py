@@ -8,7 +8,6 @@ loudly — with the caller's description — when a deadline expires.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, TypeVar
 
@@ -78,13 +77,3 @@ def wait_until(predicate: Callable[[], _T], *,
         # interval` slept a *full* interval past an exactly-expired
         # deadline before re-checking; sleep(0) re-checks promptly
         do_sleep(min(interval, deadline.remaining()))
-
-
-def wait_for_event(event: threading.Event, *,
-                   timeout: float = DEFAULT_TIMEOUT,
-                   message: str = "") -> None:
-    """``event.wait`` with a mandatory deadline and a loud failure."""
-    if not event.wait(timeout):
-        raise TimeoutError(
-            f"timed out after {timeout:.1f}s waiting for "
-            f"{message or 'event'}")

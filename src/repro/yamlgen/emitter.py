@@ -120,8 +120,3 @@ def emit(value: object) -> str:
     lines: list[str] = []
     _emit_node(value, lines, 0)
     return "\n".join(lines) + "\n"
-
-
-def emit_documents(documents: list[object]) -> str:
-    """Render a ``---``-separated multi-document stream."""
-    return "---\n" + "---\n".join(emit(doc) for doc in documents)

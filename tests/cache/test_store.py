@@ -37,9 +37,9 @@ def _counters():
 class TestCodecs:
     def test_bytes_roundtrip(self, cache):
         key = fingerprint("bytes")
-        assert cache.get_bytes(key) is None
-        cache.put_bytes(key, b"\x00payload")
-        assert cache.get_bytes(key) == b"\x00payload"
+        assert cache.get_object(key) is None
+        cache.put_object(key, b"\x00payload")
+        assert cache.get_object(key) == b"\x00payload"
 
     def test_text_roundtrip(self, cache):
         key = fingerprint("text")
@@ -95,7 +95,8 @@ class TestCorruption:
 
     def test_invalid_utf8_text_is_a_miss(self, cache):
         key = fingerprint("broken-text")
-        cache.put_bytes(key, b"\xff\xfe\x00")
+        cache.put_object(key, "text")
+        cache._path(key).write_bytes(b"\xff\xfe\x00")
         assert cache.get_object(key) is None
         assert not cache._path(key).exists()
 
@@ -113,7 +114,8 @@ class TestCorruption:
         # the old bare `except Exception` swallowed *everything*; the
         # narrowed handler must let resource exhaustion through
         key = fingerprint("oom-pickle")
-        cache.put_bytes(key, pickle.dumps(_OutOfMemory()))
+        cache.put_object(key, None)
+        cache._path(key).write_bytes(pickle.dumps(_OutOfMemory()))
         with pytest.raises(MemoryError):
             cache.get_object(key)
 
@@ -123,7 +125,7 @@ class TestEviction:
         METRICS.reset()
         small = ArtifactCache(tmp_path / "small", max_bytes=1024)
         for index in range(10):
-            small.put_bytes(fingerprint(f"entry-{index}"), b"x" * 300)
+            small.put_object(fingerprint(f"entry-{index}"), b"x" * 300)
         stats = small.stats()
         assert stats["total_bytes"] <= 1024
         assert stats["evictions"] > 0
@@ -132,12 +134,12 @@ class TestEviction:
         METRICS.reset()
         small = ArtifactCache(tmp_path / "small", max_bytes=1000)
         hot = fingerprint("hot")
-        small.put_bytes(hot, b"h" * 300)
+        small.put_object(hot, b"h" * 300)
         for index in range(6):
             os.utime(small._path(hot))  # keep refreshing recency
-            small.put_bytes(fingerprint(f"cold-{index}"), b"c" * 300)
-            small.get_bytes(hot)
-        assert small.get_bytes(hot) is not None
+            small.put_object(fingerprint(f"cold-{index}"), b"c" * 300)
+            small.get_object(hot)
+        assert small.get_object(hot) is not None
 
 
 class TestMaintenance:

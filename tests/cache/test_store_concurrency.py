@@ -7,9 +7,11 @@ either a miss (None) or a complete, valid value.
 """
 
 import json
+import pickle
 import threading
 
 from repro.cache import ArtifactCache
+from repro.obs import METRICS
 from repro.fingerprint import fingerprint
 
 
@@ -32,22 +34,26 @@ class TestConcurrentSameKey:
         def writer():
             try:
                 for _ in range(50):
-                    cache.put_bytes("shared", payload)
+                    cache.put_object("shared", payload)
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)
 
         def reader():
             try:
                 for _ in range(50):
-                    observed.append(cache.get_bytes("shared"))
+                    observed.append(cache.get_object("shared"))
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)
 
+        corrupt_before = METRICS.snapshot().get("cache.corruption", 0)
         run_threads([writer, writer, reader, reader])
         assert errors == []
+        # a torn read would fail to unpickle and count as corruption
+        assert METRICS.snapshot().get("cache.corruption", 0) \
+            == corrupt_before
         # every read saw nothing (not yet written) or the full payload
         assert set(observed) <= {None, payload}
-        assert cache.get_bytes("shared") == payload
+        assert cache.get_object("shared") == payload
 
     def test_distinct_value_writers_leave_a_complete_value(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -57,13 +63,13 @@ class TestConcurrentSameKey:
         def writer(i):
             try:
                 for _ in range(25):
-                    cache.put_bytes("contested", values[i])
+                    cache.put_object("contested", values[i])
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)
 
         run_threads([lambda i=i: writer(i) for i in range(4)])
         assert errors == []
-        assert cache.get_bytes("contested") in values  # no torn write
+        assert cache.get_object("contested") in values  # no torn write
 
 
 class TestRacingEviction:
@@ -77,8 +83,8 @@ class TestRacingEviction:
             try:
                 for i in range(40):
                     key = fingerprint(f"w{worker}-k{i % 8}")
-                    cache.put_bytes(key, payload)
-                    value = cache.get_bytes(key)
+                    cache.put_object(key, payload)
+                    value = cache.get_object(key)
                     # evicted-by-neighbor or intact, never corrupt
                     assert value in (None, payload)
             except Exception as exc:  # noqa: BLE001 - the assertion
@@ -91,7 +97,7 @@ class TestRacingEviction:
         assert stats["evictions"] > 0
         # survivors all hold complete payloads
         for _, _, path in cache._entries():
-            assert path.read_bytes() == payload
+            assert pickle.loads(path.read_bytes()) == payload
 
     def test_clear_racing_writers(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -102,7 +108,7 @@ class TestRacingEviction:
             try:
                 i = 0
                 while not stop.is_set():
-                    cache.put_bytes(fingerprint(f"k{i % 16}"), b"payload")
+                    cache.put_object(fingerprint(f"k{i % 16}"), b"payload")
                     i += 1
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)

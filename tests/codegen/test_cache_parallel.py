@@ -8,11 +8,12 @@ caller's thread; there is no worker-pool option to select.
 
 import pytest
 
+from fixtures import icelab_topology
 from repro.cache import ArtifactCache
 from repro.codegen import (GenerationPipeline, IncrementalEngine,
                            PipelineOptions, generate_configuration)
 from repro.codegen.pipeline import GenerationResult
-from repro.icelab import icelab_model, icelab_topology
+from repro.icelab import icelab_model
 from repro.icelab.model_gen import icelab_sources
 from repro.obs import METRICS
 from repro.sysml import load_model

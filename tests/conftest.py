@@ -48,5 +48,5 @@ def emco_model():
 @pytest.fixture(scope="session")
 def topology():
     """The extracted ICE-lab factory (6 workcells, 10 machines)."""
-    from repro.icelab.factory import icelab_topology
+    from fixtures import icelab_topology
     return icelab_topology()

@@ -92,7 +92,6 @@ class TestEMCODriver:
 
     def test_names(self, emco_driver):
         assert len(emco_driver.variable_names()) == 34
-        assert len(emco_driver.method_names()) == 19
 
 
 class TestURDriver:
@@ -177,7 +176,6 @@ class TestOpcUaGenericDriver:
     def test_names(self, setup):
         driver, _sim, _server = setup
         assert len(driver.variable_names()) == 3
-        assert len(driver.method_names()) == 5
 
     def test_missing_endpoint(self):
         network = UaNetwork()

@@ -65,8 +65,6 @@ class TestDeterminism:
             FaultSpec("s", "io-error", probability=1.0, max_injections=2),))
         kinds = _schedule(plan, "s", n=10)
         assert kinds == ["io-error", "io-error"] + [None] * 8
-        assert plan.injection_count == 2
-        assert plan.injections() == {"s:io-error": 2}
 
 
 class TestSpecValidation:
@@ -82,26 +80,13 @@ class TestSpecValidation:
 class TestSerialization:
     def test_pickle_preserves_schedule_resets_counters(self):
         plan = FaultPlan(seed=11, specs=(
-            FaultSpec("s", "crash", probability=0.5),))
+            FaultSpec("s", "crash", probability=0.5, max_injections=3),))
         reference = _schedule(FaultPlan(seed=11, specs=plan.specs), "s")
-        _schedule(plan, "s", n=5)  # advance before pickling
+        _schedule(plan, "s")  # spend the injection budget before pickling
+        assert not any(_schedule(plan, "s"))
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.seed == plan.seed and clone.specs == plan.specs
-        assert clone.injection_count == 0
         assert _schedule(clone, "s") == reference
-
-    def test_from_string(self):
-        plan = FaultPlan.from_string(
-            "cache.get:corrupt:0.2, parallel.worker:crash:0.5:3", seed=9)
-        assert plan.seed == 9
-        assert plan.specs == (
-            FaultSpec("cache.get", "corrupt", probability=0.2),
-            FaultSpec("parallel.worker", "crash", probability=0.5,
-                      max_injections=3))
-
-    def test_from_string_rejects_bare_site(self):
-        with pytest.raises(ValueError, match="bad fault spec"):
-            FaultPlan.from_string("cache.get")
 
 
 class TestActivation:

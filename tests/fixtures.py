@@ -1,4 +1,4 @@
-"""Shared model sources used across the test suite.
+"""Shared model sources and helpers used across the test suite.
 
 ``EMCO_WORKCELL_SOURCE`` is a faithful expansion of the paper's running
 example (Codes 1-5): the ISA-95 base library, the EMCO driver/machine
@@ -6,7 +6,9 @@ specializations, and the instantiated workcell 02 topology with bound
 ports and a performed method.
 """
 
+from repro.isa95 import extract_topology
 from repro.service.server import MAX_BODY_BYTES
+from repro.yamlgen import emit
 
 ISA95_BASE_SOURCE = """
 package ISA95 {
@@ -241,3 +243,15 @@ def post_with_content_length(port, value, body=b"part def X;"):
             headers[name.strip().lower()] = field_value.strip()
         payload = response.read(int(headers.get("content-length", 0)))
     return int(status_line.split()[1]), json.loads(payload)
+
+
+def emit_documents(documents):
+    """A ``---``-separated multi-document YAML stream: the inverse of
+    :func:`repro.yamlgen.parse_documents`."""
+    return "---\n" + "---\n".join(emit(doc) for doc in documents)
+
+
+def icelab_topology(model=None):
+    """The extracted ISA-95 topology of the ICE lab."""
+    from repro.icelab import icelab_model
+    return extract_topology(model if model is not None else icelab_model())

@@ -3,8 +3,7 @@ model that reproduces the paper's structure."""
 
 import pytest
 
-from repro.icelab import (generate_library, icelab_model, icelab_model_text,
-                          icelab_topology)
+from repro.icelab import generate_library, icelab_model, icelab_model_text
 from repro.machines.specs import EMCO_SPEC, ICE_LAB_SPECS
 from repro.sysml import validate_model
 from repro.sysml.elements import BindingConnector, Connector, PortUsage
@@ -58,14 +57,16 @@ class TestGeneratedModelWellFormed:
         assert ports and not any(p.conjugated for p in ports)
 
     def test_binds_resolve(self, model):
-        binds = list(model.elements_of_type(BindingConnector))
+        binds = [e for e in model.all_elements()
+                 if isinstance(e, BindingConnector)]
         # one per variable per side: 2 x 498
         assert len(binds) == 996
         assert all(b.left is not None and b.right is not None
                    for b in binds)
 
     def test_connects_resolve(self, model):
-        connectors = list(model.elements_of_type(Connector))
+        connectors = [e for e in model.all_elements()
+                      if isinstance(e, Connector)]
         # one per variable + one per service (machine side)
         assert len(connectors) == 498 + 66
         assert all(c.source is not None and c.target is not None

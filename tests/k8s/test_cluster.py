@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.k8s import Cluster, ClusterError
+from repro.k8s import Cluster, ClusterError, deploy_manifests
 
+from fixtures import emit_documents
 from test_resources import deployment_manifest  # same directory
 
 
@@ -137,10 +138,9 @@ class TestComponentFactory:
 
 class TestApplyYaml:
     def test_yaml_text_applied(self):
-        from repro.yamlgen import emit_documents
         cluster = Cluster()
         text = emit_documents([configmap_manifest(),
                                deployment_manifest(replicas=1)])
-        applied = cluster.apply_yaml(text)
+        applied = deploy_manifests(cluster, {"app.yaml": text})
         assert len(applied) == 2
         assert cluster.stats()["pods_running"] == 1

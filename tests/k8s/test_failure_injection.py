@@ -46,37 +46,18 @@ class TestNodeFailureBasics:
         assert len(cluster.pods_for("web", "test")) == 2
         assert all(p.node != victim for p in cluster.running_pods())
 
-    def test_offline_node_not_scheduled_until_recovery(self):
-        cluster = self.make_cluster()
-        victim = cluster.running_pods()[0].node
-        cluster.fail_node(victim)
-        cluster.reconcile_all()
-        cluster.recover_node(victim)
-        cluster.apply_manifest(configmap_manifest("web2-config"))
-        cluster.apply_manifest(deployment_manifest(name="web2", replicas=2))
-        # recovered node accepts pods again
-        nodes_used = {p.node for p in cluster.running_pods()}
-        assert victim in nodes_used or len(nodes_used) >= 1
-
     def test_unknown_node_rejected(self):
         cluster = self.make_cluster()
         with pytest.raises(ClusterError):
             cluster.fail_node("node-99")
-        with pytest.raises(ClusterError):
-            cluster.recover_node("node-99")
 
     def test_delete_pod_and_reconcile(self):
         cluster = self.make_cluster()
         pod = cluster.running_pods()[0]
-        cluster.delete_pod(pod.metadata.name, pod.metadata.namespace)
+        cluster.delete_pod(pod)
         assert len(cluster.pods_for("web", "test")) == 1
         cluster.reconcile_all()
         assert len(cluster.pods_for("web", "test")) == 2
-
-    def test_delete_unknown_pod(self):
-        cluster = self.make_cluster()
-        with pytest.raises(ClusterError):
-            cluster.delete_pod("nope")
 
     def test_all_nodes_down_leaves_pods_pending(self):
         cluster = self.make_cluster()
@@ -111,8 +92,7 @@ class TestFactorySelfHealing:
         cluster = deployed.cluster
         server_pod = next(p for p in cluster.running_pods()
                           if p.labels.get("component") == "opcua-server")
-        cluster.delete_pod(server_pod.metadata.name,
-                           server_pod.metadata.namespace)
+        cluster.delete_pod(server_pod)
         outcome = heal(cluster)
         assert outcome["restarted_downstream"] >= 8  # 4 clients + 4 hist
         smoke = smoke_test(deployed, steps=3)
@@ -122,8 +102,7 @@ class TestFactorySelfHealing:
         cluster = deployed.cluster
         historian_pod = next(p for p in cluster.running_pods()
                              if p.labels.get("component") == "historian")
-        cluster.delete_pod(historian_pod.metadata.name,
-                           historian_pod.metadata.namespace)
+        cluster.delete_pod(historian_pod)
         outcome = heal(cluster)
         assert outcome["restarted_downstream"] == 0
         assert cluster.stats()["pods_running"] == 14

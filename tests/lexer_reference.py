@@ -18,8 +18,8 @@ the differential tests fail loudly if they drift apart.
 
 from __future__ import annotations
 
-from .errors import LexerError, SourceLocation
-from .tokens import Token, TokenKind
+from repro.sysml.errors import LexerError, SourceLocation
+from repro.sysml.tokens import Token, TokenKind
 
 _PUNCT = {
     "{": TokenKind.LBRACE,

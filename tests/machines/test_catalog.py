@@ -3,8 +3,8 @@
 import pytest
 
 from repro.isa95.levels import VariableSpec
-from repro.machines import (Catalog, DriverSpec, ICE_LAB_SPECS, MachineSpec,
-                            numbered_variables, simple_service)
+from repro.machines import (DriverSpec, ICE_LAB_SPECS, MachineSpec,
+                            simple_service)
 
 #: (name, workcell, variables, services) from Table I of the paper.
 TABLE_I_ROWS = [
@@ -37,6 +37,7 @@ class TestIceLabSpecs:
         total = sum(s.point_count for s in ICE_LAB_SPECS)
         assert total == 564  # 498 variables + 66 services
 
+
     def test_six_workcells(self):
         assert len({s.workcell for s in ICE_LAB_SPECS}) == 6
 
@@ -63,40 +64,22 @@ class TestIceLabSpecs:
 
 
 class TestCatalog:
-    def make_spec(self, name="m1"):
-        return MachineSpec(
-            name=name, display_name=name, type_name="T", workcell="wc",
-            driver=DriverSpec(protocol="OPCUADriver", is_generic=True),
-            categories={"c": [VariableSpec("v1")]},
-            services=[simple_service("go")])
-
-    def test_add_and_get(self):
-        catalog = Catalog([self.make_spec()])
-        assert catalog.get("m1").name == "m1"
-        assert "m1" in catalog
-        assert len(catalog) == 1
-
-    def test_duplicate_rejected(self):
-        catalog = Catalog([self.make_spec()])
-        with pytest.raises(ValueError):
-            catalog.add(self.make_spec())
-
-    def test_get_unknown(self):
-        with pytest.raises(KeyError):
-            Catalog().get("ghost")
+    """The ICE-lab catalog as a whole (Table I's totals row)."""
 
     def test_by_workcell(self):
-        catalog = Catalog([self.make_spec("a"), self.make_spec("b")])
-        assert set(catalog.by_workcell()) == {"wc"}
-        assert len(catalog.by_workcell()["wc"]) == 2
+        by_workcell = {}
+        for spec in ICE_LAB_SPECS:
+            by_workcell.setdefault(spec.workcell, []).append(spec.name)
+        expected = {}
+        for name, workcell, _, _ in TABLE_I_ROWS:
+            expected.setdefault(workcell, []).append(name)
+        assert by_workcell == expected
 
     def test_totals(self):
-        catalog = Catalog(list(ICE_LAB_SPECS))
-        totals = catalog.totals()
-        assert totals["machines"] == 10
-        assert totals["variables"] == 498
-        assert totals["services"] == 66
-        assert totals["points"] == 564
+        assert len(ICE_LAB_SPECS) == 10
+        assert sum(s.variable_count for s in ICE_LAB_SPECS) == 498
+        assert sum(s.service_count for s in ICE_LAB_SPECS) == 66
+        assert sum(s.point_count for s in ICE_LAB_SPECS) == 564
 
 
 class TestSpecValidation:
@@ -121,9 +104,3 @@ class TestSpecValidation:
             driver=DriverSpec(protocol="OPCUADriver"),
             categories={"Axes": [VariableSpec("x")]})
         assert spec.variables[0].category == "Axes"
-
-    def test_numbered_variables_helper(self):
-        variables = numbered_variables("sensor", 5, data_type="Boolean")
-        assert [v.name for v in variables] == [
-            "sensor_1", "sensor_2", "sensor_3", "sensor_4", "sensor_5"]
-        assert all(v.data_type == "Boolean" for v in variables)

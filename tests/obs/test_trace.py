@@ -35,8 +35,10 @@ class TestTraceContents:
 
     def test_per_machine_and_per_template_spans(self, traced_result):
         _, trace = traced_result
-        machines = trace.find_all("machine:")
-        renders = trace.find_all("render:")
+        machines = [s for s in trace.iter_spans()
+                    if s.name.startswith("machine:")]
+        renders = [s for s in trace.iter_spans()
+                   if s.name.startswith("render:")]
         assert len(machines) == 10  # the ICE lab inventory (Table I)
         assert any(s.name == "machine:emco" for s in machines)
         assert len(renders) >= 10
@@ -72,7 +74,7 @@ class TestTraceExport:
                                  "total_seconds", "spans", "metrics"}
         span = document["spans"][0]
         assert set(span) == {"name", "duration_s", "attributes",
-                             "counters", "children"}
+                             "children"}
         assert isinstance(document["metrics"], dict)
 
     def test_summary_protocol(self, traced_result):

@@ -1,11 +1,16 @@
-"""Tracing spans: nesting, timing, attributes, counters, no-op mode."""
+"""Tracing spans: nesting, timing, attributes, no-op mode."""
 
 import time
 
 import pytest
 
-from repro.obs import (NULL_SPAN, NULL_TRACER, Tracer, activation,
-                       current_tracer, span)
+from repro.obs import NULL_SPAN, NULL_TRACER, Tracer, activation, span
+
+
+def current_tracer():
+    """The ambient tracer, as the pipeline's entry points see it."""
+    with activation(None) as tracer:
+        return tracer
 
 
 class TestSpanNesting:
@@ -51,18 +56,14 @@ class TestSpanNesting:
         parent = tracer.trace().find("parent")
         child = parent.children[0]
         assert child.duration_s <= parent.duration_s
-        assert parent.self_seconds >= 0.0
 
-    def test_attributes_and_counters(self):
+    def test_attributes(self):
         tracer = Tracer()
         with tracer.activate():
             with span("work", machines=10) as s:
                 s.set("namespace", "icelab")
-                s.incr("items")
-                s.incr("items", 2)
         record = tracer.trace().find("work")
         assert record.attributes == {"machines": 10, "namespace": "icelab"}
-        assert record.counters == {"items": 3}
 
     def test_exception_marks_span_and_propagates(self):
         tracer = Tracer()
@@ -89,7 +90,6 @@ class TestNoOpMode:
         with span("nothing") as s:
             assert not s.enabled
             s.set("key", "value")
-            s.incr("counter", 5)
 
     def test_activation_restores_previous_tracer(self):
         tracer = Tracer()
@@ -135,7 +135,7 @@ class TestNoOpMode:
         start = time.perf_counter()
         for _ in range(n):
             with span("hot", attr=1) as s:
-                s.incr("x")
+                s.set("x", 1)
         disabled = time.perf_counter() - start
 
         assert disabled < max(baseline * 50, 0.25)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.opcua import (Argument, NetworkError, OpcUaClient, OpcUaServer,
-                         SessionError, UaNetwork)
+                         SessionError, UaNetwork, VariableNode)
 
 
 @pytest.fixture
@@ -55,11 +55,6 @@ class TestServerLifecycle:
         with pytest.raises(SessionError):
             server.create_session()
 
-    def test_namespace_registration(self, server):
-        index = server.register_namespace("urn:icelab:emco")
-        assert server.namespace_uris[index] == "urn:icelab:emco"
-        assert server.register_namespace("urn:icelab:emco") == index
-
     def test_stats(self, server):
         stats = server.stats()
         assert stats["variables"] == 2
@@ -106,7 +101,12 @@ class TestClientBasics:
     def test_browse_variables(self, server, network):
         client = OpcUaClient(network=network)
         client.connect("opc.tcp://wc02:4840")
-        names = {v.browse_name.name for v in client.browse_variables()}
+        pending, names = client.browse(), set()
+        while pending:
+            node = pending.pop()
+            if isinstance(node, VariableNode):
+                names.add(node.browse_name.name)
+            pending.extend(client.browse(node.node_id))
         assert names == {"actualX", "mode"}
 
     def test_context_manager_disconnects(self, server, network):
@@ -178,22 +178,14 @@ class TestSubscriptions:
         writer.write("emco/data/actualX", 9.0)
         assert seen == []
 
-    def test_unmonitor_item(self, server, network):
-        client = OpcUaClient(network=network)
-        client.connect("opc.tcp://wc02:4840")
-        subscription = client.subscribe(["emco/data/actualX"])
-        item_id = next(iter(subscription.items))
-        subscription.unmonitor(item_id)
-        client.write("emco/data/actualX", 3.0)
-        assert subscription.take_notifications() == []
-
     def test_queue_overflow_drops(self, server, network):
         client = OpcUaClient(network=network)
         client.connect("opc.tcp://wc02:4840")
         subscription = client.session.create_subscription()
         subscription.queue = type(subscription.queue)(maxlen=2)
         client.session.monitor(subscription,
-                               client.node_id_of("emco/data/actualX"))
+                               client.session.translate_browse_path(
+                                   "emco/data/actualX"))
         for i in range(5):
             client.write("emco/data/actualX", float(i))
         assert subscription.dropped == 3

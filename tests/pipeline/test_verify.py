@@ -87,14 +87,12 @@ class TestDriftDetection:
         finally:
             # restore by redeploying the bridge
             from repro.k8s import heal
-            deployed.cluster.delete_pod(bridge_pod.metadata.name,
-                                        bridge_pod.metadata.namespace)
+            deployed.cluster.delete_pod(bridge_pod)
             heal(deployed.cluster)
 
     def test_pod_shortfall_detected(self, deployed):
         pod = deployed.cluster.running_pods()[0]
-        deployed.cluster.delete_pod(pod.metadata.name,
-                                    pod.metadata.namespace)
+        deployed.cluster.delete_pod(pod)
         try:
             report = verify_conformance(deployed, require_data=False)
             assert any(f.check == "pod-per-component"

@@ -10,7 +10,7 @@ from repro.service import (AdmissionController, AdmissionRejected,
                            AdmissionShed, AdmissionTimeout, POLICY_BLOCK,
                            POLICY_REJECT, POLICY_SHED, RateLimited,
                            RateLimiter, TokenBucket)
-from repro.testkit import wait_for_event, wait_until
+from repro.testkit import wait_until
 
 
 class TestRejectPolicy:
@@ -64,8 +64,8 @@ class TestBlockPolicy:
                    message="waiter never queued")
         assert not admitted.is_set()
         ctrl.release()
-        wait_for_event(admitted, timeout=5.0,
-                       message="blocked waiter never admitted")
+        wait_until(admitted.is_set, timeout=5.0,
+                   message="blocked waiter never admitted")
         thread.join(5)
         assert ctrl.inflight == 0
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.service import (STATE_DRAINING, STATE_SERVING, STATE_STOPPED,
                            ServiceDraining, ServiceLifecycle)
-from repro.testkit import wait_for_event, wait_until
+from repro.testkit import wait_until
 
 
 class TestLifecycle:
@@ -50,8 +50,8 @@ class TestLifecycle:
                    timeout=5.0, message="drain never started")
         assert not finished.is_set()  # still waiting on our request
         lifecycle.request_finished()
-        wait_for_event(finished, timeout=5.0,
-                       message="drain never completed")
+        wait_until(finished.is_set, timeout=5.0,
+                   message="drain never completed")
         thread.join(5)
         report = report_box["report"]
         assert report.completed

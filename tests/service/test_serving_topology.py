@@ -10,14 +10,15 @@ renderings are byte-identical).
 
 import pytest
 
+from fixtures import emit_documents
+
 from repro.fingerprint import ROUTER_RING_SALT
 from repro.k8s import Cluster
 from repro.service import (DEFAULT_VNODES, HashRing,
                            deploy_serving_topology,
                            serving_topology_manifests,
                            serving_topology_sysml)
-from repro.service.topology import (ROUTER_PORT, WORKER_BASE_PORT,
-                                    serving_topology_yaml)
+from repro.service.topology import ROUTER_PORT, WORKER_BASE_PORT
 from repro.sysml import load_model, validate_model
 from repro.yamlgen import parse_documents
 
@@ -85,12 +86,11 @@ class TestManifests:
     def test_rendering_is_deterministic(self):
         assert serving_topology_manifests(4) \
             == serving_topology_manifests(4)
-        assert serving_topology_yaml(4) == serving_topology_yaml(4)
         assert serving_topology_sysml(4) == serving_topology_sysml(4)
 
     def test_yaml_round_trips_through_our_parser(self):
         manifests = serving_topology_manifests(3)
-        assert parse_documents(serving_topology_yaml(3)) == manifests
+        assert parse_documents(emit_documents(manifests)) == manifests
 
     def test_invalid_worker_specs_are_rejected(self):
         with pytest.raises(ValueError):

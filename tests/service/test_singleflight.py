@@ -73,9 +73,9 @@ class TestSingleFlight:
             results[i] = flight.do(key, lambda key=key: work(key))
 
         threads = _run_concurrently(3, call)
-        wait_until(lambda: flight.in_flight() >= 3, timeout=5.0,
+        wait_until(lambda: len(seen) >= 3, timeout=5.0,
                    message="three independent flights never started")
-        assert flight.in_flight() == 3
+        assert len(seen) == 3
         gate.set()
         for thread in threads:
             thread.join(5)
@@ -108,20 +108,21 @@ class TestSingleFlight:
         # the failed flight is retired: the next call starts fresh
         result, leader = flight.do("k", lambda: "recovered")
         assert (result, leader) == ("recovered", True)
-        assert flight.in_flight() == 0
 
     def test_follower_timeout_raises_without_breaking_flight(self):
         flight = SingleFlight()
         release = threading.Event()
         late = {}
 
+        started = threading.Event()
+
         def leader_call(i):
             late["leader"] = flight.do(
-                "k", lambda: (release.wait(5), "done")[1])
+                "k", lambda: (started.set(), release.wait(5), "done")[2])
 
         leader_thread = threading.Thread(target=leader_call, args=(0,))
         leader_thread.start()
-        wait_until(flight.in_flight, timeout=5.0,
+        wait_until(started.is_set, timeout=5.0,
                    message="leader flight never started")
         with pytest.raises(TimeoutError):
             flight.do("k", lambda: "unused", timeout=0.05)

@@ -82,6 +82,20 @@ class TestInvariants:
 
     @given(workloads(), perturbations(),
            st.sampled_from(("fifo", "edd")))
+    def test_each_job_runs_its_steps_in_route_order(self, workload,
+                                                    perturbation, policy):
+        slowdowns, outages = perturbation
+        outcome = simulate(workload, slowdowns, outages, policy)
+        by_job = {}
+        for entry in outcome.schedule:
+            by_job.setdefault(entry.job, []).append(entry)
+        for entries in by_job.values():
+            entries.sort(key=lambda entry: entry.step_index)
+            for earlier, later in zip(entries, entries[1:]):
+                assert later.start >= earlier.end
+
+    @given(workloads(), perturbations(),
+           st.sampled_from(("fifo", "edd")))
     def test_every_job_completes_or_is_stranded(self, workload,
                                                 perturbation, policy):
         slowdowns, outages = perturbation

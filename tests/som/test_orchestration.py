@@ -45,10 +45,6 @@ class TestServiceRegistry:
         with pytest.raises(ServiceLookupError):
             registry.lookup("ghost", "is_ready")
 
-    def test_services_of_machine(self, registry):
-        assert {s.name for s in registry.services_of("mill")} == \
-            {"is_ready", "start"}
-
     def test_machines_listing(self, registry):
         assert registry.machines() == ["mill"]
 
@@ -70,12 +66,6 @@ class TestProductionProcess:
             "mill", "start", "prog.nc").add_step("mill", "is_ready")
         assert len(process) == 2
         assert process.steps[0].args == ("prog.nc",)
-
-    def test_machines_involved_ordered_unique(self):
-        process = (ProductionProcess("p")
-                   .add_step("a", "s1").add_step("b", "s2")
-                   .add_step("a", "s3"))
-        assert process.machines_involved() == ["a", "b"]
 
     def test_validate_against_registry(self, registry):
         good = ProductionProcess("ok").add_step("mill", "start", "p.nc")

@@ -1,68 +1,90 @@
-"""Scheduler tests: correctness invariants + execution on the ICE lab."""
+"""Production scheduling: the contract of the retired slot scheduler,
+held against the engine that replaced it.
+
+SOM production jobs are scheduled by the discrete-event engine
+(:class:`repro.sim.FactorySimulation`): one service per machine at a
+time, each job's route in order. The broker dispatch of that schedule
+lives in ``examples/production_scheduling.py`` (:func:`dispatch`); its
+error narrowing is checked here too.
+"""
+
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.som import (OrchestrationError, ProductionProcess, Schedule,
-                       Scheduler, SchedulingError, ServiceLookupError)
+from repro.sim import (FactorySimulation, Job, JobStep, ScenarioReport,
+                       ServiceTimeModel, Workload, WorkloadError, ticks)
+from repro.som import OrchestrationError, ServiceLookupError
+
+EXAMPLE = runpy.run_path(str(Path(__file__).parents[2] / "examples"
+                             / "production_scheduling.py"))
+
+#: One model time unit: the retired scheduler's default step duration.
+UNIT = ticks(1.0)
 
 
-def process(name, steps):
-    p = ProductionProcess(name)
-    for machine, service in steps:
-        p.add_step(machine, service)
-    return p
+def job(name, steps, durations=None):
+    durations = durations or {}
+    return Job(name=name, steps=tuple(
+        JobStep(machine, service,
+                durations.get(f"{machine}.{service}", UNIT))
+        for machine, service in steps))
+
+
+def run(*jobs):
+    return FactorySimulation(Workload(jobs)).run()
+
+
+def timeline(outcome, *, machine=None, job_name=None):
+    return sorted((entry for entry in outcome.schedule
+                   if machine in (None, entry.machine)
+                   and job_name in (None, entry.job)),
+                  key=lambda entry: entry.start)
 
 
 class TestScheduleBasics:
     def test_single_process_sequential(self):
-        p = process("job", [("a", "s1"), ("a", "s2"), ("b", "s3")])
-        schedule = Scheduler().schedule([p])
-        entries = schedule.for_process("job")
-        assert [e.start for e in entries] == [0.0, 1.0, 2.0]
-        assert schedule.makespan == 3.0
-        assert schedule.validate() == []
+        outcome = run(job("job", [("a", "s1"), ("a", "s2"), ("b", "s3")]))
+        entries = timeline(outcome, job_name="job")
+        assert [e.start for e in entries] == [0, UNIT, 2 * UNIT]
+        assert outcome.makespan == 3 * UNIT
 
     def test_independent_processes_run_in_parallel(self):
-        p1 = process("j1", [("a", "s")] * 2)
-        p2 = process("j2", [("b", "s")] * 2)
-        schedule = Scheduler().schedule([p1, p2])
-        assert schedule.makespan == 2.0  # no shared machine
+        outcome = run(job("j1", [("a", "s")] * 2),
+                      job("j2", [("b", "s")] * 2))
+        assert outcome.makespan == 2 * UNIT  # no shared machine
 
     def test_shared_machine_serializes(self):
-        p1 = process("j1", [("mill", "s")])
-        p2 = process("j2", [("mill", "s")])
-        schedule = Scheduler().schedule([p1, p2])
-        assert schedule.makespan == 2.0
-        timeline = schedule.for_machine("mill")
-        assert timeline[0].end <= timeline[1].start
+        outcome = run(job("j1", [("mill", "s")]),
+                      job("j2", [("mill", "s")]))
+        assert outcome.makespan == 2 * UNIT
+        first, second = timeline(outcome, machine="mill")
+        assert first.end <= second.start
 
     def test_durations_respected(self):
-        p = process("job", [("mill", "long"), ("mill", "short")])
-        scheduler = Scheduler(durations={"mill.long": 5.0})
-        schedule = scheduler.schedule([p])
-        assert schedule.makespan == 6.0
+        outcome = run(job("job", [("mill", "long"), ("mill", "short")],
+                          durations={"mill.long": 5 * UNIT}))
+        assert outcome.makespan == 6 * UNIT
 
     def test_empty_input(self):
-        assert Scheduler().schedule([]).makespan == 0.0
+        assert FactorySimulation(Workload([])).run().makespan == 0
 
     def test_duplicate_process_names_rejected(self):
-        with pytest.raises(SchedulingError):
-            Scheduler().schedule([process("x", [("a", "s")]),
-                                  process("x", [("a", "s")])])
+        with pytest.raises(WorkloadError, match="duplicate job names"):
+            Workload([job("x", [("a", "s")]), job("x", [("a", "s")])])
 
     def test_deterministic(self):
-        processes = [process(f"j{i}", [("m1", "a"), ("m2", "b")])
-                     for i in range(4)]
-        first = Scheduler().schedule(processes)
-        second = Scheduler().schedule(processes)
-        assert [(e.process, e.start) for e in first.entries] == \
-            [(e.process, e.start) for e in second.entries]
+        jobs = [job(f"j{i}", [("m1", "a"), ("m2", "b")]) for i in range(4)]
+        first, second = run(*jobs), run(*jobs)
+        assert [(e.job, e.start) for e in first.schedule] == \
+            [(e.job, e.start) for e in second.schedule]
 
     def test_render(self):
-        schedule = Scheduler().schedule(
-            [process("job", [("mill", "go")])])
-        text = schedule.render()
+        outcome = run(job("job", [("mill", "go")]))
+        text = ScenarioReport.from_outcome(
+            outcome, scenario="book", description="", seed=0).render()
         assert "makespan 1" in text
         assert "mill" in text
 
@@ -74,22 +96,30 @@ class TestScheduleBasics:
              min_size=1, max_size=5),
     min_size=1, max_size=5))
 def test_schedule_invariants(step_lists):
-    processes = [process(f"p{i}", steps)
-                 for i, steps in enumerate(step_lists)]
-    schedule = Scheduler().schedule(processes)
+    jobs = [job(f"p{i}", steps) for i, steps in enumerate(step_lists)]
+    outcome = run(*jobs)
     # every step scheduled exactly once
-    assert len(schedule.entries) == sum(len(p) for p in processes)
-    # validator finds no machine overlap or order violation
-    assert schedule.validate() == []
+    assert sorted((e.job, e.step_index) for e in outcome.schedule) == \
+        sorted((j.name, index) for j in jobs
+               for index in range(len(j.steps)))
+    # no machine overlap, and every route runs in order
+    for machine in {e.machine for e in outcome.schedule}:
+        slots = timeline(outcome, machine=machine)
+        assert all(a.end <= b.start for a, b in zip(slots, slots[1:]))
+    for j in jobs:
+        steps = sorted(timeline(outcome, job_name=j.name),
+                       key=lambda entry: entry.step_index)
+        assert all(a.end <= b.start for a, b in zip(steps, steps[1:]))
     # makespan bounded: between the critical path and the serial total
-    total = sum(len(p) for p in processes)
-    longest = max(len(p) for p in processes)
+    total = sum(len(steps) for steps in step_lists)
+    longest = max(len(steps) for steps in step_lists)
     per_machine = {}
     for steps in step_lists:
         for machine, _ in steps:
             per_machine[machine] = per_machine.get(machine, 0) + 1
     bottleneck = max(per_machine.values())
-    assert max(longest, bottleneck) <= schedule.makespan <= total
+    assert max(longest, bottleneck) * UNIT <= outcome.makespan \
+        <= total * UNIT
 
 
 class TestExecutionOnIceLab:
@@ -101,66 +131,66 @@ class TestExecutionOnIceLab:
         result.shutdown()
 
     def test_batch_of_jobs_executes(self, deployed):
-        jobs = [
-            (ProductionProcess("mill-A")
-             .add_step("warehouse", "fetch_tray", 1)
-             .add_step("kairos1", "dock")
-             .add_step("emco", "start_program")),
-            (ProductionProcess("mill-B")
-             .add_step("warehouse", "fetch_tray", 2)
-             .add_step("kairos2", "dock")
-             .add_step("emco", "start_program")),
-            (ProductionProcess("inspect")
-             .add_step("qcPc", "inspect", "unit")
-             .add_step("conveyor", "route_pallet", 1, 3)),
-        ]
-        outcome = Scheduler().execute(jobs, deployed.orchestrator)
-        assert outcome["failed"] == 0
-        assert outcome["executed"] == 8
-        schedule = outcome["schedule"]
+        recipes = {
+            "mill-A": [("warehouse", "fetch_tray", 1),
+                       ("kairos1", "dock"),
+                       ("emco", "start_program")],
+            "mill-B": [("warehouse", "fetch_tray", 2),
+                       ("kairos2", "dock"),
+                       ("emco", "start_program")],
+            "inspect": [("qcPc", "inspect", "unit"),
+                        ("conveyor", "route_pallet", 1, 3)],
+        }
+        workload = EXAMPLE["make_workload"](
+            ServiceTimeModel(deployed.topology), recipes)
+        outcome = FactorySimulation(workload).run()
+        executed, failed = EXAMPLE["dispatch"](
+            outcome.schedule, deployed.orchestrator, recipes)
+        assert (executed, failed) == (8, 0)
         # warehouse and emco are contended across the two mill jobs
-        warehouse_slots = schedule.for_machine("warehouse")
-        assert warehouse_slots[0].end <= warehouse_slots[1].start
+        first, second = timeline(outcome, machine="warehouse")
+        assert first.end <= second.start
 
 
 class TestExecuteErrorNarrowing:
-    """execute() counts typed service failures; real bugs propagate."""
+    """dispatch() counts typed service failures; real bugs propagate."""
 
-    def _jobs(self):
-        return [process("job", [("mill", "cut")])]
+    RECIPES = {"job": [("mill", "cut")]}
+
+    def _dispatch(self, orchestrator):
+        outcome = run(job("job", [("mill", "cut")]))
+        return EXAMPLE["dispatch"](outcome.schedule, orchestrator,
+                                   self.RECIPES)
 
     def test_orchestration_error_counts_as_failed(self):
         class Failing:
             def invoke(self, *_args):
                 raise OrchestrationError("unreachable")
-        outcome = Scheduler().execute(self._jobs(), Failing())
-        assert outcome["failed"] == 1
-        assert outcome["executed"] == 0
+        assert self._dispatch(Failing()) == (0, 1)
 
     def test_service_lookup_error_counts_as_failed(self):
         class Unknown:
             def invoke(self, *_args):
                 raise ServiceLookupError("mill.cut")
-        outcome = Scheduler().execute(self._jobs(), Unknown())
-        assert outcome["failed"] == 1
+        assert self._dispatch(Unknown()) == (0, 1)
 
     def test_memory_error_propagates(self):
         class Leaky:
             def invoke(self, *_args):
                 raise MemoryError()
         with pytest.raises(MemoryError):
-            Scheduler().execute(self._jobs(), Leaky())
+            self._dispatch(Leaky())
 
     def test_keyboard_interrupt_propagates(self):
         class Interrupted:
             def invoke(self, *_args):
                 raise KeyboardInterrupt()
         with pytest.raises(KeyboardInterrupt):
-            Scheduler().execute(self._jobs(), Interrupted())
+            self._dispatch(Interrupted())
 
     def test_harness_bugs_propagate(self):
         class Drifted:
             def invoke(self, *_args):
                 raise TypeError("invoke() signature changed")
         with pytest.raises(TypeError):
-            Scheduler().execute(self._jobs(), Drifted())
+            self._dispatch(Drifted())

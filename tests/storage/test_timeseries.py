@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import StorageError, TimeSeriesStore
+from repro.storage import TimeSeriesStore
 
 
 @pytest.fixture
@@ -77,20 +77,6 @@ class TestQueries:
 
     def test_latest_empty(self, store):
         assert store.latest("nothing") is None
-
-    def test_aggregate(self, store):
-        self.setup_store(store)
-        total = store.aggregate("m", sum, tags={"machine": "emco"})
-        assert total == sum(range(10))
-
-    def test_aggregate_empty_raises(self, store):
-        with pytest.raises(StorageError):
-            store.aggregate("nothing", sum)
-
-    def test_measurements_listing(self, store):
-        store.write("a", 1, timestamp=0.0)
-        store.write("b", 1, timestamp=0.0)
-        assert store.measurements() == ["a", "b"]
 
     def test_series_tag_subset_filter(self, store):
         store.write("m", 1, timestamp=0.0,

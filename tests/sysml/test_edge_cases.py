@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sysml import (LexerError, ParseError, ResolutionError,
-                         elaborate, load_model, model_summary,
-                         print_element, scope_counts, validate_model)
+                         elaborate, instance_counts, load_model,
+                         print_element, validate_model)
 
 
 class TestLexerEdges:
@@ -51,7 +51,7 @@ class TestParserEdges:
 
     def test_empty_source(self):
         model = load_model("")
-        assert model_summary(model)  # stdlib only
+        assert list(model.all_elements())  # stdlib only
 
     def test_string_value_with_path_chars(self):
         model = load_model("""
@@ -113,7 +113,7 @@ class TestResolutionEdges:
 class TestElaborationEdges:
     def test_scope_counts_on_minimal_usage(self):
         model = load_model("part def M; part m : M;")
-        counts = scope_counts(model, model.find("m"))
+        counts = instance_counts(model.find("m"))
         assert counts.part_instances == 1
         assert counts.attribute_instances == 0
 

@@ -87,7 +87,9 @@ MALFORMED = {
     "connection connect;": (
         "ParseError", "expected a name but found ';'", "<model>:1:19"),
     "connection c : ~T connect a to b;": (
-        "ParseError", "expected ';' but found 'connect'", "<model>:1:19"),
+        "ParseError",
+        "connection type before 'connect' cannot be conjugated",
+        "<model>:1:16"),
     "interface i : T connect a;": (
         "ParseError", "expected keyword 'to' but found ';'", "<model>:1:26"),
     "part def A { attribute x : T }": (
@@ -187,7 +189,7 @@ DIGESTS = {
     'corpus-9-hostile': '0fa94f2e3eb6e80c38c65ef5a88250d2495f47d58ba4bed942ae7d47696d539b',
     'corpus-9-tame': '08d6f65da314e5d6925fffcd8ba2e7f97cadd75843cd244b352f135edf0fbe5b',
     'grammar-alias': '8fd6a2463ce2e7258d06a7a9bd3bbe60778491460aec35b4f2c12a8a07a8c212',
-    'grammar-assignments': 'af7a2ca76d860d7f7c507c382379516b26c05fa9663ac2374820787977bc4433',
+    'grammar-assignments': 'bf8182a2a0774ef62a10c5d8603b6165b77d3e187c8ad12357bed9f6da5f0694',
     'grammar-bind': '04e938821a942e0fa962dd04b28b6dd012f85db1e9c54a110a7583fda7fb32ff',
     'grammar-connect-anonymous': 'f568c1e5ab41f24115ae33bd06736dc8811410d7f0355f3cd68d53501c4d133b',
     'grammar-connection-anonymous-usage': 'ee5201de455f1287b64574eb5e2bca50554a586991b59046b94aa553ffda2a10',
@@ -198,8 +200,8 @@ DIGESTS = {
     'grammar-connection-usage-clauses': 'e5a18bc8b36c16bda3a60eb03b2b039e16adb80447aab6e9d704c849e9299c76',
     'grammar-definitions': '2821df82d4c072206b1b7ad168999bc0323ec3f0fad0aa322719dacd030637ed',
     'grammar-directions': '8347436005ac33c74138b7764b0fd0cb9f98739026dcdecb84423d43387f358b',
-    'grammar-docs': 'ce235a837b8694916d141389508fb3b008b6cfa14bba6c4b252992f07b07a6d4',
-    'grammar-enum': 'e8fd14c94ff2bee103d85f22795df27628e3103af737a191b1a7b2d060c0c6ed',
+    'grammar-docs': 'c48b347c00f138c929e68ab856ab75e3d1efdd1da1d6e1af889b6f937640448f',
+    'grammar-enum': '76a0a27ab0ec1fa5203a6294e3b17ab015cf90578104ed3492acb9b8d115a329',
     'grammar-imports': 'aeb18ed26c92650221e936308634a87e392b0190cc7d94e3cefd3c4c7c59f6d4',
     'grammar-interface-named-typed': '578ece245146eabdbcac2643b6c279fa2b15d771987c0ea924f4470146401ad5',
     'grammar-interface-no-connect': '2672a6f6ca192c9c36fef3192ac9e6895ae3365f466bf3b6bf58b0f22a222af3',
@@ -209,7 +211,7 @@ DIGESTS = {
     'grammar-interface-typed': '139b64bc9284cd908e90f6956b8443b7f45fd2968be0f89059750859b7a76023',
     'grammar-package': '51898ec5a6a5a390958925b70b1c4e4bf14c979405e7167a13e115fb6399357c',
     'grammar-part-named-connect': 'a6b3b393ddb9d2366273738d0320dce346eeb85096829f3719099c5db194e112',
-    'grammar-perform': '164508156114045bee67a544d781d392692d506334777fea5a3ea96dcbf4f32b',
+    'grammar-perform': '21f13fe36dc080d6f121d38377eb82811e1a8ae72f2e45665c4c4ee7b7618c67',
     'grammar-shorthand': '41be703162e5b711e93fb306d19cc75ba52625325cd55a3be2f5482b8084bc0d',
     'grammar-specializes-after-shorthand': 'ee52a0e8be537c2e5dd8275d93b1286d2763145ea100eb267fd41c57d3bb9587',
     'grammar-usages': '2b203899a7f4c4340bde58cbcf1cfd0fd7d1c3b678cfbf5e48b63f49bc6736c0',

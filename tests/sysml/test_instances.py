@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sysml import (ElaborationError, elaborate, elaborate_model,
+from repro.sysml import (ElaborationError, elaborate,
                          load_model, propagate_bindings)
 from repro.sysml.instances import Elaborator
 
@@ -180,21 +180,6 @@ class TestCyclesAndDepth:
             Elaborator(max_depth=2).elaborate(model.find("root"))
 
 
-class TestModelElaboration:
-    def test_elaborate_model_returns_top_level_parts(self, emco_model):
-        roots = elaborate_model(emco_model)
-        names = {r.name for r in roots}
-        assert "ICETopology" in names
-        assert "emcoDriver" in names
-
-    def test_usages_inside_definitions_not_elaborated(self):
-        model = load_model("""
-            part def Lib { part inner : Lib2; }
-            part def Lib2;
-        """)
-        assert elaborate_model(model) == []
-
-
 class TestBindingPropagation:
     def test_value_flows_across_bind(self):
         _, tree = model_and_root("""
@@ -268,15 +253,8 @@ class TestInstanceNodeApi:
             }
             part c : C;
         """, "c")
-        assert tree.count_kind("attribute") == 3
-        assert tree.count_kind("part") == 2  # c and i
-
-    def test_children_of_kind(self):
-        _, tree = model_and_root("""
-            part def C { attribute a : Real; port def P; part def I; part i : I; }
-            part c : C;
-        """, "c")
-        assert [n.name for n in tree.children_of_kind("attribute")] == ["a"]
+        assert tree.count(lambda n: n.kind == "attribute") == 3
+        assert tree.count(lambda n: n.kind == "part") == 2  # c and i
 
     def test_find_missing_returns_none(self):
         _, tree = model_and_root("part def C; part c : C;", "c")

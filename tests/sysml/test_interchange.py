@@ -85,7 +85,40 @@ class TestRoundTrip:
         assert emco.specializations == []
 
 
+def nested_packages_json(depth):
+    """*depth* packages, each owning the next, as model JSON text."""
+    opening = "".join(f'{{"@type": "Package", "name": "P{index}", '
+                      f'"ownedElements": [' for index in range(depth))
+    return '{"ownedElements": [' + opening + "]}" * depth + "]}"
+
+
 class TestErrors:
+    @pytest.mark.parametrize("text,message", [
+        ('{"ownedElements": [', "invalid JSON model"),
+        (nested_packages_json(500), "nested too deeply"),
+        (nested_packages_json(400), "nest more than 128 bodies"),
+        (json.dumps({"ownedElements": [{"@type": "Alias", "name": "a"}]}),
+         "KeyError: 'aliasOf'"),
+        (json.dumps({"ownedElements": [
+            {"@type": "Alias", "name": "a", "aliasOf": 5}]}),
+         "AttributeError"),
+        (json.dumps({"ownedElements": [{"@type": "PartUsage",
+                                        "kind": "part", "name": "p",
+                                        "multiplicity": {"lower": 1}}]}),
+         "KeyError: 'upper'"),
+        (json.dumps({"ownedElements": ["P"]}), "AttributeError"),
+        ("[]", "AttributeError"),
+    ], ids=["truncated", "json-500-deep", "elements-400-deep",
+            "missing-aliasOf", "ill-typed-aliasOf", "missing-upper",
+            "element-not-an-object", "model-not-an-object"])
+    def test_bad_input_is_a_sysml_error(self, text, message):
+        with pytest.raises(SysMLError, match=message):
+            model_from_json(text)
+
+    def test_nesting_at_the_text_limit_loads(self):
+        model = model_from_json(nested_packages_json(128))
+        assert model.find("::".join(f"P{i}" for i in range(128)))
+
     def test_unknown_type_rejected(self):
         with pytest.raises(SysMLError):
             element_from_dict({"@type": "Banana"})

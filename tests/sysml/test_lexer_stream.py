@@ -1,7 +1,7 @@
 """Differential tests: streaming lexer vs the reference scanner.
 
 The streaming regex lexer (`repro.sysml.lexer`) must agree with the
-character-at-a-time reference (`repro.sysml.lexer_reference`)
+character-at-a-time reference (`tests/lexer_reference.py`)
 token-for-token — kinds, values, source locations — and raise the same
 errors with the same messages and positions. These tests are the
 executable contract that lets the hot path evolve without semantic
@@ -10,10 +10,10 @@ drift; the scaling bench separately asserts the speedup.
 
 import pytest
 
+from lexer_reference import tokenize_reference
 from repro.icelab.model_gen import icelab_sources
 from repro.sysml.errors import LexerError
 from repro.sysml.lexer import Lexer, iter_tokens, tokenize
-from repro.sysml.lexer_reference import tokenize_reference
 from repro.sysml.tokens import TokenKind
 
 

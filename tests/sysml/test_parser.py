@@ -252,6 +252,20 @@ class TestConnectorsAndBinds:
         assert str(node.type_name) == "DataInterface"
 
 
+class TestConjugatedConnectorType:
+    @pytest.mark.parametrize("text", [
+        "connection c : T~ connect a to b;",
+        "connection c : ~T connect a to b;",
+    ])
+    def test_rejected_in_both_spellings(self, text):
+        with pytest.raises(ParseError,
+                           match="cannot be conjugated") as info:
+            parse(text, "f.sysml")
+        location = info.value.location
+        assert (location.filename, location.line, location.column) == \
+            ("f.sysml", 1, 16)
+
+
 class TestPerformAndAssignments:
     def test_perform_with_assignment(self):
         node = only(parse("""
@@ -270,6 +284,23 @@ class TestPerformAndAssignments:
     def test_perform_without_body(self):
         node = only(parse("perform startup.init;"))
         assert node.owned_elements == []
+
+
+class TestLocations:
+    def test_assignment_sits_at_its_first_token(self):
+        action = parse("action a {\n  out x = b.c;\n}", "f.sysml").members[0]
+        (assignment,) = action.owned_elements
+        assert isinstance(assignment, el.Assignment)
+        assert (assignment.location.filename, assignment.location.line,
+                assignment.location.column) == ("f.sysml", 2, 3)
+
+    def test_enum_literal_sits_at_its_name(self):
+        enum = parse("enum def E {\n  red;\n    green;\n}",
+                     "f.sysml").members[0]
+        assert [(literal.location.filename, literal.location.line,
+                 literal.location.column)
+                for literal in enum.owned_elements] == [
+            ("f.sysml", 2, 3), ("f.sysml", 3, 5)]
 
 
 class TestErrors:

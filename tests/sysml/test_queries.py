@@ -1,31 +1,12 @@
 """Tests for the model metric/navigation queries used by Table I."""
 
-from repro.sysml import (count_definition_closure, definitions_in,
-                         elaborate, instance_counts, load_model,
-                         model_summary, scope_counts, specializations_of,
-                         usages_in, usages_typed_by)
+from repro.sysml import (count_definition_closure, elaborate,
+                         instance_counts, load_model, specializations_of,
+                         usages_typed_by)
 from repro.sysml.queries import instance_counts_of_tree
 
 
 class TestStructuralQueries:
-    def test_definitions_in_scope(self, emco_model):
-        emco_pkg = emco_model.find("EMCO")
-        part_defs = definitions_in(emco_pkg, "part")
-        names = {d.name for d in part_defs}
-        assert {"EMCODriver", "EMCOParameters", "EMCOVariables",
-                "EMCOMethods", "EMCO", "EMCOMachineData",
-                "EMCOServices"} <= names
-
-    def test_port_definitions_in_scope(self, emco_model):
-        emco_pkg = emco_model.find("EMCO")
-        port_defs = definitions_in(emco_pkg, "port")
-        assert {d.name for d in port_defs} == {"EMCOVar", "EMCOMethod"}
-
-    def test_usages_in_scope(self, emco_model):
-        driver = emco_model.find("emcoDriver")
-        attribute_usages = usages_in(driver, "attribute")
-        assert any(u.name == "actualX" for u in attribute_usages)
-
     def test_usages_typed_by_definition(self, emco_model):
         machine_def = emco_model.find("ISA95::Machine")
         usages = usages_typed_by(emco_model, machine_def)
@@ -67,7 +48,8 @@ class TestInstanceCounts:
         driver = emco_model.find("emcoDriver")
         tree = elaborate(driver)
         counts = instance_counts_of_tree(tree)
-        assert counts.part_instances == tree.count_kind("part")
+        assert counts.part_instances == tree.count(
+            lambda node: node.kind == "part")
 
 
 class TestDefinitionClosure:
@@ -83,20 +65,3 @@ class TestDefinitionClosure:
     def test_closure_of_untyped_usage_is_zero(self):
         model = load_model("part lonely;")
         assert count_definition_closure(model.find("lonely")) == 0
-
-
-class TestScopeCounts:
-    def test_scope_counts_combines_defs_and_instances(self, emco_model):
-        driver = emco_model.find("emcoDriver")
-        counts = scope_counts(emco_model, driver)
-        assert counts.part_definitions > 0
-        assert counts.part_instances == 6
-
-
-class TestModelSummary:
-    def test_summary_keys(self, emco_model):
-        summary = model_summary(emco_model)
-        assert summary["PartDefinition"] >= 10
-        assert summary["PortDefinition"] >= 2
-        assert summary["BindingConnector"] == 2
-        assert summary["Package"] >= 3  # ISA95, EMCO, stdlib

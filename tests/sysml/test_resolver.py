@@ -105,8 +105,8 @@ class TestTypingResolution:
     def test_inherited_member_visible_through_typing(self, emco_model):
         # emcoParameters : EMCOParameters exposes the def's 'ip'
         params = emco_model.find("emcoDriver::emcoParameters")
-        assert "ip" in params.effective_members()
-        assert "ip_port" in params.effective_members()
+        assert params.effective_member("ip") is not None
+        assert params.effective_member("ip_port") is not None
 
 
 class TestRedefinitionResolution:
@@ -132,7 +132,8 @@ class TestRedefinitionResolution:
 
 class TestChainResolution:
     def test_bind_endpoints(self, emco_model):
-        binds = [b for b in emco_model.elements_of_type(BindingConnector)]
+        binds = [b for b in emco_model.all_elements()
+                 if isinstance(b, BindingConnector)]
         assert len(binds) == 2
         for bind in binds:
             assert bind.left is not None
@@ -140,13 +141,15 @@ class TestChainResolution:
 
     def test_bind_reaches_port_internal_attribute(self, emco_model):
         bind = next(
-            b for b in emco_model.elements_of_type(BindingConnector)
-            if str(b.left_chain) == "pp_actual_X_EMCOVar.value")
+            b for b in emco_model.all_elements()
+            if isinstance(b, BindingConnector)
+            and str(b.left_chain) == "pp_actual_X_EMCOVar.value")
         assert bind.left.name == "value"
         assert bind.right.name == "actualX"
 
     def test_perform_target_is_action(self, emco_model):
-        perform = next(iter(emco_model.elements_of_type(PerformAction)))
+        perform = next(e for e in emco_model.all_elements()
+                       if isinstance(e, PerformAction))
         assert perform.target.name == "operation"
         assert perform.target.kind == "action"
 

@@ -28,6 +28,13 @@ class TestCli:
         assert main(["validate", str(deep)]) == 1
         assert "nest deeper than" in capsys.readouterr().out
 
+    def test_convert_malformed_json_model_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"ownedElements": [{"@type": "Alias", "name": "a"}]}')
+        assert main(["convert", str(bad), str(tmp_path / "out.sysml")]) == 1
+        assert "malformed JSON model" in capsys.readouterr().out
+        assert not (tmp_path / "out.sysml").exists()
+
     def test_validate_file_ok(self, tmp_path, capsys):
         good = tmp_path / "good.sysml"
         good.write_text("part def M { attribute a : Real; } part m : M;")

@@ -1,10 +1,8 @@
 """Bounded-wait helpers."""
 
-import threading
-
 import pytest
 
-from repro.testkit import Deadline, wait_for_event, wait_until
+from repro.testkit import Deadline, wait_until
 from repro.testkit import waiting
 
 
@@ -66,18 +64,6 @@ class TestWaitUntil:
         with pytest.raises(TimeoutError):
             wait_until(lambda: False, timeout=1.0, interval=0.5)
         assert fake.sleeps == [0.0]  # clamped, not a 0.5s oversleep
-
-
-class TestWaitForEvent:
-    def test_set_event_returns(self):
-        event = threading.Event()
-        event.set()
-        wait_for_event(event, timeout=1.0)
-
-    def test_unset_event_times_out(self):
-        with pytest.raises(TimeoutError, match="worker start"):
-            wait_for_event(threading.Event(), timeout=0.05,
-                           message="worker start")
 
 
 class TestDeadline:

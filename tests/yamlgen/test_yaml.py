@@ -2,9 +2,10 @@
 
 import pytest
 
+from fixtures import emit_documents
 from repro.yamlgen import (YamlEmitError, YamlParseError, emit,
-                           emit_documents, needs_quoting, parse,
-                           parse_documents, parse_scalar)
+                           needs_quoting, parse, parse_documents,
+                           parse_scalar)
 
 
 class TestScalars:

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.yamlgen import emit, emit_documents, parse, parse_documents
+from fixtures import emit_documents
+from repro.yamlgen import emit, parse, parse_documents
 
 scalars = st.one_of(
     st.none(),
