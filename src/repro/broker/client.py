@@ -50,15 +50,13 @@ class BrokerClient:
 
     # -- request/reply ----------------------------------------------------------
 
-    def request(self, topic: str, payload: dict,
-                *, timeout_steps: int = 1) -> object:
+    def request(self, topic: str, payload: dict) -> object:
         """Publish a request and wait (synchronously) for the reply.
 
         The responder is expected to subscribe on *topic* and publish the
         reply on the ``reply_to`` topic included in the request envelope.
         Because the broker is synchronous, the reply is available
-        immediately after ``publish`` returns; *timeout_steps* is kept
-        for interface compatibility with asynchronous deployments.
+        immediately after ``publish`` returns, or never.
         """
         self._ensure_connected()
         request_id = next(_request_ids)
@@ -76,9 +74,7 @@ class BrokerClient:
                 raise BrokerError(
                     f"no responder subscribed on {topic!r}")
             if not replies:
-                raise BrokerError(
-                    f"responder on {topic!r} did not reply within "
-                    f"{timeout_steps} step(s)")
+                raise BrokerError(f"responder on {topic!r} did not reply")
             return replies[0]
         finally:
             self.broker.unsubscribe(subscription_id)

@@ -57,17 +57,14 @@ def _cmd_model(args) -> int:
 def _cmd_validate(args) -> int:
     import json as _json
 
-    from .sysml import load_model, validate_model
+    from .sysml import load_model, load_model_file, validate_model
     from .sysml.errors import SysMLError
-    if args.file:
-        with open(args.file) as handle:
-            source = handle.read()
-        sources = [source]
-    else:
-        from .icelab import icelab_sources
-        sources = icelab_sources()
     try:
-        model = load_model(*sources)
+        if args.file:
+            model = load_model_file(args.file)
+        else:
+            from .icelab import icelab_sources
+            model = load_model(*icelab_sources())
     except SysMLError as exc:
         if args.json:
             print(_json.dumps({
@@ -743,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = subparsers.add_parser("validate",
                                        help="validate a model file")
     p_validate.add_argument("file", nargs="?",
-                            help=".sysml file (default: built-in ICE lab)")
+                            help=".sysml or .json model file "
+                                 "(default: built-in ICE lab)")
     p_validate.add_argument(
         "--json", action="store_true",
         help="machine-readable JSON report (for health checks and CI)")

@@ -68,15 +68,15 @@ def decode_int(high: int, low: int) -> int:
     return struct.unpack(">i", struct.pack(">HH", high, low))[0]
 
 
-def encode_string(value: str, slot_registers: int = STRING_SLOT_REGISTERS
-                  ) -> list[int]:
-    """UTF-8 bytes packed two-per-register, zero-padded."""
-    raw = value.encode("utf-8")[:slot_registers * 2]
+def encode_string(value: str) -> list[int]:
+    """UTF-8 bytes packed two-per-register into one string slot,
+    zero-padded."""
+    raw = value.encode("utf-8")[:STRING_SLOT_REGISTERS * 2]
     if len(raw) % 2:
         raw += b"\x00"
     registers = [int.from_bytes(raw[i:i + 2], "big")
                  for i in range(0, len(raw), 2)]
-    registers.extend([0] * (slot_registers - len(registers)))
+    registers.extend([0] * (STRING_SLOT_REGISTERS - len(registers)))
     return registers
 
 

@@ -29,8 +29,10 @@ Plans activate two ways:
   :func:`repro.parallel.map_ordered` forwards the active plan into its
   worker threads/processes so nested sites keep injecting.
 * :func:`install_plan` / :func:`uninstall_plan` — a process-global
-  fallback for components whose threads the context cannot reach
-  (the HTTP server's request handlers).
+  fallback for threads the context cannot reach (a running HTTP
+  server's request handlers). No product path installs a plan this
+  way; it is the seam through which the resilience tests put faults
+  into a live server.
 """
 
 from __future__ import annotations

@@ -16,10 +16,6 @@ Canonical JSON (sorted keys, no whitespace, ``default=str`` for exotic
 leaf values) makes the fingerprint independent of dict insertion order
 and stable across processes.
 
-Anything that can answer "what is your content hash?" implements the
-:class:`Fingerprintable` protocol; :func:`fingerprint_of` dispatches on
-it, so composite keys can mix plain values and fingerprintable objects.
-
 Every salt lives here and nowhere else. A deleted layer takes its salt
 along; the entries it left on disk age out through the cache's LRU.
 """
@@ -28,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Protocol, runtime_checkable
 
 #: Bump to invalidate every cached artifact (on-disk layout change).
 CACHE_SCHEMA_VERSION = 1
@@ -113,35 +108,10 @@ def fingerprint(*parts: object, salt: str = "") -> str:
     return hasher.hexdigest()
 
 
-@runtime_checkable
-class Fingerprintable(Protocol):
-    """Anything that can state a stable content hash of itself.
-
-    Implementors return a hex digest that changes exactly when their
-    *content* changes — never with identity, timing or process state.
-    """
-
-    def fingerprint_key(self) -> str:
-        """The stable content hash of this object."""
-        ...  # pragma: no cover - protocol
-
-
-def fingerprint_of(value: object, *, salt: str = "") -> str:
-    """Fingerprint one value, honoring :class:`Fingerprintable`.
-
-    A plain value hashes via :func:`fingerprint`; an object implementing
-    the protocol contributes its own ``fingerprint_key()`` (re-salted so
-    different layers never share keys).
-    """
-    if isinstance(value, Fingerprintable) and not isinstance(value, type):
-        return fingerprint(value.fingerprint_key(), salt=salt)
-    return fingerprint(value, salt=salt)
-
-
 __all__ = [
-    "CACHE_SCHEMA_VERSION", "Fingerprintable", "MODEL_SALT", "NODE_SALT",
+    "CACHE_SCHEMA_VERSION", "MODEL_SALT", "NODE_SALT",
     "PARSE_TREE_SALT", "PLAN_SALT", "RESULT_SALT", "ROUTER_RING_SALT",
     "SERVICE_GENERATE_SALT", "SIM_BRIEFING_SALT",
     "SIM_REPORT_SALT", "TOPOLOGY_SALT", "WORKLOAD_SALT", "canonical_json",
-    "fingerprint", "fingerprint_of",
+    "fingerprint",
 ]

@@ -8,26 +8,7 @@ paper's intermediate JSON files need.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-
-
-class EquipmentLevel(enum.Enum):
-    """Hierarchy levels of the ISA-95 equipment model."""
-
-    ENTERPRISE = "enterprise"
-    SITE = "site"
-    AREA = "area"
-    PRODUCTION_LINE = "production_line"
-    WORKCELL = "workcell"
-    MACHINE = "machine"
-
-    @property
-    def depth(self) -> int:
-        order = [EquipmentLevel.ENTERPRISE, EquipmentLevel.SITE,
-                 EquipmentLevel.AREA, EquipmentLevel.PRODUCTION_LINE,
-                 EquipmentLevel.WORKCELL, EquipmentLevel.MACHINE]
-        return order.index(self)
 
 
 @dataclass

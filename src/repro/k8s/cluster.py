@@ -263,17 +263,6 @@ class Cluster:
                 if p.owner == deployment_name
                 and p.metadata.namespace == namespace]
 
-    def endpoints(self, service_name: str,
-                  namespace: str = "default") -> list[Pod]:
-        service = self.services.get((namespace, service_name))
-        if service is None:
-            raise ClusterError(f"no service {service_name!r} in "
-                               f"{namespace!r}")
-        return [p for p in self.pods.values()
-                if p.metadata.namespace == namespace
-                and all(p.labels.get(k) == v
-                        for k, v in service.selector.items())]
-
     def running_pods(self) -> list[Pod]:
         return [p for p in self.pods.values() if p.phase == "Running"]
 

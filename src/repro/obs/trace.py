@@ -149,20 +149,14 @@ class PipelineTrace(Summarizable):
         """The full trace tree (not just the summary) as JSON."""
         return json.dumps(self.to_dict(), indent=indent, default=str)
 
-    def render(self, *, max_depth: int | None = None,
-               min_fraction: float = 0.0) -> str:
+    def render(self) -> str:
         """A flamegraph-style text tree with per-span timings."""
         lines: list[str] = []
         total = self.total_seconds or 1e-12
-        name_width = self._name_width(max_depth)
+        name_width = self._name_width()
 
-        def emit(record: SpanRecord, prefix: str, tail: str,
-                 depth: int) -> None:
-            if max_depth is not None and depth > max_depth:
-                return
+        def emit(record: SpanRecord, prefix: str, tail: str) -> None:
             fraction = record.duration_s / total
-            if depth and fraction < min_fraction:
-                return
             label = prefix + tail + record.name
             extras = [f"{k}={v}" for k, v in record.attributes.items()]
             suffix = ("  " + " ".join(extras)) if extras else ""
@@ -173,19 +167,16 @@ class PipelineTrace(Summarizable):
                                      "│  " if tail == "├─ " else "")
             for index, child in enumerate(record.children):
                 last = index == len(record.children) - 1
-                emit(child, child_prefix, "└─ " if last else "├─ ",
-                     depth + 1)
+                emit(child, child_prefix, "└─ " if last else "├─ ")
 
         for root in self.roots:
-            emit(root, "", "", 0)
+            emit(root, "", "")
         return "\n".join(lines) or "(empty trace)"
 
-    def _name_width(self, max_depth: int | None) -> int:
+    def _name_width(self) -> int:
         width = 8
         for root in self.roots:
             for record, depth in _walk_depth(root, 0):
-                if max_depth is not None and depth > max_depth:
-                    continue
                 width = max(width, 3 * depth + len(record.name))
         return min(width + 2, 60)
 

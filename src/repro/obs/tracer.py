@@ -19,8 +19,8 @@ Usage::
     tracer = Tracer()
     with tracer.activate():
         with span("parse", file="plant.sysml") as s:
-            tokens = tokenize(...)
-            s.set("tokens", len(tokens))
+            model = load_model(text)
+            s.set("elements", len(model.owned_elements))
     print(tracer.trace().render())
 """
 

@@ -190,9 +190,9 @@ class AddressSpace:
     def find(self, node_id: NodeId) -> Node | None:
         return self._nodes.get(node_id)
 
-    def browse_path(self, path: str, root: Node | None = None) -> Node:
-        """Walk ``a/b/c`` browse names from *root* (default Objects)."""
-        node = root or self.objects
+    def browse_path(self, path: str) -> Node:
+        """Walk ``a/b/c`` browse names from the Objects folder."""
+        node = self.objects
         for name in path.split("/"):
             child = node.child_by_name(name)
             if child is None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .address_space import Node
 from .network import NetworkError, UaNetwork, default_network
 from .nodeids import NodeId
 from .server import OpcUaServer, Session
@@ -54,9 +53,6 @@ class OpcUaClient:
 
     # -- convenience service wrappers ---------------------------------------------
 
-    def browse(self, node_id: NodeId | None = None) -> list[Node]:
-        return self.session.browse(node_id)
-
     def read(self, node: NodeId | str):
         return self.session.read(self._resolve(node)).value
 
@@ -70,7 +66,7 @@ class OpcUaClient:
         return self.session.call(self._resolve(node), *args)
 
     def subscribe(self, nodes: list[NodeId | str],
-                  callback: Callable[[DataChangeNotification], None] | None = None
+                  callback: Callable[[DataChangeNotification], None]
                   ) -> Subscription:
         subscription = self.session.create_subscription(callback)
         for node in nodes:

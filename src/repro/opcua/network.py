@@ -43,9 +43,6 @@ class UaNetwork:
             raise NetworkError(f"server at {endpoint} is not running")
         return server
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._servers)
-
     def __len__(self) -> int:
         return len(self._servers)
 

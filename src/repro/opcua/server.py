@@ -141,12 +141,6 @@ class Session:
 
     # -- service set -----------------------------------------------------------
 
-    def browse(self, node_id: NodeId | None = None) -> list[Node]:
-        self._ensure_open()
-        node = (self.server.space.get(node_id) if node_id is not None
-                else self.server.space.objects)
-        return list(node.children)
-
     def translate_browse_path(self, path: str) -> NodeId:
         self._ensure_open()
         return self.server.space.browse_path(path).node_id
@@ -176,8 +170,7 @@ class Session:
         return node.call(*args)
 
     def create_subscription(
-            self,
-            callback: Callable[[DataChangeNotification], None] | None = None
+            self, callback: Callable[[DataChangeNotification], None]
     ) -> Subscription:
         self._ensure_open()
         _SUBSCRIPTIONS.inc()

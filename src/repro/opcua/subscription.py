@@ -2,15 +2,13 @@
 
 A client creates a subscription on a server and adds monitored items
 (variables). Each variable write produces a data-change notification
-that is either queued (for :meth:`Subscription.take_notifications`) or
-pushed to a callback — the mechanism the generated OPC UA clients use
-to forward machine data onto the message broker.
+pushed to the subscription's callback — the mechanism the generated
+OPC UA clients use to forward machine data onto the message broker.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,13 +58,10 @@ class Subscription:
     """A server-side subscription owned by one client session."""
 
     def __init__(self, subscription_id: int,
-                 callback: Callable[[DataChangeNotification], None] | None = None,
-                 *, max_queue: int = 10_000):
+                 callback: Callable[[DataChangeNotification], None]):
         self.subscription_id = subscription_id
         self.callback = callback
         self.items: dict[int, MonitoredItem] = {}
-        self.queue: deque[DataChangeNotification] = deque(maxlen=max_queue)
-        self.dropped = 0
         self.active = True
 
     def monitor(self, node: VariableNode) -> MonitoredItem:
@@ -75,21 +70,8 @@ class Subscription:
         return item
 
     def _dispatch(self, notification: DataChangeNotification) -> None:
-        if not self.active:
-            return
-        if self.callback is not None:
+        if self.active:
             self.callback(notification)
-        else:
-            if len(self.queue) == self.queue.maxlen:
-                self.dropped += 1
-            self.queue.append(notification)
-
-    def take_notifications(self, max_count: int | None = None
-                           ) -> list[DataChangeNotification]:
-        taken: list[DataChangeNotification] = []
-        while self.queue and (max_count is None or len(taken) < max_count):
-            taken.append(self.queue.popleft())
-        return taken
 
     def close(self) -> None:
         self.active = False

@@ -74,7 +74,6 @@ def run_factory(specs: list[MachineSpec], *,
                 capacity: int = DEFAULT_CLIENT_CAPACITY,
                 namespace: str = "factory",
                 smoke_steps: int = 5,
-                cluster_nodes: int = 3,
                 seed: int = 0) -> EndToEndResult:
     """Run the whole Figure-1 flow for a list of machine specs."""
     from ..icelab.model_gen import load_icelab_model
@@ -84,8 +83,7 @@ def run_factory(specs: list[MachineSpec], *,
         model, options=PipelineOptions(capacity=capacity,
                                        namespace=namespace))
     world = FactoryWorld.for_specs(specs, seed=seed)
-    cluster = Cluster(nodes=cluster_nodes,
-                      component_factory=make_component_factory(world))
+    cluster = Cluster(component_factory=make_component_factory(world))
     deploy_manifests(cluster, generation.manifests)
     registry = ServiceRegistry.from_topology(
         generation.topology, topic_root(generation.topology))

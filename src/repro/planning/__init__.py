@@ -32,8 +32,7 @@ plans, and cost equivalence across planner seeds.
 from .backend import (PlannedProblem, PlanningOptions, PlanningResult,
                       plan_operations, topology_planning_key)
 from .pddl import emit_domain, emit_problem, render_plan
-from .planner import (DEFAULT_MAX_EXPANSIONS, STRATEGIES, SearchResult,
-                      heuristic, solve)
+from .planner import DEFAULT_MAX_EXPANSIONS, STRATEGIES, SearchResult, solve
 from .task import (FactoryDomain, GroundAction, PlanningError,
                    PlanningTask, SymbolTable, build_task)
 from .validate import (MachineSimulators, PlanValidation, build_simulators,
@@ -44,6 +43,6 @@ __all__ = [
     "MachineSimulators", "PlannedProblem", "PlanningError", "PlanningOptions",
     "PlanningResult", "PlanningTask", "PlanValidation", "STRATEGIES",
     "SearchResult", "SymbolTable", "build_simulators", "build_task",
-    "emit_domain", "emit_problem", "heuristic", "plan_operations",
+    "emit_domain", "emit_problem", "plan_operations",
     "render_plan", "solve", "topology_planning_key", "validate_plan",
 ]

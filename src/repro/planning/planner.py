@@ -5,7 +5,8 @@ Two strategies share one best-first loop:
 * ``uniform`` — uniform-cost search (f = g, unit action costs):
   cost-optimal, used where plan *cost* must be seed-independent;
 * ``greedy``  — greedy best-first on the heuristic (f = h): the
-  default. The heuristic below is monotonically improvable on tasks
+  default. The heuristic, the sum of each part's exact remaining cost
+  (``PartRoute.remaining``), is monotonically improvable on tasks
   ground by :func:`repro.planning.task.build_task` (there is always an
   action that lowers it: complete a running step, start a ready one,
   or move a part one hop toward the nearest provider), so greedy
@@ -27,9 +28,10 @@ completes a step of exactly one part, so :func:`solve` never decodes a
 whole state. Each heap entry carries the state's part view (each
 part's cost, step position, location and running step), and a
 successor's heuristic is h(s) − cost(p, s) + cost(p, s′) for the one
-part *p* the action touches. :func:`heuristic` decodes the state from
-its atoms and stays the reference definition; tests hold the two
-equal at every generated state. Successors come from a
+part *p* the action touches. The reference definition, which decodes
+the state from its atoms, lives with the planner tests
+(``tests/planning/heuristic_reference.py``); they hold the two equal
+at every generated state. Successors come from a
 :class:`SearchIndex` that files each action under one of its
 precondition atoms, in ``task.actions`` order, so heap counters and
 plans are those of a full scan.
@@ -106,25 +108,6 @@ def part_view(task: PlanningTask,
         view.append((_part_cost(route, position, here, active),
                      position, here, active))
     return tuple(view)
-
-
-def heuristic(task: PlanningTask, state: frozenset[int]) -> int:
-    """Sum of exact per-part independent remaining costs.
-
-    Each part contributes its ``PartRoute.remaining`` table value (the
-    optimal action count for the part alone) — admissible because
-    every grounded action advances exactly one part and contention can
-    only add actions. Crucially it admits **monotone descent**: from
-    any non-goal state some action lowers it by exactly 1 (a running
-    step can always complete; an idle-world part can always follow its
-    own optimal policy), so greedy best-first expands ~plan-length
-    states instead of wandering plateaus.
-
-    This decodes the whole state and is the reference definition;
-    :func:`solve` computes the same value by delta (see
-    :class:`SearchIndex`).
-    """
-    return sum(entry[0] for entry in part_view(task, state))
 
 
 class SearchIndex:

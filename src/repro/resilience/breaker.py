@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Callable
 
 from ..obs import METRICS
@@ -132,18 +131,6 @@ class CircuitBreaker:
                 self._failures += 1
                 if self._failures >= self.failure_threshold:
                     self._trip_locked()
-
-    @contextmanager
-    def protect(self):
-        """``with breaker.protect(): call()`` — gate + auto-record."""
-        self.allow()
-        try:
-            yield
-        except Exception:
-            self.record_failure()
-            raise
-        else:
-            self.record_success()
 
     def __repr__(self) -> str:
         return (f"CircuitBreaker({self.name!r}, state={self.state!r}, "

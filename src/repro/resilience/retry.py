@@ -3,17 +3,11 @@
 :class:`RetryPolicy` is a frozen description of a retry schedule —
 attempt count, exponential backoff bounds, jitter fraction and an
 optional seed that makes the jitter stream deterministic (the testkit
-and the chaos oracle rely on that: same seed, same delays). Deadlines
-come in two flavours:
-
-* ``overall_deadline`` — a budget for the whole operation, enforced by
-  :func:`retry_call` *before* each sleep: if the next backoff would
-  overrun the budget the call gives up immediately with
-  :class:`DeadlineExceeded` instead of sleeping past it;
-* ``attempt_deadline`` — a per-attempt budget for call sites that can
-  bound one attempt themselves (e.g. a socket timeout); query it with
-  :meth:`RetryPolicy.attempt_budget`, which also clamps to whatever
-  remains of the overall budget.
+and the chaos oracle rely on that: same seed, same delays). An
+``overall_deadline`` is a budget for the whole operation, enforced by
+:func:`retry_call` *before* each sleep: if the next backoff would
+overrun the budget the call gives up immediately with
+:class:`DeadlineExceeded` instead of sleeping past it.
 
 :func:`retry_call` classifies failures with *retry_on* (an exception
 tuple or a predicate; the default retries exceptions whose
@@ -78,7 +72,6 @@ class RetryPolicy:
     jitter: float = 0.25
     #: Seed for the jitter stream; ``None`` draws from the process RNG.
     seed: int | None = None
-    attempt_deadline: float | None = None
     overall_deadline: float | None = None
 
     def __post_init__(self) -> None:
@@ -98,15 +91,6 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(0.0, raw)
-
-    def attempt_budget(self, elapsed: float = 0.0) -> float | None:
-        """Seconds one attempt may take, given *elapsed* so far."""
-        budgets = []
-        if self.attempt_deadline is not None:
-            budgets.append(self.attempt_deadline)
-        if self.overall_deadline is not None:
-            budgets.append(max(0.0, self.overall_deadline - elapsed))
-        return min(budgets) if budgets else None
 
 
 def retry_call(fn: Callable[[], _T], *,

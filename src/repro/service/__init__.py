@@ -19,9 +19,7 @@ resident and shares it safely among many callers:
   a consistent-hash :class:`HashRing`, worker stacks (in-process or
   child ``repro serve`` processes) and the :class:`RouterService`
   front end with health probes, deterministic failover and
-  cross-shard ``/metrics`` / ``/cache/stats`` aggregation;
-* :mod:`.topology` — the tier described in its own SysML v2 model and
-  emitted as Kubernetes manifests (the dogfood path).
+  cross-shard ``/metrics`` / ``/cache/stats`` aggregation.
 
 Start a single node with ``repro serve``; start the sharded tier with
 ``repro serve --workers N``.
@@ -44,8 +42,6 @@ from .server import (BadOption, BadRequest, ConfigurationService,
                      parse_generate_body, request_key, request_options,
                      semantic_options)
 from .singleflight import SingleFlight
-from .topology import (serving_topology_manifests, serving_topology_sysml,
-                       deploy_serving_topology)
 from .worker import LocalWorker, WorkerEndpoint, WorkerProcess
 
 __all__ = [
@@ -61,8 +57,6 @@ __all__ = [
     "ServiceLifecycle", "ServiceRequestHandler", "SingleFlight",
     "TokenBucket", "TopologyDrainReport", "WorkerEndpoint",
     "WorkerProcess", "bundle_bytes", "bundle_from_result",
-    "deploy_serving_topology", "parse_generate_body", "request_key",
-    "request_options",
-    "semantic_options", "serving_topology_manifests",
-    "serving_topology_sysml",
+    "parse_generate_body", "request_key", "request_options",
+    "semantic_options",
 ]

@@ -216,14 +216,15 @@ class TokenBucket:
         self.clock = clock
         self.stamp = clock()
 
-    def try_consume(self, tokens: float = 1.0) -> bool:
+    def try_consume(self) -> bool:
+        """Take one token if the bucket holds one."""
         now = self.clock()
         self.tokens = min(self.burst,
                           self.tokens + (now - self.stamp) * self.rate)
         self.stamp = now
-        if self.tokens < tokens:
+        if self.tokens < 1.0:
             return False
-        self.tokens -= tokens
+        self.tokens -= 1.0
         return True
 
     @property

@@ -22,10 +22,10 @@ nodes gives all three:
   and adding a member steals roughly ``1/(N+1)`` of the keyspace,
   taken proportionally from everyone.
 
-Rings are immutable; :meth:`HashRing.with_member` /
-:meth:`HashRing.without_member` derive the rebalanced ring, which is
-what makes failover deterministic: every router that observes the same
-set of healthy workers computes the same assignment for every key.
+Rings are immutable; :meth:`HashRing.restrict` derives the rebalanced
+ring, which is what makes failover deterministic: every router that
+observes the same set of healthy workers computes the same assignment
+for every key.
 """
 
 from __future__ import annotations
@@ -90,19 +90,6 @@ class HashRing:
         return counts
 
     # -- derivation ------------------------------------------------------
-
-    def with_member(self, member: str) -> "HashRing":
-        """A ring with *member* added (same ring if already present)."""
-        if member in self.members:
-            return self
-        return HashRing((*self.members, member), self.vnodes)
-
-    def without_member(self, member: str) -> "HashRing":
-        """A ring with *member* removed (same ring if absent)."""
-        if member not in self.members:
-            return self
-        return HashRing((name for name in self.members
-                         if name != member), self.vnodes)
 
     def restrict(self, members) -> "HashRing":
         """A ring over ``self.members ∩ members`` — what the router

@@ -37,13 +37,12 @@ _RESULT = TypeVar("_RESULT")
 class _Flight:
     """One in-flight call: completion event plus shared outcome."""
 
-    __slots__ = ("done", "result", "error", "followers")
+    __slots__ = ("done", "result", "error")
 
     def __init__(self) -> None:
         self.done = threading.Event()
         self.result: object = None
         self.error: BaseException | None = None
-        self.followers = 0
 
 
 class SingleFlight:
@@ -70,8 +69,6 @@ class SingleFlight:
             leader = flight is None
             if leader:
                 flight = self._flights[key] = _Flight()
-            else:
-                flight.followers += 1
         if not leader:
             _FOLLOWERS.inc()
             if not flight.done.wait(timeout):
@@ -94,10 +91,3 @@ class SingleFlight:
                 self._flights.pop(key, None)
             flight.done.set()
         return flight.result, True  # type: ignore[return-value]
-
-    def waiting(self, key: str) -> int:
-        """How many followers are blocked on *key* right now (0 when
-        the key is not in flight) — used by tests to gate releases."""
-        with self._lock:
-            flight = self._flights.get(key)
-            return flight.followers if flight is not None else 0

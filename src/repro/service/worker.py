@@ -90,10 +90,6 @@ class LocalWorker:
     def endpoint(self) -> WorkerEndpoint:
         return WorkerEndpoint(self.name, self.host, self.port)
 
-    def alive(self) -> bool:
-        return (self._server is not None
-                and self.service.lifecycle.serving)
-
     def drain(self, deadline: float | None = None) -> DrainReport:
         if self._server is None:
             raise RuntimeError(f"worker {self.name} not started")
@@ -236,9 +232,6 @@ class WorkerProcess:
     @property
     def endpoint(self) -> WorkerEndpoint:
         return WorkerEndpoint(self.name, self.host, self.port)
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.poll() is None
 
     def terminate(self) -> None:
         """Send the drain signal (SIGTERM) without waiting."""

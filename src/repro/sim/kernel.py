@@ -43,8 +43,7 @@ class SchedulingInPastError(SimulationError):
 def ticks(units: float) -> int:
     """Model time units -> integer ticks (round-half-up at tick
     resolution, so ``ticks(0.015)`` is stable across platforms)."""
-    scaled = round(units * TICKS_PER_UNIT)
-    return int(scaled)
+    return round(units * TICKS_PER_UNIT)
 
 
 def units(tick_count: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from ..faults.schedule import occurrence_fraction
 from ..fingerprint import WORKLOAD_SALT, fingerprint
 from ..isa95.levels import FactoryTopology, MachineInfo, ServiceSpec
-from .kernel import TICKS_PER_UNIT
+from .kernel import TICKS_PER_UNIT, ticks
 
 
 class WorkloadError(ValueError):
@@ -130,8 +130,7 @@ class Workload:
         Because the constructor sorts jobs by ``(release, name)``, two
         equal job *sets* handed over in different input orders share
         one key — the scenario engine and the planning backend both
-        lean on this for their "equivalent workload" statements
-        (:class:`repro.fingerprint.Fingerprintable`).
+        lean on this for their "equivalent workload" statements.
         """
         return fingerprint(self.to_dict(), salt=WORKLOAD_SALT)
 
@@ -150,7 +149,7 @@ class ServiceTimeModel:
 
     def __init__(self, topology: FactoryTopology, *,
                  overrides: dict[str, float] | None = None):
-        self.overrides = {name: round(duration * TICKS_PER_UNIT)
+        self.overrides = {name: ticks(duration)
                           for name, duration in (overrides or {}).items()}
         self._machines: dict[str, MachineInfo] = {
             machine.name: machine for machine in topology.machines}
@@ -230,7 +229,7 @@ def generate_workload(topology: FactoryTopology, *, seed: int,
         jobs = max(4, 2 * len(topology.workcells))
     elif type(jobs) is not int or jobs < 1:
         raise WorkloadError(f"jobs must be an integer >= 1, got {jobs!r}")
-    release_window = round(release_window_units * TICKS_PER_UNIT)
+    release_window = ticks(release_window_units)
     built: list[Job] = []
     for index in range(jobs):
         length = 2 + _pick(seed, f"{stream}:route-length", index, 3)

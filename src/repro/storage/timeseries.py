@@ -92,15 +92,6 @@ class TimeSeriesStore:
             result.append(series)
         return result
 
-    def query(self, measurement: str, *, tags: dict[str, str] | None = None,
-              start: float | None = None,
-              end: float | None = None) -> list[Point]:
-        """All points across matching series, time-ordered."""
-        points: list[Point] = []
-        for series in self.series(measurement, tags):
-            points.extend(series.range(start, end))
-        return sorted(points, key=lambda p: p.timestamp)
-
     def latest(self, measurement: str,
                tags: dict[str, str] | None = None) -> Point | None:
         candidates = [s.last for s in self.series(measurement, tags)

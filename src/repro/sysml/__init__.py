@@ -20,8 +20,7 @@ imports and documentation comments.
 from .depgraph import (DepGraph, DepRecorder, NodeKey, ROOT_KEY,
                        anchor_key, deep_fingerprint, node_key, node_path,
                        scope_fingerprint)
-from .files import (convert_model_file, load_model_file, load_model_files,
-                    save_model_file)
+from .files import convert_model_file, load_model_file, save_model_file
 from .elements import (Alias, Assignment, AttributeDefinition,
                        AttributeUsage, BindingConnector,
                        ConnectionDefinition, ConnectionUsage, Connector,
@@ -39,7 +38,6 @@ from .instances import (ElaborationError, InstanceNode, elaborate,
                         propagate_bindings)
 from .interchange import (model_from_dict, model_from_json, model_to_dict,
                           model_to_json)
-from .lexer import tokenize
 from .parser import build_model, parse
 from .printer import print_element, print_model
 from .queries import (ElementCounts, count_definition_closure,
@@ -62,13 +60,13 @@ __all__ = [
     "ModelUpdate", "NodeKey", "ROOT_KEY", "anchor_key",
     "clear_resolved_state", "content_fingerprint_of_sources",
     "convert_model_file", "deep_fingerprint",
-    "load_model_file", "load_model_files", "node_key",
+    "load_model_file", "node_key",
     "node_path", "save_model_file", "scope_fingerprint",
     "Type", "Usage", "ValidationError", "build_model",
     "count_definition_closure", "elaborate", "instance_counts",
     "load_model", "model_from_dict", "model_from_json",
     "model_to_dict", "model_to_json", "parse", "print_element",
     "print_model", "propagate_bindings", "resolve_model",
-    "specializations_of", "tokenize", "usages_typed_by",
+    "specializations_of", "usages_typed_by",
     "validate_model",
 ]

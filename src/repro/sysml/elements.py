@@ -486,7 +486,3 @@ class Model(Namespace):
                 return None
             scope = candidate
         return scope
-
-    def packages(self) -> list[Package]:
-        return [e for e in self.owned_elements if isinstance(e, Package)]
-

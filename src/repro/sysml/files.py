@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .elements import Model
-from .errors import SysMLError
+from .errors import SourceLocation, SysMLError
 from .interchange import model_from_json, model_to_json
 from .printer import print_model
 from .resolver import load_model
@@ -36,28 +36,8 @@ def load_model_file(path: str | Path, *, include_stdlib: bool = True,
                           include_stdlib=include_stdlib, cache=cache)
     raise SysMLError(
         f"unknown model file suffix {suffix!r} "
-        f"(expected one of {TEXT_SUFFIXES + JSON_SUFFIXES})")
-
-
-def load_model_files(*paths: str | Path, include_stdlib: bool = True,
-                     cache=None) -> Model:
-    """Load several ``.sysml`` sources into one model.
-
-    *cache* passes through to :func:`~repro.sysml.resolver.load_model`:
-    per-file parse trees are cached on content.
-    """
-    texts: list[str] = []
-    names: list[str] = []
-    for path in paths:
-        path = Path(path)
-        if path.suffix.lower() in JSON_SUFFIXES:
-            raise SysMLError(
-                "load_model_files only combines textual sources; "
-                f"got {path}")
-        texts.append(path.read_text())
-        names.append(str(path))
-    return load_model(*texts, filenames=names,
-                      include_stdlib=include_stdlib, cache=cache)
+        f"(expected one of {TEXT_SUFFIXES + JSON_SUFFIXES})",
+        SourceLocation(str(path)))
 
 
 def save_model_file(model: Model, path: str | Path,

@@ -34,6 +34,12 @@ from .elements import (BindingConnector, Connector, Element,
 from .errors import SysMLError
 
 
+#: Deepest usage nesting an instance tree may have; deeper is a located
+#: :class:`ElaborationError`. It keeps the expansion's recursion far
+#: from Python's limit.
+MAX_ELABORATION_DEPTH = 64
+
+
 class ElaborationError(SysMLError):
     """Raised when a usage tree cannot be expanded (e.g. type cycles)."""
 
@@ -101,9 +107,6 @@ class InstanceNode:
 class Elaborator:
     """Expands usages into :class:`InstanceNode` trees."""
 
-    def __init__(self, *, max_depth: int = 64):
-        self.max_depth = max_depth
-
     def elaborate(self, usage: Usage) -> InstanceNode:
         return self._expand(usage, depth=0, type_stack=())
 
@@ -112,7 +115,7 @@ class Elaborator:
     def _expand(self, usage: Usage, *, depth: int,
                 type_stack: tuple[int, ...],
                 flip_direction: bool = False) -> InstanceNode:
-        if depth > self.max_depth:
+        if depth > MAX_ELABORATION_DEPTH:
             raise ElaborationError(
                 f"maximum elaboration depth exceeded at "
                 f"{usage.qualified_name} (recursive part structure?)",
@@ -214,9 +217,9 @@ def _connector_node(member: BindingConnector | Connector) -> InstanceNode:
         value_ref=f"{member.source_chain}->{member.target_chain}")
 
 
-def elaborate(usage: Usage, *, max_depth: int = 64) -> InstanceNode:
+def elaborate(usage: Usage) -> InstanceNode:
     """Expand a single usage into an instance tree."""
-    return Elaborator(max_depth=max_depth).elaborate(usage)
+    return Elaborator().elaborate(usage)
 
 
 def propagate_bindings(root: InstanceNode) -> int:

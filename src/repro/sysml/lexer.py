@@ -19,8 +19,7 @@ tokens):
   instead of materializing the whole ``list[Token]`` per file. The
   parser never rewinds and holds the current token plus at most two of
   lookahead, so its token working set stays at three no matter how
-  large one package source grows. :func:`tokenize` remains
-  as the list-building convenience wrapper.
+  large one package source grows.
 * **Throughput.** Scanning is driven by one compiled master regex — a
   single C-level match per token — instead of per-character ``_peek``
   calls, and identifier values are ``sys.intern``-ed so downstream name
@@ -207,10 +206,6 @@ class Lexer:
         yield Token(TokenKind.EOF, "",
                     SourceLocation(filename, line, pos - line_start + 1))
 
-    def tokens(self) -> list[Token]:
-        """Scan the whole input and return the token list (EOF-terminated)."""
-        return list(self.stream())
-
     # -- error reporting ---------------------------------------------------
 
     def _sync(self, pos: int, line: int, line_start: int) -> None:
@@ -233,8 +228,3 @@ class Lexer:
 def iter_tokens(text: str, filename: str = "<model>") -> Iterator[Token]:
     """Stream the tokens of *text*; the final token is always EOF."""
     return Lexer(text, filename).stream()
-
-
-def tokenize(text: str, filename: str = "<model>") -> list[Token]:
-    """Convenience wrapper: lex *text* and return the token list."""
-    return Lexer(text, filename).tokens()

@@ -12,7 +12,7 @@ Entry points:
 * :func:`generate_scenario` — one seed -> one :class:`FactoryScenario`;
 * :func:`mega_factory_specs` / :func:`mega_factory_sources` — the
   deterministic ICE-Lab×N corpus behind the A4 scaling bench;
-* :data:`ORACLES` / :func:`run_oracle` — the oracle registry;
+* :data:`ORACLES` — the oracle registry;
 * :func:`run_conformance` — the parallel trial harness behind
   ``repro conformance``;
 * :func:`shrink_failure` — ddmin reduction of a failing trial;
@@ -24,7 +24,7 @@ from .corpus import CorpusConfig, FactoryScenario, generate_scenario
 from .scale import mega_factory_sources, mega_factory_specs
 from .harness import ConformanceReport, TrialResult, run_conformance, run_trial
 from .oracles import (ORACLES, OracleFailure, TrialContext, chaos_plan,
-                      oracle_names, run_oracle)
+                      oracle_names)
 from .shrink import ddmin, shrink_failure, write_reproducer
 from .waiting import Deadline, wait_until
 
@@ -33,6 +33,6 @@ __all__ = [
     "ORACLES", "OracleFailure", "mega_factory_sources",
     "mega_factory_specs", "TrialContext", "TrialResult",
     "chaos_plan", "ddmin", "generate_scenario", "oracle_names",
-    "run_conformance", "run_oracle", "run_trial", "shrink_failure",
+    "run_conformance", "run_trial", "shrink_failure",
     "wait_until", "write_reproducer",
 ]

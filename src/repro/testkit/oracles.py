@@ -671,13 +671,3 @@ def oracle_names(include_opt_in: bool = False) -> list[str]:
     """Registered oracle names; opt-in oracles only when asked."""
     return [name for name, oracle in ORACLES.items()
             if include_opt_in or not oracle.opt_in]
-
-
-def run_oracle(name: str, ctx: TrialContext) -> None:
-    """Run one oracle by name (raises KeyError for unknown names)."""
-    try:
-        oracle = ORACLES[name]
-    except KeyError:
-        raise KeyError(f"unknown oracle {name!r}; "
-                       f"known: {', '.join(ORACLES)}") from None
-    oracle.run(ctx)

@@ -8,6 +8,7 @@ ports and a performed method.
 
 from repro.isa95 import extract_topology
 from repro.service.server import MAX_BODY_BYTES
+from repro.sysml.lexer import iter_tokens
 from repro.yamlgen import emit
 
 ISA95_BASE_SOURCE = """
@@ -255,3 +256,8 @@ def icelab_topology(model=None):
     """The extracted ISA-95 topology of the ICE lab."""
     from repro.icelab import icelab_model
     return extract_topology(model if model is not None else icelab_model())
+
+
+def tokenize(text: str, filename: str = "<model>") -> list:
+    """The streaming lexer's tokens of *text* as a list, EOF last."""
+    return list(iter_tokens(text, filename))

@@ -76,25 +76,6 @@ class TestScheduler:
         assert cluster.stats()["pods_running"] == 1
 
 
-class TestServices:
-    def test_endpoints_resolve_by_selector(self):
-        cluster = Cluster()
-        cluster.apply_manifest(configmap_manifest())
-        cluster.apply_manifest(deployment_manifest(replicas=2))
-        cluster.apply_manifest({
-            "kind": "Service",
-            "metadata": {"name": "web", "namespace": "test"},
-            "spec": {"selector": {"app": "web"},
-                     "ports": [{"port": 4840}]},
-        })
-        assert len(cluster.endpoints("web", "test")) == 2
-
-    def test_unknown_service(self):
-        cluster = Cluster()
-        with pytest.raises(ClusterError):
-            cluster.endpoints("ghost")
-
-
 class TestComponentFactory:
     def test_components_started_and_stopped(self):
         events = []

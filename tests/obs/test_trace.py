@@ -91,12 +91,6 @@ class TestTraceExport:
         assert "├─" in text and "└─" in text
         assert "ms" in text and "%" in text
 
-    def test_render_depth_limit(self, traced_result):
-        _, trace = traced_result
-        shallow = trace.render(max_depth=1)
-        assert "machine:" not in shallow  # depth-2 spans pruned
-        assert "step1" in shallow
-
 
 class TestDisabledPath:
     def test_untraced_run_has_no_trace(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.opcua import (Argument, NetworkError, OpcUaClient, OpcUaServer,
-                         SessionError, UaNetwork, VariableNode)
+                         SessionError, UaNetwork)
 
 
 @pytest.fixture
@@ -92,23 +92,6 @@ class TestClientBasics:
         assert client.call("emco/services/run_program", "part42.nc") == \
             ("started:part42.nc",)
 
-    def test_browse(self, server, network):
-        client = OpcUaClient(network=network)
-        client.connect("opc.tcp://wc02:4840")
-        roots = client.browse()
-        assert [n.browse_name.name for n in roots] == ["emco"]
-
-    def test_browse_variables(self, server, network):
-        client = OpcUaClient(network=network)
-        client.connect("opc.tcp://wc02:4840")
-        pending, names = client.browse(), set()
-        while pending:
-            node = pending.pop()
-            if isinstance(node, VariableNode):
-                names.add(node.browse_name.name)
-            pending.extend(client.browse(node.node_id))
-        assert names == {"actualX", "mode"}
-
     def test_context_manager_disconnects(self, server, network):
         with OpcUaClient(network=network) as client:
             client.connect("opc.tcp://wc02:4840")
@@ -145,24 +128,14 @@ class TestSubscriptions:
         writer.write("emco/data/actualX", 2.0)
         assert seen == [1.0, 2.0]
 
-    def test_queue_mode(self, server, network):
-        client = OpcUaClient(network=network)
-        client.connect("opc.tcp://wc02:4840")
-        subscription = client.subscribe(["emco/data/mode"])
-        client.write("emco/data/mode", "auto")
-        notes = subscription.take_notifications()
-        assert len(notes) == 1
-        assert notes[0].value == "auto"
-        assert subscription.take_notifications() == []
-
     def test_multiple_monitored_items(self, server, network):
         client = OpcUaClient(network=network)
         client.connect("opc.tcp://wc02:4840")
-        subscription = client.subscribe(
-            ["emco/data/actualX", "emco/data/mode"])
+        notes = []
+        client.subscribe(["emco/data/actualX", "emco/data/mode"],
+                         callback=notes.append)
         client.write("emco/data/actualX", 5.0)
         client.write("emco/data/mode", "run")
-        notes = subscription.take_notifications()
         assert {str(n.node_id) for n in notes} == {
             "ns=1;s=emco/data/actualX", "ns=1;s=emco/data/mode"}
 
@@ -177,17 +150,3 @@ class TestSubscriptions:
         writer.connect("opc.tcp://wc02:4840")
         writer.write("emco/data/actualX", 9.0)
         assert seen == []
-
-    def test_queue_overflow_drops(self, server, network):
-        client = OpcUaClient(network=network)
-        client.connect("opc.tcp://wc02:4840")
-        subscription = client.session.create_subscription()
-        subscription.queue = type(subscription.queue)(maxlen=2)
-        client.session.monitor(subscription,
-                               client.session.translate_browse_path(
-                                   "emco/data/actualX"))
-        for i in range(5):
-            client.write("emco/data/actualX", float(i))
-        assert subscription.dropped == 3
-        assert [n.value for n in subscription.take_notifications()] == \
-            [3.0, 4.0]

@@ -7,6 +7,7 @@ simulated cluster) and inspected from many angles.
 
 import pytest
 
+from repro.codegen.machine_config import workcell_endpoint
 from repro.icelab import run_icelab
 from repro.som import ProductionProcess
 
@@ -37,11 +38,11 @@ class TestDeployment:
         assert deployed.smoke.services_failed == 0
 
     def test_six_ua_servers_listening(self, deployed):
-        # workcell endpoints, plus the 8 machine-side servers of the
-        # generic-OPC UA machines
-        endpoints = deployed.world.network.endpoints()
-        workcell_endpoints = [e for e in endpoints if "workcell" in e]
-        assert len(workcell_endpoints) == 6
+        workcells = {m.workcell for m in deployed.topology.machines}
+        assert len(workcells) == 6
+        for workcell in workcells:
+            server = deployed.world.network.lookup(workcell_endpoint(workcell))
+            assert server.running
 
     def test_data_tagged_with_isa95_coordinates(self, deployed):
         series = deployed.world.store.series(

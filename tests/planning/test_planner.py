@@ -4,11 +4,12 @@ import pytest
 
 from repro.icelab import icelab_sources
 from repro.isa95 import extract_topology
-from repro.planning import (FactoryDomain, PlanningError, build_task,
-                            heuristic, solve)
+from repro.planning import FactoryDomain, PlanningError, build_task, solve
 from repro.planning.planner import SearchIndex, part_view
 from repro.sim import generate_workload
 from repro.sysml import load_model
+
+from .heuristic_reference import heuristic
 
 
 @pytest.fixture(scope="module")

@@ -105,19 +105,6 @@ class TestHalfOpen:
         assert breaker.state == STATE_CLOSED
 
 
-class TestProtect:
-    def test_protect_records_both_outcomes(self, clock):
-        breaker = _breaker(clock, failure_threshold=1)
-        with pytest.raises(RuntimeError):
-            with breaker.protect():
-                raise RuntimeError("dependency down")
-        assert breaker.state == STATE_OPEN
-        clock.advance(5.0)
-        with breaker.protect():
-            pass
-        assert breaker.state == STATE_CLOSED
-
-
 class TestValidation:
     def test_bad_threshold_rejected(self, clock):
         with pytest.raises(ValueError):

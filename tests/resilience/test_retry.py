@@ -112,12 +112,6 @@ class TestExhaustionAndDeadlines:
         assert clock.now <= policy.overall_deadline
         assert info.value.attempts == 3
 
-    def test_attempt_budget_clamps_to_overall_remainder(self):
-        policy = RetryPolicy(attempt_deadline=2.0, overall_deadline=3.0)
-        assert policy.attempt_budget(0.0) == 2.0
-        assert policy.attempt_budget(2.5) == pytest.approx(0.5)
-        assert RetryPolicy().attempt_budget() is None
-
 
 class TestClassification:
     def test_non_retriable_propagates_immediately(self):

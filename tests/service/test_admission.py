@@ -199,7 +199,7 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=10.0, burst=3.0,
                              clock=lambda: clock[0])
         clock[0] = 100.0
-        assert bucket.try_consume(3.0)
+        assert all(bucket.try_consume() for _ in range(3))
         assert not bucket.try_consume()
 
 

@@ -18,11 +18,9 @@ from fixtures import (BAD_OPTION_IDS, BAD_OPTIONS, EMCO_WORKCELL_SOURCE,
                       post_with_content_length, rejected_revision)
 
 from repro.codegen import GenerationPipeline, PipelineOptions
-from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from repro.obs import METRICS, MetricsRegistry, snapshot_delta
 from repro.service import (BadOption, ConfigurationService, ServiceClient,
-                           ServiceError, ServiceHTTPServer, bundle_bytes,
-                           semantic_options)
+                           ServiceError, ServiceHTTPServer, bundle_bytes)
 from repro.service.server import MAX_ENGINES
 from repro.icelab.model_gen import icelab_sources
 from repro.sysml import content_fingerprint_of_sources, load_model
@@ -68,14 +66,6 @@ def serve():
         server.shutdown()
         server.server_close()
         thread.join(2)
-
-
-def generate_key(service):
-    """The generation single-flight key the service derives for SOURCES."""
-    model = load_model(*SOURCES)
-    return fingerprint(model.content_fingerprint,
-                       semantic_options(service.options),
-                       salt=SERVICE_GENERATE_SALT)
 
 
 class TestGenerateEndpoint:
@@ -232,7 +222,6 @@ class TestSingleFlightOverHTTP:
         server, service = serve(max_inflight=count, policy="block")
         gate = GatedExecute(service)
         before = METRICS.snapshot()
-        key = generate_key(service)
         responses = {}
 
         def post(i):
@@ -246,8 +235,8 @@ class TestSingleFlightOverHTTP:
         # the leader is inside the gate; wait for every other request
         # to park on the same generation flight, then release
         assert gate.entered.wait(10)
-        assert wait_until(
-            lambda: service._generate_flight.waiting(key) == count - 1)
+        assert wait_until(lambda: snapshot_delta(before, METRICS.snapshot())
+                          .get("service.singleflight.followers") == count - 1)
         gate.release.set()
         for thread in threads:
             thread.join(10)

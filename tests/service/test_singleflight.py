@@ -4,8 +4,12 @@ import threading
 
 import pytest
 
+from repro.obs import METRICS
 from repro.service import SingleFlight
 from repro.testkit import wait_until
+
+#: Counts every caller that joined a flight as a follower.
+FOLLOWERS = METRICS.counter("service.singleflight.followers")
 
 
 def _run_concurrently(count, fn):
@@ -40,11 +44,12 @@ class TestSingleFlight:
         def call(i):
             results[i] = flight.do("k", work)
 
+        start = FOLLOWERS.value
         threads = _run_concurrently(6, call)
         # wait until all five followers are parked on the leader
-        wait_until(lambda: flight.waiting("k") >= 5, timeout=5.0,
+        wait_until(lambda: FOLLOWERS.value - start >= 5, timeout=5.0,
                    message="followers never parked on the leader")
-        assert flight.waiting("k") == 5
+        assert FOLLOWERS.value - start == 5
         release.set()
         for thread in threads:
             thread.join(5)
@@ -98,8 +103,9 @@ class TestSingleFlight:
             else:  # pragma: no cover - would be a bug
                 outcomes[i] = "no error"
 
+        start = FOLLOWERS.value
         threads = _run_concurrently(4, call)
-        wait_until(lambda: flight.waiting("k") >= 3, timeout=5.0,
+        wait_until(lambda: FOLLOWERS.value - start >= 3, timeout=5.0,
                    message="followers never parked on the leader")
         release.set()
         for thread in threads:

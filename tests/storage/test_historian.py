@@ -30,8 +30,9 @@ class TestHistorian:
         broker.publish("icelab/line1/wc02/emco/data/actualX",
                        {"value": 1.5, "timestamp": 10.0})
         assert historian.records == 1
-        points = store.query("machine_data",
-                             tags={"machine": "emco", "variable": "actualX"})
+        (series,) = store.series(
+            "machine_data", tags={"machine": "emco", "variable": "actualX"})
+        points = series.points
         assert len(points) == 1
         assert points[0].value == 1.5
         assert points[0].timestamp == 10.0

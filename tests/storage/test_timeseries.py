@@ -36,8 +36,8 @@ class TestWrites:
     def test_out_of_order_timestamps_sorted(self, store):
         store.write("m", "late", timestamp=10.0)
         store.write("m", "early", timestamp=5.0)
-        points = store.query("m")
-        assert [p.value for p in points] == ["early", "late"]
+        (series,) = store.series("m")
+        assert [p.value for p in series.points] == ["early", "late"]
 
 
 class TestQueries:
@@ -51,24 +51,18 @@ class TestQueries:
 
     def test_query_all(self, store):
         self.setup_store(store)
-        assert len(store.query("m")) == 15
+        assert sum(len(series) for series in store.series("m")) == 15
 
     def test_query_by_tags(self, store):
         self.setup_store(store)
-        points = store.query("m", tags={"machine": "emco"})
-        assert len(points) == 10
+        (series,) = store.series("m", tags={"machine": "emco"})
+        assert len(series) == 10
 
     def test_query_time_range(self, store):
         self.setup_store(store)
-        points = store.query("m", tags={"machine": "emco"},
-                             start=2.0, end=4.0)
+        (series,) = store.series("m", tags={"machine": "emco"})
+        points = series.range(2.0, 4.0)
         assert [p.value for p in points] == [2.0, 3.0, 4.0]
-
-    def test_query_results_time_ordered(self, store):
-        self.setup_store(store)
-        points = store.query("m")
-        assert [p.timestamp for p in points] == \
-            sorted(p.timestamp for p in points)
 
     def test_latest(self, store):
         self.setup_store(store)

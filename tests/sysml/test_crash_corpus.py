@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CRASH_CORPUS_DIR, crash_corpus_files
-from repro.testkit import TrialContext, generate_scenario, run_oracle
+from repro.testkit import ORACLES, TrialContext, generate_scenario
 
 SOURCE_LEVEL = ("roundtrip", "interchange")
 
@@ -28,7 +28,7 @@ def test_corpus_is_not_empty():
 def test_reproducer_passes_its_oracle(path: Path):
     meta = json.loads(path.with_suffix(".json").read_text())
     ctx = TrialContext(sources=[path.read_text()])
-    run_oracle(meta["oracle"], ctx)
+    ORACLES[meta["oracle"]].run(ctx)
 
 
 @pytest.mark.parametrize("path", crash_corpus_files(), ids=_corpus_ids())
@@ -36,7 +36,7 @@ def test_reproducer_passes_all_source_oracles(path: Path):
     """Regressions rarely respect the oracle that first caught them."""
     ctx = TrialContext(sources=[path.read_text()])
     for name in SOURCE_LEVEL:
-        run_oracle(name, ctx)
+        ORACLES[name].run(ctx)
 
 
 def _seeded_roundtrip(seed: int, hostile: bool) -> None:
@@ -44,7 +44,7 @@ def _seeded_roundtrip(seed: int, hostile: bool) -> None:
     ctx = TrialContext(
         scenario=generate_scenario(seed, CorpusConfig(hostile=hostile)))
     for name in SOURCE_LEVEL:
-        run_oracle(name, ctx)
+        ORACLES[name].run(ctx)
 
 
 @settings(max_examples=8, deadline=None)

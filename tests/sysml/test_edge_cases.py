@@ -18,13 +18,13 @@ class TestLexerEdges:
 
     def test_adjacent_operators(self):
         # ':>>' then '>' would be junk; make sure ':>' ':>' parses as two
-        from repro.sysml import tokenize
+        from fixtures import tokenize
         from repro.sysml.tokens import TokenKind
         kinds = [t.kind for t in tokenize(":>:>")][:-1]
         assert kinds == [TokenKind.SPECIALIZES, TokenKind.SPECIALIZES]
 
     def test_number_then_ident(self):
-        from repro.sysml import tokenize
+        from fixtures import tokenize
         tokens = tokenize("5557x")
         assert tokens[0].value == "5557"
         assert tokens[1].value == "x"

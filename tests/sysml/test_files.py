@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sysml import (SysMLError, convert_model_file, load_model_file,
-                        load_model_files, model_to_dict, save_model_file)
+                        model_to_dict, save_model_file)
 
 SOURCE = """
 package Lib {
@@ -37,20 +37,6 @@ class TestLoad:
         weird.write_text("<model/>")
         with pytest.raises(SysMLError, match="suffix"):
             load_model_file(weird)
-
-    def test_load_multiple_files(self, tmp_path):
-        lib = tmp_path / "lib.sysml"
-        lib.write_text("package Lib { part def Machine; }")
-        app = tmp_path / "app.sysml"
-        app.write_text("part m : Lib::Machine;")
-        model = load_model_files(lib, app)
-        assert model.find("m").typ is not None
-
-    def test_load_multiple_rejects_json(self, tmp_path):
-        j = tmp_path / "m.json"
-        j.write_text("{}")
-        with pytest.raises(SysMLError):
-            load_model_files(j)
 
 
 class TestSaveAndConvert:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.sysml import (ElaborationError, elaborate,
-                         load_model, propagate_bindings)
-from repro.sysml.instances import Elaborator
+from repro.sysml import (ElaborationError, SysMLError, elaborate, load_model,
+                         propagate_bindings)
+from repro.sysml.instances import MAX_ELABORATION_DEPTH
 
 
 def model_and_root(source, root_name):
@@ -169,15 +169,23 @@ class TestCyclesAndDepth:
         assert tree.find("child.child") is None
 
     def test_max_depth_guard(self):
-        model = load_model("""
-            part def L0 { attribute a : Real; }
-            part def L1 { part x : L0; }
-            part def L2 { part x : L1; }
-            part def L3 { part x : L2; }
-            part root : L3;
-        """)
-        with pytest.raises(ElaborationError):
-            Elaborator(max_depth=2).elaborate(model.find("root"))
+        # L<k> holds one part typed L<k-1>, so a usage of L<k> nests k
+        # levels; line k + 1 of the source defines L<k>
+        levels = MAX_ELABORATION_DEPTH + 1
+        source = "\n".join(
+            ["part def L0;"]
+            + [f"part def L{k} {{ part x : L{k - 1}; }}"
+               for k in range(1, levels + 1)]
+            + [f"part at_limit : L{levels - 1};", f"part over : L{levels};"])
+        model = load_model(source)
+        assert elaborate(model.find("at_limit")).find(
+            ".".join(["x"] * MAX_ELABORATION_DEPTH)) is not None
+        with pytest.raises(ElaborationError) as caught:
+            elaborate(model.find("over"))
+        assert isinstance(caught.value, SysMLError)
+        assert "maximum elaboration depth" in caught.value.message
+        # the usage one level past the limit: L1's part x
+        assert caught.value.location.line == 2
 
 
 class TestBindingPropagation:

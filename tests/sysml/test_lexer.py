@@ -2,8 +2,8 @@
 
 import pytest
 
+from fixtures import tokenize
 from repro.sysml.errors import LexerError
-from repro.sysml.lexer import tokenize
 from repro.sysml.tokens import TokenKind
 
 

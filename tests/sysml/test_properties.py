@@ -11,7 +11,8 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sysml import (load_model, model_to_dict, print_model, tokenize)
+from fixtures import tokenize
+from repro.sysml import load_model, model_to_dict
 from repro.sysml.ast_nodes import Literal, Multiplicity, QualifiedName
 from repro.sysml.elements import (AttributeDefinition, AttributeUsage, Model,
                                   Package, PartDefinition, PartUsage,

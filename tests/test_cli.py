@@ -40,6 +40,24 @@ class TestCli:
         good.write_text("part def M { attribute a : Real; } part m : M;")
         assert main(["validate", str(good)]) == 0
 
+    def test_validate_loads_a_converted_json_model(self, tmp_path, capsys):
+        text, json_model = tmp_path / "m.sysml", tmp_path / "m.json"
+        assert main(["model", "--out", str(text)]) == 0
+        assert main(["convert", str(text), str(json_model)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(json_model)]) == 0
+        assert "well-formed" in capsys.readouterr().out
+
+    def test_validate_unknown_suffix_is_one_front_end_error(self, tmp_path,
+                                                            capsys):
+        weird = tmp_path / "model.xml"
+        weird.write_text("<model/>")
+        assert main(["validate", str(weird)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"FRONT-END ERROR: {weird}:1:1: ")
+        assert "unknown model file suffix '.xml'" in lines[0]
+
     def test_generate(self, tmp_path, capsys):
         assert main(["generate", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

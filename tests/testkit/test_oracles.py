@@ -5,8 +5,7 @@ import pytest
 
 import repro.sysml.printer as printer_module
 from repro.testkit import (ORACLES, CorpusConfig, OracleFailure,
-                           TrialContext, generate_scenario, oracle_names,
-                           run_oracle)
+                           TrialContext, generate_scenario, oracle_names)
 
 EXPECTED = ["roundtrip", "interchange", "cache", "serve",
             "incremental", "grouping", "sim", "plan", "sharded"]
@@ -15,11 +14,6 @@ EXPECTED = ["roundtrip", "interchange", "cache", "serve",
 class TestRegistry:
     def test_all_expected_oracles_registered(self):
         assert oracle_names() == EXPECTED
-
-    def test_unknown_oracle_raises(self):
-        ctx = TrialContext(scenario=generate_scenario(0))
-        with pytest.raises(KeyError, match="unknown oracle"):
-            run_oracle("nope", ctx)
 
     def test_front_end_oracles_are_source_level(self):
         assert ORACLES["roundtrip"].source_level
@@ -32,14 +26,14 @@ class TestOraclesPass:
     def test_all_oracles_pass_tame(self, seed):
         ctx = TrialContext(scenario=generate_scenario(seed))
         for name in oracle_names():
-            run_oracle(name, ctx)
+            ORACLES[name].run(ctx)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_all_oracles_pass_hostile(self, seed):
         ctx = TrialContext(
             scenario=generate_scenario(seed, CorpusConfig(hostile=True)))
         for name in oracle_names():
-            run_oracle(name, ctx)
+            ORACLES[name].run(ctx)
 
 
 class TestOraclesTrip:
@@ -49,7 +43,7 @@ class TestOraclesTrip:
         ctx = TrialContext(
             scenario=generate_scenario(0, CorpusConfig(hostile=True)))
         with pytest.raises(OracleFailure):
-            run_oracle("roundtrip", ctx)
+            ORACLES["roundtrip"].run(ctx)
 
     def test_incremental_catches_a_session_fallback(self, monkeypatch):
         from repro.sysml.incremental import _Merger
@@ -61,7 +55,7 @@ class TestOraclesTrip:
         monkeypatch.setattr(_Merger, "merge_lists", broken_merge)
         ctx = TrialContext(scenario=generate_scenario(0))
         with pytest.raises(OracleFailure, match="fallback"):
-            run_oracle("incremental", ctx)
+            ORACLES["incremental"].run(ctx)
 
     def test_incremental_catches_a_fallback_on_a_driver_edit(
             self, monkeypatch):
@@ -79,13 +73,13 @@ class TestOraclesTrip:
         ctx = TrialContext(scenario=generate_scenario(0))
         with pytest.raises(OracleFailure,
                            match="driver edit of machine .* fallback"):
-            run_oracle("incremental", ctx)
+            ORACLES["incremental"].run(ctx)
 
     def test_incremental_edits_a_machine_named_with_colons(self):
         # hostile seed 10 has a machine named 'Zelle::X'
         ctx = TrialContext(
             scenario=generate_scenario(10, CorpusConfig(hostile=True)))
-        run_oracle("incremental", ctx)
+        ORACLES["incremental"].run(ctx)
 
     def test_context_requires_input(self):
         with pytest.raises(ValueError):
@@ -93,5 +87,5 @@ class TestOraclesTrip:
 
     def test_context_accepts_bare_sources(self):
         ctx = TrialContext(sources=["part def X;"])
-        run_oracle("roundtrip", ctx)
-        run_oracle("interchange", ctx)
+        ORACLES["roundtrip"].run(ctx)
+        ORACLES["interchange"].run(ctx)
