@@ -59,6 +59,7 @@ from pathlib import Path
 
 from ..cache import ArtifactCache
 from ..fingerprint import RESULT_SALT, TOPOLOGY_SALT, fingerprint
+from ..gcpolicy import gc_window
 from ..isa95.levels import FactoryTopology
 from ..isa95.topology import extract_topology
 from ..isa95.validation import validate_topology
@@ -281,7 +282,7 @@ class GenerationPipeline:
     def run_on_model(self, model: Model, *,
                      previous: GenerationResult | None = None
                      ) -> GenerationResult:
-        with activation(self.options.tracer) as tracer:
+        with gc_window(), activation(self.options.tracer) as tracer:
             started = time.perf_counter()
             with span("generate") as g:
                 result = self._generate_from_model(model, started, g,

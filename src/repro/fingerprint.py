@@ -33,8 +33,10 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Cached parse trees (pickled root elements): embeds the parser and
 #: element-layout generation, so grammar or layout changes never replay
-#: stale trees.
-PARSE_TREE_SALT = "sysml-parse-tree/3"
+#: stale trees. (v4: source locations and name records have
+#: ``__slots__``; a v3 pickle would load them with their field names as
+#: values.)
+PARSE_TREE_SALT = "sysml-parse-tree/4"
 
 #: The whole-model fingerprint derived from the source texts.
 MODEL_SALT = "sysml-model/1"

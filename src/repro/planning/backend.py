@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..fingerprint import PLAN_SALT, fingerprint
+from ..gcpolicy import gc_window
 from ..isa95.levels import FactoryTopology
 from ..obs import METRICS, span
 from ..parallel import map_ordered
@@ -247,8 +248,9 @@ def plan_operations(topology: FactoryTopology,
     options = options or PlanningOptions()
     if not topology.machines:
         raise PlanningError("topology has no machines to plan for")
-    with span("planning", seed=options.seed, problems=options.problems,
-              strategy=options.strategy) as planning_span:
+    with gc_window(), span("planning", seed=options.seed,
+                           problems=options.problems,
+                           strategy=options.strategy) as planning_span:
         content_key = model_fingerprint or topology_planning_key(topology)
         cache_key = fingerprint(content_key, options.semantic_key(),
                                 salt=PLAN_SALT)

@@ -32,6 +32,7 @@ less than any worker pool costs to start. The ``sim`` testkit oracle
 
 from __future__ import annotations
 
+from ..gcpolicy import gc_window
 from ..isa95.levels import FactoryTopology
 from ..obs import METRICS, span
 from .engine import (FactorySimulation, Outage, ScheduleEntry,
@@ -72,8 +73,8 @@ def simulate_suite(topology: FactoryTopology, *, seed: int,
         raise WorkloadError(
             f"base_jobs must be an integer >= 1, got {base_jobs!r}")
     times = times or ServiceTimeModel(topology)
-    with span("simulation", seed=seed, scenarios=len(names),
-              policy=policy):
+    with gc_window(), span("simulation", seed=seed, scenarios=len(names),
+                           policy=policy):
         base = generate_workload(topology, seed=seed, jobs=base_jobs,
                                  times=times)
         specs = [build_scenario(name, topology, seed=seed, policy=policy,

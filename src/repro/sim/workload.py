@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..faults.schedule import occurrence_fraction
 from ..fingerprint import WORKLOAD_SALT, fingerprint
-from ..isa95.levels import FactoryTopology, MachineInfo, ServiceSpec
+from ..isa95.levels import FactoryTopology, MachineInfo
 from .kernel import TICKS_PER_UNIT, ticks
 
 

@@ -3,8 +3,10 @@
 The parser builds semantic elements (:mod:`repro.sysml.elements`)
 directly; what stays syntax inside them — qualified names, feature
 chains, multiplicities and value expressions — is made of these plain
-dataclasses, each with the location it was written at.
-:class:`ModelNode` holds the root elements of one parsed source.
+dataclasses, each with the location it was written at. They are the
+front end's most numerous objects, so each has ``__slots__`` and no
+per-instance ``__dict__``. :class:`ModelNode` holds the root elements
+of one parsed source.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ if TYPE_CHECKING:
     from .elements import Element
 
 
-@dataclass
+@dataclass(slots=True)
 class QualifiedName:
     """A ``::``-separated name, e.g. ``ISA95::Topology``."""
 
@@ -29,7 +31,7 @@ class QualifiedName:
         return "::".join(self.parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureChain:
     """A ``.``-separated feature access, e.g. ``pp_actual_X.value``."""
 
@@ -40,7 +42,7 @@ class FeatureChain:
         return ".".join(self.parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class Multiplicity:
     """A multiplicity range ``[lower..upper]``; ``upper=None`` means ``*``."""
 
@@ -54,7 +56,7 @@ class Multiplicity:
         return f"[{self.lower}..{upper}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class Literal:
     """A literal expression value (str/int/float/bool)."""
 
@@ -62,7 +64,7 @@ class Literal:
     location: SourceLocation = field(default_factory=SourceLocation)
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureRefExpr:
     """An expression that references another feature by chain."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from ..obs.summary import Summarizable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """A position inside a textual-notation source file."""
 

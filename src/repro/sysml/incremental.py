@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..gcpolicy import gc_window
 from ..obs import METRICS, span as _span
 from .depgraph import (_ANCHOR_ATTR, _DEEP_ATTR, _KEY_ATTR, _SCOPE_ATTR,
                        NodeKey, _name_of, anchor_key, deep_fingerprint,
@@ -316,6 +317,18 @@ class _Merger:
         return head_changed or children_changed
 
 
+def _unlink_untaken(elements: list[Element], taken: set[int]) -> None:
+    """Unlink the parsed elements a merge did not take (by ``id`` in
+    *taken*), so reference counting frees them at once; each would
+    otherwise sit in an ``owner`` cycle until a full collection."""
+    for element in elements:
+        if id(element) in taken:
+            continue
+        _unlink_untaken(element.owned_elements, taken)
+        element.owned_elements = []
+        element.owner = None
+
+
 # -- the session -------------------------------------------------------------
 
 class ModelSession:
@@ -335,20 +348,23 @@ class ModelSession:
         self.model: Model = None  # type: ignore[assignment]
         self.graph: DepGraph = None  # type: ignore[assignment]
         self._sources: list[str] = []
+        self._names: list[str] = []
         self._slice_counts: list[int] = []
         self._half_merged = False
-        self._load_cold(texts, filenames)
+        with gc_window():
+            self._load_cold(texts, filenames)
 
     # -- cold path -----------------------------------------------------------
 
     def _load_cold(self, texts, filenames: list[str] | None) -> None:
         graph = DepGraph()
-        model, sources, _names, counts = _load_sources(
+        model, sources, names, counts = _load_sources(
             texts, filenames, include_stdlib=self.include_stdlib,
             cache=self.cache, recorder=DepRecorder(graph))
         self.model = model
         self.graph = graph
         self._sources = sources
+        self._names = names
         self._slice_counts = counts
 
     # -- incremental path ----------------------------------------------------
@@ -360,6 +376,11 @@ class ModelSession:
 
         A source that does not lex or parse raises before anything
         changes: the session stays on its previous revision."""
+        with gc_window():
+            return self._update(texts, filenames)
+
+    def _update(self, texts: tuple[str, ...],
+                filenames: list[str] | None) -> ModelUpdate:
         sources, names = _stdlib_prefixed(
             texts, filenames, include_stdlib=self.include_stdlib)
         previous = self._sources
@@ -397,10 +418,12 @@ class ModelSession:
         removed_slices = len(self._sources) > len(sources)
         if not changed and not removed_slices:
             # filenames feed the model fingerprint even when no text
-            # changed, so recompute it regardless
-            self.model.content_fingerprint = model_fingerprint(
-                sources, names, include_stdlib=self.include_stdlib)
+            # changed; with both unchanged it is the one already set
+            if names != self._names:
+                self.model.content_fingerprint = model_fingerprint(
+                    sources, names, include_stdlib=self.include_stdlib)
             self._sources = sources
+            self._names = names
             return ModelUpdate()
 
         changed_names = tuple(names[index] for index in changed
@@ -453,6 +476,10 @@ class ModelSession:
         self.model.content_fingerprint = model_fingerprint(
             sources, names, include_stdlib=self.include_stdlib)
         self._sources = sources
+        self._names = names
+        taken_ids = {id(element) for element in merger.taken}
+        for tree in trees.values():
+            _unlink_untaken(tree.members, taken_ids)
         # `merger` stays referenced to here, keeping dropped subtrees
         # alive while the fixpoint compared object identities above.
         assert merger.dropped is not None

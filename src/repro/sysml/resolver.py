@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..gcpolicy import gc_window
 from ..obs import span as _span
 from .ast_nodes import FeatureChain, QualifiedName
 from .elements import (Alias, Assignment, BindingConnector, Connector,
@@ -677,5 +678,6 @@ def load_model(*texts: str, filenames: list[str] | None = None,
     :class:`~repro.sysml.ModelSession` instead, which runs the same
     front end and also records the resolution dependency graph.
     """
-    return _load_sources(texts, filenames, include_stdlib=include_stdlib,
-                         cache=cache)[0]
+    with gc_window():
+        return _load_sources(texts, filenames,
+                             include_stdlib=include_stdlib, cache=cache)[0]

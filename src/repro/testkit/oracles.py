@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import copy
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..codegen import (PipelineOptions, generate_configuration,

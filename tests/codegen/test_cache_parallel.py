@@ -126,6 +126,18 @@ class TestMachineConfigKey:
             .generate(*icelab_sources())
         assert _entries(cache_dir) == ICELAB_COLD_ENTRIES + 1
 
+    def test_only_parse_trees_pickle_front_end_objects(self, tmp_path):
+        """A change to a ``repro.sysml`` class layout bumps the
+        parse-tree salt alone: the topology and whole-result entries
+        never hold such an object."""
+        cache_dir = tmp_path / "cache"
+        IncrementalEngine(PipelineOptions(cache_dir=str(cache_dir))) \
+            .generate(*icelab_sources())
+        entries = [path.read_bytes() for path in cache_dir.glob("??/*")]
+        assert len(entries) == ICELAB_COLD_ENTRIES
+        assert sum(b"repro.sysml" in data
+                   for data in entries) == ICELAB_PARSE_TREES
+
     def test_cold_run_writes_three_layers(self, tmp_path, serial_result):
         cache_dir = str(tmp_path / "cache")
         options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)

@@ -65,6 +65,30 @@ class TestCleanUpdates:
         assert not update.full_rebuild
         assert update.changed_sources == ()
 
+    def test_no_op_update_keeps_the_fingerprint_unhashed(self,
+                                                         monkeypatch):
+        live = session()
+        before = live.model.content_fingerprint
+        calls = []
+        monkeypatch.setattr("repro.sysml.incremental.model_fingerprint",
+                            lambda *args, **kwargs: calls.append(args))
+        update = live.update(LIBRARY, PLANT, filenames=NAMES)
+        assert update.clean and not update.full_rebuild
+        assert calls == []
+        assert live.model.content_fingerprint == before
+
+    def test_renamed_sources_rehash(self):
+        live = session()
+        renamed = ["lib2.sysml", "plant2.sysml"]
+        update = live.update(LIBRARY, PLANT, filenames=renamed)
+        assert update.clean
+        assert live.model.content_fingerprint == load_model(
+            LIBRARY, PLANT, filenames=renamed).content_fingerprint
+        # and back: the fingerprint follows the names, not the history
+        live.update(LIBRARY, PLANT, filenames=NAMES)
+        assert live.model.content_fingerprint == load_model(
+            LIBRARY, PLANT, filenames=NAMES).content_fingerprint
+
     def test_comment_only_edit_is_clean(self):
         update = session().update(
             LIBRARY, PLANT + "\n// reviewed\n", filenames=NAMES)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cache import ArtifactCache
+from repro.fingerprint import fingerprint
 from repro.obs import METRICS
-from repro.sysml import load_model
+from repro.sysml import load_model, parse
 
 SOURCE_A = "part def M { attribute a : Real; } part m : M;"
 SOURCE_B = "part def N { attribute b : Real; } part n : N;"
@@ -37,6 +38,16 @@ class TestParseCache:
         load_model(SOURCE_B, cache=cache)
         # the changed user source re-parses (the shared stdlib may hit)
         assert METRICS.snapshot()["cache.misses"] > misses_before
+
+    def test_entry_under_the_previous_salt_is_a_miss(self, cache):
+        # a tree pickled before SourceLocation had slots unpickles with
+        # each field's name as its value, so it must never be read back
+        stale = fingerprint(SOURCE_A, "<model0>",
+                            salt="sysml-parse-tree/3")
+        cache.put_object(stale, parse(SOURCE_A, "<model0>"))
+        model = load_model(SOURCE_A, cache=cache)
+        assert METRICS.snapshot().get("cache.hits", 0) == 0
+        assert model.member("m") is not None
 
     def test_jobs_argument_is_gone(self):
         with pytest.raises(TypeError):
