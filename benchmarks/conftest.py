@@ -27,8 +27,9 @@ def topology(model):
 @pytest.fixture(scope="session")
 def generation(model):
     """A traced generation run; ``generation.trace`` carries phase data."""
-    options = PipelineOptions(namespace="icelab", tracer=Tracer())
-    return generate_configuration(model, options=options)
+    with Tracer().activate():
+        return generate_configuration(
+            model, options=PipelineOptions(namespace="icelab"))
 
 
 def record_phases(benchmark, trace) -> None:

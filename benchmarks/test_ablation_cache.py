@@ -37,38 +37,37 @@ def scaled_model():
     return load_model(*sources)
 
 
-def _timed_generate(model, options, rounds=1):
+def _timed_generate(model, options, cache=None, rounds=1):
     # min-of-N: a single shot is at the mercy of a gen-2 GC pass, whose
     # cost scales with everything else the test session has loaded
     result, best = None, None
     for _ in range(rounds):
         started = time.perf_counter()
-        result = GenerationPipeline(options).run_on_model(model)
+        result = GenerationPipeline(options, cache=cache).run_on_model(model)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return result, best
 
 
 def test_cache_ablation(scaled_model, tmp_path, benchmark):
-    cache_dir = str(tmp_path / "cache")
+    cache = ArtifactCache(tmp_path / "cache")
 
     cold_serial, cold_serial_s = _timed_generate(
         scaled_model, PipelineOptions(), rounds=3)
 
     METRICS.reset()
     cold_cached, cold_cached_s = _timed_generate(
-        scaled_model, PipelineOptions(cache_dir=cache_dir))
+        scaled_model, PipelineOptions(), cache)
     cold_snap = METRICS.snapshot()
 
     METRICS.reset()
-    warm_options = PipelineOptions(cache_dir=cache_dir)
-    warm, warm_s = _timed_generate(scaled_model, warm_options, rounds=3)
+    warm, warm_s = _timed_generate(scaled_model, PipelineOptions(), cache,
+                                   rounds=3)
     warm_snap = METRICS.snapshot()
 
     # the benchmarked quantity: a warm-cache generation run
     benchmark.pedantic(
-        lambda: GenerationPipeline(warm_options).run_on_model(
-            scaled_model),
+        lambda: GenerationPipeline(cache=cache).run_on_model(scaled_model),
         rounds=3, iterations=1)
 
     # -- determinism: acceleration must never change a byte ------------
@@ -98,7 +97,7 @@ def test_cache_ablation(scaled_model, tmp_path, benchmark):
         "warm_cache_misses": misses,
         "warm_hit_rate": round(hits / (hits + misses), 4)
         if hits + misses else 0.0,
-        "cache_entries": ArtifactCache(cache_dir).stats()["entries"],
+        "cache_entries": cache.stats()["entries"],
     }
     print_comparison("A2 — cache ablation", [
         ("cold serial", "baseline", f"{cold_serial_s * 1e3:.1f}ms"),

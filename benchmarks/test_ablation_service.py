@@ -176,9 +176,7 @@ def _measure_sharded_tier(count: int, workdir: Path) -> dict:
             worker.start()
         for worker in workers:
             worker.wait_ready(60.0)
-        router = RouterService(
-            workers, PipelineOptions(namespace="bench",
-                                     cache_dir=str(cache_dir)))
+        router = RouterService(workers, PipelineOptions(namespace="bench"))
         try:
             payloads = {}
             failures = []
@@ -248,9 +246,7 @@ def _measure_p95_volume(workdir: Path) -> dict:
             worker.start()
         for worker in workers:
             worker.wait_ready(60.0)
-        router = RouterService(
-            workers, PipelineOptions(namespace="bench",
-                                     cache_dir=str(cache_dir)))
+        router = RouterService(workers, PipelineOptions(namespace="bench"))
         try:
             router.dispatch(sources)  # prime the memo
 

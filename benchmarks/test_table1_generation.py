@@ -9,7 +9,7 @@ match exactly; size must be the same order of magnitude.
 """
 
 from conftest import print_comparison, record_phases
-from repro.codegen import PipelineOptions, generate_configuration
+from repro.codegen import generate_configuration
 from repro.obs import Tracer
 
 PAPER = {"time_s": 3.19, "servers": 6, "clients": 4, "size_kb": 697}
@@ -19,8 +19,8 @@ def test_table1_generation(benchmark, model):
     result = benchmark(generate_configuration, model)
     # one extra traced run attributes the timing to pipeline phases in
     # the bench JSON (the timed runs above stay untraced)
-    traced = generate_configuration(
-        model, options=PipelineOptions(tracer=Tracer()))
+    with Tracer().activate():
+        traced = generate_configuration(model)
     record_phases(benchmark, traced.trace)
     print_comparison("Table I — generation results", [
         ("generation time (s)", PAPER["time_s"],

@@ -15,6 +15,7 @@ Run with:  python examples/monitoring_and_reconfiguration.py
 import copy
 import tempfile
 
+from repro.cache import ArtifactCache
 from repro.codegen import IncrementalEngine, PipelineOptions
 from repro.icelab import run_icelab
 from repro.icelab.model_gen import icelab_sources
@@ -55,8 +56,8 @@ def main() -> None:
 
     print("\n== 4. model change -> incremental regeneration ==")
     with tempfile.TemporaryDirectory() as cache_dir:
-        engine = IncrementalEngine(PipelineOptions(namespace="icelab",
-                                                   cache_dir=cache_dir))
+        engine = IncrementalEngine(PipelineOptions(namespace="icelab"),
+                                   cache=ArtifactCache(cache_dir))
         engine.generate(*icelab_sources())
         specs = [copy.deepcopy(s) for s in ICE_LAB_SPECS]
         warehouse = next(s for s in specs if s.name == "warehouse")

@@ -57,14 +57,10 @@ def _cmd_model(args) -> int:
 def _cmd_validate(args) -> int:
     import json as _json
 
-    from .sysml import load_model, load_model_file, validate_model
+    from .sysml import validate_model
     from .sysml.errors import SysMLError
     try:
-        if args.file:
-            model = load_model_file(args.file)
-        else:
-            from .icelab import icelab_sources
-            model = load_model(*icelab_sources())
+        model = _load_input(args)
     except SysMLError as exc:
         if args.json:
             print(_json.dumps({
@@ -89,6 +85,18 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+def _load_input(args, cache=None):
+    """The model of FILE (``.sysml`` text, or the ``.json`` that
+    ``convert`` writes), else the built-in ICE lab. A JSON model has
+    no source fingerprint, so the *cache* layers keyed on one (parse
+    trees, topology, whole result) do not apply to it."""
+    from .sysml import load_model, load_model_file
+    if args.file:
+        return load_model_file(args.file, cache=cache)
+    from .icelab import icelab_sources
+    return load_model(*icelab_sources(), cache=cache)
+
+
 def _open_cache(directory, args):
     """The ArtifactCache at *directory*, bounded by --cache-max-bytes."""
     from .cache import DEFAULT_CACHE_MAX_BYTES, ArtifactCache
@@ -108,15 +116,10 @@ def _resolve_cache(args):
     return _open_cache(directory, args)
 
 
-def _pipeline_options(args, cache, **fields):
-    """``PipelineOptions`` for --capacity/--namespace whose cache layers
-    open *cache* (from :func:`_resolve_cache`) at the same size bound."""
+def _pipeline_options(args):
+    """``PipelineOptions`` for --capacity/--namespace."""
     from .codegen import PipelineOptions
-    if cache is not None:
-        fields.update(cache_dir=str(cache.directory),
-                      cache_max_bytes=cache.max_bytes)
-    return PipelineOptions(capacity=args.capacity,
-                           namespace=args.namespace, **fields)
+    return PipelineOptions(capacity=args.capacity, namespace=args.namespace)
 
 
 def _add_perf_arguments(parser) -> None:
@@ -139,10 +142,10 @@ def _cmd_generate(args) -> int:
     from .sysml import load_model
     tracer = Tracer() if args.trace is not None else None
     cache = _resolve_cache(args)
-    options = _pipeline_options(args, cache, tracer=tracer)
+    options = _pipeline_options(args)
     with tracer.activate() if tracer else nullcontext():
         model = load_model(*icelab_sources(), cache=cache)
-        result = generate_configuration(model, options=options)
+        result = generate_configuration(model, options, cache=cache)
     for key, value in result.summary().items():
         print(f"{key:>20}: {value}")
     for group in result.groups:
@@ -171,25 +174,15 @@ def _cmd_trace(args) -> int:
 
     from .codegen import generate_configuration
     from .obs import METRICS, Tracer
-    from .sysml import load_model
     from .sysml.errors import SysMLError
-
-    if args.file:
-        with open(args.file) as handle:
-            sources = [handle.read()]
-        filenames = [args.file]
-    else:
-        from .icelab import icelab_sources
-        sources = icelab_sources()
-        filenames = None
 
     cache = _resolve_cache(args)
     tracer = Tracer()
     try:
         with tracer.activate():
-            model = load_model(*sources, filenames=filenames, cache=cache)
+            model = _load_input(args, cache)
             result = generate_configuration(
-                model, options=_pipeline_options(args, cache))
+                model, _pipeline_options(args), cache=cache)
     except SysMLError as exc:
         print(f"ERROR: {exc}")
         return 1
@@ -231,17 +224,8 @@ def _cmd_simulate(args) -> int:
     from .isa95 import extract_topology
     from .obs import Tracer
     from .sim import SCENARIOS, WorkloadError, simulate_suite
-    from .sysml import load_model
     from .sysml.errors import SysMLError
 
-    if args.file:
-        with open(args.file) as handle:
-            sources = [handle.read()]
-        filenames = [args.file]
-    else:
-        from .icelab import icelab_sources
-        sources = icelab_sources()
-        filenames = None
     names = tuple(name.strip() for name in args.scenarios.split(",")
                   if name.strip())
     unknown = sorted(set(names) - set(SCENARIOS))
@@ -252,8 +236,7 @@ def _cmd_simulate(args) -> int:
     tracer = Tracer() if args.trace else None
     try:
         with tracer.activate() if tracer else nullcontext():
-            model = load_model(*sources, filenames=filenames)
-            topology = extract_topology(model)
+            topology = extract_topology(_load_input(args))
             briefing = simulate_suite(
                 topology, seed=args.seed, names=names,
                 policy=args.policy, base_jobs=args.base_jobs)
@@ -289,17 +272,8 @@ def _cmd_plan(args) -> int:
     from .isa95 import extract_topology
     from .obs import Tracer
     from .planning import PlanningError, PlanningOptions, plan_operations
-    from .sysml import load_model
     from .sysml.errors import SysMLError
 
-    if args.file:
-        with open(args.file) as handle:
-            sources = [handle.read()]
-        filenames = [args.file]
-    else:
-        from .icelab import icelab_sources
-        sources = icelab_sources()
-        filenames = None
     try:
         options = PlanningOptions(
             seed=args.seed, problems=args.problems, orders=args.orders,
@@ -312,7 +286,7 @@ def _cmd_plan(args) -> int:
     tracer = Tracer() if args.trace else None
     try:
         with tracer.activate() if tracer else nullcontext():
-            model = load_model(*sources, filenames=filenames, cache=cache)
+            model = _load_input(args, cache)
             topology = extract_topology(model)
             result = plan_operations(
                 topology, options,
@@ -372,9 +346,8 @@ def _cmd_serve(args) -> int:
     if args.workers > 0:
         return _cmd_serve_sharded(args)
     cache = _resolve_cache(args)
-    options = _pipeline_options(args, cache)
     service = ConfigurationService(
-        options, max_inflight=args.max_inflight,
+        _pipeline_options(args), cache=cache, max_inflight=args.max_inflight,
         policy=args.backpressure, block_deadline=args.block_deadline,
         rate=args.rate, drain_deadline=args.drain_deadline)
     server = ServiceHTTPServer((args.host, args.port), service)
@@ -443,7 +416,7 @@ def _cmd_serve_sharded(args) -> int:
     ]
     if args.cache_max_bytes is not None:
         serve_args += ["--cache-max-bytes", str(args.cache_max_bytes)]
-    options = _pipeline_options(args, cache)
+    options = _pipeline_options(args)
     workdir = tempfile.mkdtemp(prefix="repro-shards-")
     workers = [WorkerProcess(f"worker{i}", host=args.host,
                              serve_args=serve_args, workdir=workdir)
@@ -515,13 +488,13 @@ def _cmd_watch(args) -> int:
     from .watch import WatchSession
 
     cache = _resolve_cache(args)
-    options = _pipeline_options(args, cache)
     cluster = None
     if args.deploy:
         from .k8s import Cluster
         cluster = Cluster()
-    session = WatchSession(args.files, options=options, out_dir=args.out,
-                           cluster=cluster, interval=args.interval)
+    session = WatchSession(args.files, options=_pipeline_options(args),
+                           cache=cache, out_dir=args.out, cluster=cluster,
+                           interval=args.interval)
 
     def report(event) -> None:
         if not event.ok:

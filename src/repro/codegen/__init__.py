@@ -15,8 +15,8 @@ from .client_config import client_config, topic_root
 from .docs_gen import generate_handbook
 from .incremental import IncrementalEngine
 from .grouping import (ClientGroup, DEFAULT_CLIENT_CAPACITY,
-                       GROUPING_ALGORITHMS, GroupingError, group_machines,
-                       grouping_stats, lower_bound_clients)
+                       GroupingError, group_machines, grouping_stats,
+                       lower_bound_clients)
 from .machine_config import (WORKCELL_SERVER_PORT, machine_config,
                              workcell_endpoint, workcell_server_config)
 from .options import OptionError, PipelineOptions
@@ -32,7 +32,6 @@ CODEGEN_BACKENDS = ("json", "yaml", "pddl")
 __all__ = [
     "CODEGEN_BACKENDS",
     "COMPONENT_IMAGES", "ClientGroup", "DEFAULT_CLIENT_CAPACITY",
-    "GROUPING_ALGORITHMS",
     "IncrementalEngine", "generate_handbook", "OptionError",
     "PipelineOptions",
     "GenerationPipeline", "GenerationResult", "GroupingError",

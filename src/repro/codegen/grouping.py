@@ -6,12 +6,9 @@ client. This is done by grouping multiple machines by considering the
 maximum number of variables and methods supported by each OPC UA client
 module."
 
-Implemented as bin packing over the machines' point counts (variables +
-methods): first-fit-decreasing by default (byte-compatible with every
-earlier release), best-fit-decreasing opt-in via
-``PipelineOptions(grouping="best-fit")`` — never more clients than
-first-fit, and ``O(log groups)`` per placement at mega-factory machine
-counts. Machines larger than the capacity get a dedicated (oversized)
+Implemented as first-fit-decreasing bin packing over the machines'
+point counts (variables + methods), byte-compatible with every earlier
+release. Machines larger than the capacity get a dedicated (oversized)
 client, matching how the ICE lab deploys the conveyor line. The paper
 does not disclose the capacity constant; ``DEFAULT_CLIENT_CAPACITY =
 120`` reproduces the published result of 4 clients for the ICE-lab
@@ -58,15 +55,10 @@ class ClientGroup:
         return [m.name for m in self.machines]
 
 
-#: Supported packing algorithms for :func:`group_machines`.
-GROUPING_ALGORITHMS = ("first-fit", "best-fit")
-
-
 def _pack_first_fit(ordered: list[MachineInfo],
                     capacity: int) -> tuple[list[ClientGroup], int]:
     """First-fit-decreasing: each machine goes to the earliest-created
-    open group with room (the historical default; byte-compatible with
-    every pre-option release)."""
+    open group with room."""
     fit_checks = 0
     groups: list[ClientGroup] = []
     for machine in ordered:
@@ -92,80 +84,26 @@ def _pack_first_fit(ordered: list[MachineInfo],
     return groups, fit_checks
 
 
-def _pack_best_fit(ordered: list[MachineInfo],
-                   capacity: int) -> tuple[list[ClientGroup], int]:
-    """Best-fit-decreasing: each machine goes to the open group with the
-    *smallest* residual capacity that still fits it.
-
-    Deterministic tie-breaks: equal residuals go to the earliest-created
-    group. The open groups live in a bisect-sorted ``(residual,
-    creation_order)`` list, so each placement is ``O(log groups)``
-    instead of first-fit's linear scan — the part that matters at
-    mega-factory machine counts.
-    """
-    import bisect
-    fit_checks = 0
-    groups: list[ClientGroup] = []
-    open_keys: list[tuple[int, int]] = []  # sorted (residual, order)
-    for machine in ordered:
-        size = machine.point_count
-        if size > capacity:
-            group = ClientGroup(index=0, capacity=capacity,
-                                oversized=True)
-            group.machines.append(machine)
-            groups.append(group)
-            continue
-        fit_checks += 1
-        # smallest residual >= size; ties resolve to the lowest
-        # creation order because the keys sort lexicographically
-        at = bisect.bisect_left(open_keys, (size, -1))
-        if at < len(open_keys):
-            residual, order = open_keys.pop(at)
-            group = groups[order]
-            group.machines.append(machine)
-            bisect.insort(open_keys, (residual - size, order))
-        else:
-            group = ClientGroup(index=0, capacity=capacity)
-            group.machines.append(machine)
-            bisect.insort(open_keys, (capacity - size, len(groups)))
-            groups.append(group)
-    return groups, fit_checks
-
-
 def group_machines(machines: list[MachineInfo],
                    capacity: int = DEFAULT_CLIENT_CAPACITY,
                    *, algorithm: str = "first-fit") -> list[ClientGroup]:
-    """Bin-pack machines onto client modules.
+    """Bin-pack machines onto client modules, first-fit-decreasing.
 
-    *algorithm* selects the packing: ``"first-fit"`` (the default,
-    byte-compatible first-fit-decreasing) or ``"best-fit"``
-    (best-fit-decreasing, guaranteed to never use more clients than
-    first-fit: when its packing does not already hit
-    :func:`lower_bound_clients`, the first-fit packing is computed too
-    and the smaller of the two wins, first-fit breaking ties losing).
-
-    Deterministic either way: ties in point count break on machine
-    name, ties in residual capacity break on group creation order.
-    Machines exceeding *capacity* each get their own oversized client.
+    Deterministic: ties in point count break on machine name. Machines
+    exceeding *capacity* each get their own oversized client.
+    *algorithm* names the packing and must be ``"first-fit"``, the only
+    one (``benchmarks/e2e`` passes it, read from
+    :attr:`PipelineOptions.grouping <repro.codegen.PipelineOptions>`).
     """
     if capacity <= 0:
         raise GroupingError(f"capacity must be positive, got {capacity}")
-    if algorithm not in GROUPING_ALGORITHMS:
-        raise GroupingError(
-            f"unknown grouping algorithm {algorithm!r} "
-            f"(expected one of {', '.join(GROUPING_ALGORITHMS)})")
+    if algorithm != "first-fit":
+        raise GroupingError(f"unknown grouping algorithm {algorithm!r} "
+                            f"(the only one is 'first-fit')")
     from ..obs import span as _span
     with _span("grouping") as s:
         ordered = sorted(machines, key=lambda m: (-m.point_count, m.name))
-        if algorithm == "best-fit":
-            groups, fit_checks = _pack_best_fit(ordered, capacity)
-            if len(groups) > lower_bound_clients(machines, capacity):
-                fallback, extra = _pack_first_fit(ordered, capacity)
-                fit_checks += extra
-                if len(fallback) < len(groups):
-                    groups = fallback
-        else:
-            groups, fit_checks = _pack_first_fit(ordered, capacity)
+        groups, fit_checks = _pack_first_fit(ordered, capacity)
         for index, group in enumerate(groups, start=1):
             group.index = index
         if s.enabled:

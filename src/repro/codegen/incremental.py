@@ -22,6 +22,7 @@ change detector.
 
 from __future__ import annotations
 
+from ..cache import ArtifactCache
 from ..isa95.levels import FactoryTopology, WorkcellInfo
 from ..isa95.topology import TopologyExtractor
 from ..obs import METRICS, span
@@ -48,12 +49,15 @@ class IncrementalEngine:
     :class:`GenerationResult` whose ``provenance`` maps every artifact
     to ``"reused"`` (byte-identical to the previous revision's) or
     ``"regenerated"``. Results share unchanged config/manifest objects
-    with earlier results — treat them as read-only.
+    with earlier results — treat them as read-only. *cache*, when
+    given, serves both the session's parse trees and the pipeline's
+    topology and result layers.
     """
 
-    def __init__(self, options: PipelineOptions | None = None):
+    def __init__(self, options: PipelineOptions | None = None, *,
+                 cache: ArtifactCache | None = None):
         self.options = options if options is not None else PipelineOptions()
-        self.pipeline = GenerationPipeline(self.options)
+        self.pipeline = GenerationPipeline(self.options, cache=cache)
         self.session: ModelSession | None = None
         #: The :class:`ModelUpdate` behind the last :meth:`generate`.
         self.last_update: ModelUpdate | None = None

@@ -4,30 +4,29 @@
 :class:`~repro.codegen.pipeline.GenerationPipeline`,
 :func:`~repro.codegen.pipeline.generate_configuration` and
 :class:`~repro.codegen.incremental.IncrementalEngine`; none of them
-takes per-knob keyword arguments. It is frozen (safe to share between
-pipelines and threads), round-trips through ``to_dict``/``from_dict``,
-and carries the optional :class:`~repro.obs.Tracer` that turns on
-pipeline telemetry.
+takes per-knob keyword arguments. It holds exactly the values that
+shape the output and that a service request may set, and it is frozen
+(safe to share between pipelines and threads).
 
-Every output-shaping field is checked once, in the constructor: a
-value of the wrong type or range raises :class:`OptionError`, which
-the service answers with ``400 bad-option`` and the CLI with one
-``error:`` line and exit status 2. So ``replace`` and ``from_dict``
-are checked too.
+Every field is checked once, in the constructor: a value of the wrong
+type or range raises :class:`OptionError`, which the service answers
+with ``400 bad-option`` and the CLI with one ``error:`` line and exit
+status 2. So ``replace`` is checked too.
 
-Reuse across edits is not an option: an
-:class:`~repro.codegen.incremental.IncrementalEngine` always reuses
-what an edit left unchanged, a plain pipeline run never does. Nor is
-a worker pool: generation runs in the caller's thread.
+Runtime objects are not options. An artifact cache is passed as an
+:class:`~repro.cache.ArtifactCache` (``cache=``) to the consumer that
+uses it, and telemetry is on when a :class:`~repro.obs.Tracer` is
+active (``with tracer.activate(): ...``). Reuse across edits is not an
+option either: an :class:`~repro.codegen.incremental.IncrementalEngine`
+always reuses what an edit left unchanged, a plain pipeline run never
+does. Nor is a worker pool: generation runs in the caller's thread.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
-from ..cache import DEFAULT_CACHE_MAX_BYTES
-from ..obs import Tracer
 from .grouping import DEFAULT_CLIENT_CAPACITY
 
 #: A Kubernetes namespace name: an RFC 1123 (DNS) label.
@@ -40,20 +39,13 @@ class OptionError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Everything configurable about one generation pipeline run."""
+    """Everything that shapes one generation pipeline run's output."""
 
     capacity: int = DEFAULT_CLIENT_CAPACITY
     namespace: str = "factory"
     broker_url: str = "mqtt://broker:1883"
     database_url: str = "ts://factorydb:8086"
     validate: bool = True
-    #: Artifact-cache directory; ``None`` disables caching.
-    cache_dir: str | None = None
-    #: LRU size bound of the artifact cache.
-    cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    #: Tracer collecting the run's :class:`~repro.obs.PipelineTrace`;
-    #: ``None`` leaves telemetry off (or inherits an ambient tracer).
-    tracer: Tracer | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         checks = (
@@ -83,25 +75,9 @@ class PipelineOptions:
         """A copy with *changes* applied (frozen-dataclass update)."""
         return replace(self, **changes)
 
-    def to_dict(self) -> dict[str, object]:
-        """Serializable form; the (unserializable) tracer is omitted."""
-        return {
-            "capacity": self.capacity,
-            "namespace": self.namespace,
-            "broker_url": self.broker_url,
-            "database_url": self.database_url,
-            "validate": self.validate,
-            "cache_dir": self.cache_dir,
-            "cache_max_bytes": self.cache_max_bytes,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, object], *,
-                  tracer: Tracer | None = None) -> "PipelineOptions":
-        known = {f.name for f in fields(cls)} - {"tracer"}
-        unknown = set(data) - known
-        if unknown:
-            raise TypeError(
-                f"unknown pipeline option(s): {', '.join(sorted(unknown))}")
-        return cls(tracer=tracer, **data)  # type: ignore[arg-type]
-
+def semantic_options(options: PipelineOptions) -> dict[str, object]:
+    """Every field of *options*, in declaration order: part of every
+    result-cache, single-flight, memo and routing key, and echoed in
+    each service bundle."""
+    return asdict(options)

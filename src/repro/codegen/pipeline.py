@@ -10,17 +10,17 @@ time, and reports the same quantities as the last row of Table I
 (generation time, #OPC UA servers, #clients, configuration size).
 
 The entry point is ``generate_configuration(model,
-options=PipelineOptions(...))``. When the options carry a
-:class:`~repro.obs.Tracer` (or one is ambiently active), every phase is
-recorded as a span — ``generate`` > ``topology`` / ``validate`` /
+options=PipelineOptions(...))``. When a :class:`~repro.obs.Tracer` is
+active (``with tracer.activate(): ...``), every phase is recorded as a
+span — ``generate`` > ``topology`` / ``validate`` /
 ``step1`` (per machine, grouping) / ``step2`` (per rendered template) —
 and the resulting :class:`~repro.obs.PipelineTrace` is attached to the
 :class:`GenerationResult`.
 
 Steps 1 and 2 run in the caller's thread: per-machine configs and
 per-manifest renders are pure Python, so a worker pool cannot overlap
-them under the GIL. ``cache_dir`` in :class:`PipelineOptions` enables
-the :mod:`repro.cache` artifact cache for the work that costs more to
+them under the GIL. An :class:`~repro.cache.ArtifactCache` passed as
+``cache=`` enables the artifact cache for the work that costs more to
 compute than to read back: the extracted topology and the whole result
 set, both keyed on the model's source fingerprint (parse trees are
 cached one layer down, by :func:`repro.sysml.load_model`). Machine
@@ -44,10 +44,9 @@ each artifact ``reused`` exactly when it equals *previous*'s — keeping
 state — every run builds a fresh :class:`GenerationResult`, and the
 shared :class:`~repro.cache.ArtifactCache` is thread-safe — so one
 instance may serve concurrent ``run_on_model`` calls from many threads
-(the :mod:`repro.service` layer does exactly this). The one exception
-is a :class:`~repro.obs.Tracer` in the options: a tracer's span stack
-belongs to a single run, so concurrent runs must not share one (the
-service strips it; give each traced run its own tracer).
+(the :mod:`repro.service` layer does exactly this). A
+:class:`~repro.obs.Tracer`'s span stack belongs to a single run, so
+each traced run activates its own tracer.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from ..gcpolicy import gc_window
 from ..isa95.levels import FactoryTopology
 from ..isa95.topology import extract_topology
 from ..isa95.validation import validate_topology
-from ..obs import PipelineTrace, Summarizable, activation, span
+from ..obs import PipelineTrace, Summarizable, current_tracer, span
 from ..sysml.elements import Model
 from ..sysml.errors import ValidationError
 from ..templates.engine import k8s_name
@@ -71,7 +70,7 @@ from ..templates.library import get_template
 from .client_config import client_config, topic_root
 from .grouping import ClientGroup, group_machines, grouping_signature
 from .machine_config import machine_config, workcell_server_config
-from .options import PipelineOptions
+from .options import PipelineOptions, semantic_options
 from .storage_config import storage_config
 
 #: Container images of the deployed software stack components.
@@ -266,23 +265,23 @@ class _Earlier:
 
 class GenerationPipeline:
     """Configurable pipeline instance; :class:`PipelineOptions` is its
-    only configuration. ``previous`` must come from a pipeline with
+    only configuration and *cache*, when given, the artifact cache its
+    runs read and fill. ``previous`` must come from a pipeline with
     equal options; ``dirty`` names the machines whose
     :class:`MachineInfo` may differ from *previous*'s (``None``: any)."""
 
-    def __init__(self, options: PipelineOptions | None = None):
+    def __init__(self, options: PipelineOptions | None = None, *,
+                 cache: ArtifactCache | None = None):
         self.options = options if options is not None else PipelineOptions()
-        self.cache: ArtifactCache | None = None
-        if self.options.cache_dir is not None:
-            self.cache = ArtifactCache(self.options.cache_dir,
-                                       self.options.cache_max_bytes)
+        self.cache = cache
 
     # -- entry points ---------------------------------------------------------
 
     def run_on_model(self, model: Model, *,
                      previous: GenerationResult | None = None
                      ) -> GenerationResult:
-        with gc_window(), activation(self.options.tracer) as tracer:
+        tracer = current_tracer()
+        with gc_window():
             started = time.perf_counter()
             with span("generate") as g:
                 result = self._generate_from_model(model, started, g,
@@ -301,7 +300,7 @@ class GenerationPipeline:
         # Whole-result layer: when the sources and every output-shaping
         # option are unchanged, reuse the complete artifact set in one
         # read instead of regenerating it.
-        key = fingerprint(source_fp, self._semantic_options(),
+        key = fingerprint(source_fp, semantic_options(self.options),
                           _render_environment(), salt=RESULT_SALT)
         bundle = self.cache.get_object(key)
         if bundle is not None:
@@ -340,25 +339,16 @@ class GenerationPipeline:
         self.cache.put_object(key, topology)
         return topology
 
-    def _semantic_options(self) -> dict[str, object]:
-        """The options that shape output bytes — *not* cache settings."""
-        return {
-            "capacity": self.options.capacity,
-            "namespace": self.options.namespace,
-            "broker_url": self.options.broker_url,
-            "database_url": self.options.database_url,
-        }
-
     def run_on_topology(self, topology: FactoryTopology, *,
                         previous: GenerationResult | None = None,
                         dirty: set[str] | None = None
                         ) -> GenerationResult:
-        with activation(self.options.tracer) as tracer:
-            with span("generate"):
-                result = self._run(topology, time.perf_counter(),
-                                   previous, dirty)
-            if tracer.enabled:
-                result.trace = tracer.trace()
+        tracer = current_tracer()
+        with span("generate"):
+            result = self._run(topology, time.perf_counter(),
+                               previous, dirty)
+        if tracer.enabled:
+            result.trace = tracer.trace()
         return result
 
     def _validate(self, topology: FactoryTopology) -> None:
@@ -504,7 +494,8 @@ class GenerationPipeline:
 
 
 def generate_configuration(model: Model,
-                           options: PipelineOptions | None = None
+                           options: PipelineOptions | None = None, *,
+                           cache: ArtifactCache | None = None
                            ) -> GenerationResult:
     """Run the full two-step pipeline on a resolved SysML model."""
-    return GenerationPipeline(options).run_on_model(model)
+    return GenerationPipeline(options, cache=cache).run_on_model(model)

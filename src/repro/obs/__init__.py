@@ -22,12 +22,12 @@ from .metrics import (Counter, Gauge, Histogram, METRICS, MetricsRegistry,
 from .summary import Summarizable
 from .trace import PipelineTrace, SpanRecord, TRACE_SCHEMA_VERSION
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer,
-                     activation, record_span, span)
+                     current_tracer, record_span, span)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "METRICS", "MetricsRegistry",
     "NULL_SPAN", "NULL_TRACER", "NullTracer", "PipelineTrace", "Span",
     "SpanRecord", "Summarizable", "TRACE_SCHEMA_VERSION", "Tracer",
-    "activation", "aggregate_snapshots", "record_span",
+    "aggregate_snapshots", "current_tracer", "record_span",
     "snapshot_delta", "span",
 ]

@@ -13,6 +13,9 @@ a :class:`contextvars.ContextVar`. When no tracer is active the helper
 returns a shared :data:`NULL_SPAN` singleton whose every method is a
 no-op, so instrumentation costs one context-variable read per span and
 allocates nothing — the "zero cost when disabled" contract.
+Activation is the only switch: an entry point that attaches the
+finished trace to its result reads the ambient tracer with
+:func:`current_tracer`.
 
 Usage::
 
@@ -202,16 +205,7 @@ def record_span(name: str, seconds: float, **attributes) -> None:
     tracer.attach(recorded)
 
 
-@contextmanager
-def activation(tracer: Tracer | None):
-    """Activate *tracer* if given, else keep the ambient one.
-
-    Yields the effective tracer either way — the pattern pipeline entry
-    points use to honour both an explicit ``options.tracer`` and a
-    tracer activated further up the call stack (e.g. by the CLI).
-    """
-    if tracer is not None:
-        with tracer.activate():
-            yield tracer
-    else:
-        yield _ACTIVE_TRACER.get()
+def current_tracer() -> "Tracer | NullTracer":
+    """The ambient tracer: the one a ``Tracer.activate()`` block made
+    active, else :data:`NULL_TRACER`."""
+    return _ACTIVE_TRACER.get()

@@ -36,7 +36,7 @@ from ..parallel import map_ordered
 from ..sim.workload import Workload, generate_workload
 from .pddl import emit_domain, emit_problem, render_plan
 from .planner import DEFAULT_MAX_EXPANSIONS, SearchResult, solve
-from .task import FactoryDomain, PlanningError, PlanningTask, build_task
+from .task import FactoryDomain, PlanningError, build_task
 from .validate import PlanValidation, build_simulators, validate_plan
 
 _PROBLEMS = METRICS.counter("plan.problems")

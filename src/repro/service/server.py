@@ -48,12 +48,14 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from ..cache import ArtifactCache
 from ..codegen.incremental import IncrementalEngine
-from ..codegen.options import OptionError, PipelineOptions
+from ..codegen.options import (OptionError, PipelineOptions,
+                               semantic_options)
 from ..codegen.pipeline import GenerationResult
 from ..faults import FaultInjected, fault_point
 from ..fingerprint import SERVICE_GENERATE_SALT, fingerprint
@@ -76,10 +78,9 @@ _LATENCY = METRICS.histogram("service.request_seconds")
 #: Each engine holds one parsed model session, so this bounds memory.
 MAX_ENGINES = 4
 
-#: Keys of ``options`` overrides a request may carry — exactly the
-#: output-shaping knobs; the cache settings stay server-side.
-REQUEST_OPTION_KEYS = ("capacity", "namespace", "broker_url",
-                      "database_url", "validate")
+#: Keys of ``options`` overrides a request may carry: every field of
+#: :class:`PipelineOptions`, in declaration order.
+REQUEST_OPTION_KEYS = tuple(field.name for field in fields(PipelineOptions))
 
 
 #: Largest request body either HTTP front end reads. The largest
@@ -161,12 +162,6 @@ def request_options(base: PipelineOptions,
         raise BadOption(str(exc)) from exc
 
 
-def semantic_options(options: PipelineOptions) -> dict[str, object]:
-    """The request-settable options of *options*: part of every
-    single-flight, memo and routing key, and echoed in each bundle."""
-    return {key: getattr(options, key) for key in REQUEST_OPTION_KEYS}
-
-
 def request_key(model_fingerprint: str, options: PipelineOptions) -> str:
     """The one key of a generation request: its result memo entry, its
     single-flight and, in the sharded tier, its routing key."""
@@ -209,23 +204,19 @@ def bundle_bytes(result: GenerationResult, model_fingerprint: str,
 
 
 class ConfigurationService:
-    """Thread-safe serving facade over the generation pipeline."""
+    """Thread-safe serving facade over the generation pipeline.
+
+    *cache*, when given, is the one artifact cache every warm engine
+    reads and fills, and what ``/cache/stats`` reports."""
 
     def __init__(self, options: PipelineOptions | None = None, *,
-                 max_inflight: int = 8, policy: str = POLICY_REJECT,
+                 cache: ArtifactCache | None = None, max_inflight: int = 8,
+                 policy: str = POLICY_REJECT,
                  block_deadline: float = 10.0, max_queue: int | None = None,
                  rate: float = 0.0, burst: float | None = None,
                  memo_entries: int = 64, drain_deadline: float = 10.0):
-        base = options if options is not None else PipelineOptions()
-        if base.tracer is not None:
-            # a Tracer's span stack is single-threaded; concurrent runs
-            # sharing one would interleave, so the service drops it
-            base = base.replace(tracer=None)
-        self.options = base
-        #: The artifact cache behind ``/cache/stats`` (``None`` without
-        #: a ``cache_dir``); the engines open the same directory.
-        self.cache = ArtifactCache(base.cache_dir, base.cache_max_bytes) \
-            if base.cache_dir is not None else None
+        self.options = options if options is not None else PipelineOptions()
+        self.cache = cache
         self.admission = AdmissionController(
             max_inflight, policy=policy, block_deadline=block_deadline,
             max_queue=max_queue)
@@ -323,7 +314,8 @@ class ConfigurationService:
         with self._engines_lock:
             slot = self._engines.get(key)
             if slot is None:
-                slot = (IncrementalEngine(options), threading.Lock())
+                slot = (IncrementalEngine(options, cache=self.cache),
+                        threading.Lock())
                 self._engines[key] = slot
                 self._engine_uses[key] = 1
                 while len(self._engines) > MAX_ENGINES:

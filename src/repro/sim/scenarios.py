@@ -32,7 +32,7 @@ from ..isa95.levels import FactoryTopology
 from .engine import FactorySimulation, Outage, Slowdown
 from .kernel import SimulationError
 from .report import ScenarioReport
-from .workload import (Job, ServiceTimeModel, Workload, generate_workload)
+from .workload import ServiceTimeModel, Workload, generate_workload
 
 SITE_SLOWDOWN = "sim.machine.slowdown"
 SITE_OUTAGE = "sim.workcell.outage"

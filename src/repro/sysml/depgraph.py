@@ -250,18 +250,22 @@ def _elements_at(model: Model, path: str) -> list[Element]:
     if not path:
         return [model]
     found: list[Element] = []
-
-    def descend(scope: Element, rest: str) -> None:
-        for index, child in enumerate(scope.owned_elements):
-            segment = _segment(child, index)
-            if rest == segment:
-                found.append(child)
-            elif rest.startswith(segment) \
-                    and rest.startswith("::", len(segment)):
-                descend(child, rest[len(segment) + 2:])
-
-    descend(model, path)
+    _descend(model, path, found)
     return found
+
+
+# This walk and the two below are module functions, not recursive
+# closures: such a closure is a reference cycle that outlives each call
+# until a full collection, and every model update runs them.
+
+def _descend(scope: Element, rest: str, found: list[Element]) -> None:
+    for index, child in enumerate(scope.owned_elements):
+        segment = _segment(child, index)
+        if rest == segment:
+            found.append(child)
+        elif rest.startswith(segment) \
+                and rest.startswith("::", len(segment)):
+            _descend(child, rest[len(segment) + 2:], found)
 
 
 def find_by_path(model: Model, path: str) -> Element | None:
@@ -356,15 +360,15 @@ def subtree_anchor_keys(element: Element) -> set[NodeKey]:
     """Anchor keys of every element in *element*'s subtree (what a
     wholesale-replaced subtree counts as edited)."""
     keys = {anchor_key(element)}
-
-    def visit(node: Element) -> None:
-        if is_anchor(node):
-            keys.add(node_key(node))
-        for child in node.owned_elements:
-            visit(child)
-
-    visit(element)
+    _add_anchor_keys(element, keys)
     return keys
+
+
+def _add_anchor_keys(node: Element, keys: set[NodeKey]) -> None:
+    if is_anchor(node):
+        keys.add(node_key(node))
+    for child in node.owned_elements:
+        _add_anchor_keys(child, keys)
 
 
 def elements_anchored_in(model: Model, dirty: set[NodeKey]
@@ -386,18 +390,20 @@ def elements_anchored_in(model: Model, dirty: set[NodeKey]
                 leads.add(id(node))
                 node = node.owner
     collected: list[Element] = []
-
-    def visit(element: Element, inside_dirty: bool) -> None:
-        if is_anchor(element):
-            inside_dirty = node_key(element) in dirty
-        if inside_dirty:
-            collected.append(element)
-        elif id(element) not in leads:
-            return
-        for child in element.owned_elements:
-            visit(child, inside_dirty)
-
     for child in model.owned_elements:
         if id(child) in leads:
-            visit(child, False)
+            _collect_dirty(child, False, dirty, leads, collected)
     return collected
+
+
+def _collect_dirty(element: Element, inside_dirty: bool,
+                   dirty: set[NodeKey], leads: set[int],
+                   collected: list[Element]) -> None:
+    if is_anchor(element):
+        inside_dirty = node_key(element) in dirty
+    if inside_dirty:
+        collected.append(element)
+    elif id(element) not in leads:
+        return
+    for child in element.owned_elements:
+        _collect_dirty(child, inside_dirty, dirty, leads, collected)

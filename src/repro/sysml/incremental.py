@@ -318,9 +318,11 @@ class _Merger:
 
 
 def _unlink_untaken(elements: list[Element], taken: set[int]) -> None:
-    """Unlink the parsed elements a merge did not take (by ``id`` in
-    *taken*), so reference counting frees them at once; each would
-    otherwise sit in an ``owner`` cycle until a full collection."""
+    """Unlink the subtrees of *elements* a merge did not take (by
+    ``id`` in *taken*): the parsed elements it left over and the old
+    ones it dropped. Reference counting then frees them at once; each
+    would otherwise sit in an ``owner`` cycle until a full
+    collection."""
     for element in elements:
         if id(element) in taken:
             continue
@@ -480,9 +482,9 @@ class ModelSession:
         taken_ids = {id(element) for element in merger.taken}
         for tree in trees.values():
             _unlink_untaken(tree.members, taken_ids)
-        # `merger` stays referenced to here, keeping dropped subtrees
-        # alive while the fixpoint compared object identities above.
-        assert merger.dropped is not None
+        # `merger` kept the dropped subtrees alive while the fixpoint
+        # compared object identities above; nothing in them is taken
+        _unlink_untaken(merger.dropped, taken_ids)
         return ModelUpdate(changed_sources=changed_names,
                            dirty_anchors=frozenset(all_dirty),
                            removed_anchors=removed,

@@ -27,7 +27,7 @@ from pathlib import Path
 from ..fingerprint import fingerprint
 from ..obs import METRICS
 from ..parallel import map_ordered
-from .corpus import CorpusConfig, FactoryScenario, generate_scenario
+from .corpus import CorpusConfig, generate_scenario
 from .oracles import OracleFailure, ORACLES, TrialContext, oracle_names
 from .shrink import Reproducer, shrink_failure, write_reproducer
 

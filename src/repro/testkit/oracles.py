@@ -15,7 +15,8 @@ Each oracle states one differential property:
   artifact, and neither they nor an edit of one driver parameter of
   each machine in turn take any engine or session fallback;
 * ``grouping``     — client grouping is a partition (every machine
-  assigned exactly once), respects capacity, and is deterministic.
+  assigned exactly once), respects capacity, is deterministic and
+  never uses fewer clients than :func:`lower_bound_clients` allows.
 * ``sim``          — scenario-engine briefings for one seed are
   byte-identical across repeat runs, and reports do not depend on job
   input order.
@@ -50,6 +51,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
+from ..cache import ArtifactCache
 from ..codegen import (PipelineOptions, generate_configuration,
                        group_machines, lower_bound_clients)
 from ..isa95.topology import extract_topology
@@ -119,9 +121,10 @@ class TrialContext:
             self._direct = self._payload(self.options)
         return self._direct
 
-    def _payload(self, options: PipelineOptions) -> bytes:
+    def _payload(self, options: PipelineOptions, cache=None) -> bytes:
         from ..service.server import bundle_bytes
-        result = generate_configuration(self.model, options=options)
+        result = generate_configuration(self.model, options=options,
+                                        cache=cache)
         return bundle_bytes(result, self.model.content_fingerprint, options)
 
 
@@ -176,9 +179,9 @@ def _check_interchange(ctx: TrialContext) -> None:
 def _check_cache(ctx: TrialContext) -> None:
     reference = ctx.direct_payload
     with tempfile.TemporaryDirectory(prefix="repro-conformance-") as tmp:
-        options = ctx.options.replace(cache_dir=tmp)
-        cold = ctx._payload(options)
-        warm = ctx._payload(options)
+        cache = ArtifactCache(tmp)
+        cold = ctx._payload(ctx.options, cache)
+        warm = ctx._payload(ctx.options, cache)
     if cold != reference:
         raise OracleFailure("cache-cold bundle differs from cache-off")
     if warm != reference:
@@ -388,11 +391,11 @@ def _check_chaos(ctx: TrialContext) -> None:
     seed = ctx.scenario.seed if ctx.scenario is not None else 0
     plan = chaos_plan(seed)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        options = ctx.options.replace(cache_dir=tmp)
+        cache = ArtifactCache(tmp)
         with plan.activated():
             try:
-                cold = ctx._payload(options)
-                warm = ctx._payload(options)
+                cold = ctx._payload(ctx.options, cache)
+                warm = ctx._payload(ctx.options, cache)
             except Exception as error:
                 if getattr(error, "retriable", False):
                     raise OracleFailure(
@@ -463,10 +466,12 @@ def _check_chaos(ctx: TrialContext) -> None:
 
 # -- semantic invariants -----------------------------------------------------
 
-def _check_one_grouping(machines, capacity: int, algorithm: str) -> list:
-    """Partition/capacity/oversized/index/determinism invariants for one
-    packing algorithm; returns the groups for cross-algorithm checks."""
-    groups = group_machines(machines, capacity, algorithm=algorithm)
+def _check_grouping(ctx: TrialContext) -> None:
+    """Partition, capacity, oversized, index and determinism invariants
+    of the packing, and its soundness against the lower bound."""
+    machines = extract_topology(ctx.model).machines
+    capacity = ctx.options.capacity
+    groups = group_machines(machines, capacity)
     assigned: list[str] = [name for group in groups
                            for name in group.machine_names]
     expected = sorted(machine.name for machine in machines)
@@ -475,46 +480,32 @@ def _check_one_grouping(machines, capacity: int, algorithm: str) -> list:
         extra = sorted(name for name in assigned
                        if assigned.count(name) > 1)
         raise OracleFailure(
-            f"{algorithm} grouping is not a partition (missing={missing}, "
+            f"grouping is not a partition (missing={missing}, "
             f"duplicated={sorted(set(extra))})")
     for group in groups:
         if group.oversized:
             if len(group.machines) != 1:
                 raise OracleFailure(
-                    f"{algorithm}: oversized client {group.name} holds "
+                    f"oversized client {group.name} holds "
                     f"{len(group.machines)} machines")
             if group.points <= capacity:
                 raise OracleFailure(
-                    f"{algorithm}: client {group.name} marked oversized at "
+                    f"client {group.name} marked oversized at "
                     f"{group.points}/{capacity} points")
         elif group.points > capacity:
             raise OracleFailure(
-                f"{algorithm}: client {group.name} over capacity: "
+                f"client {group.name} over capacity: "
                 f"{group.points}/{capacity} points")
     if [group.index for group in groups] != list(range(1, len(groups) + 1)):
-        raise OracleFailure(f"{algorithm}: client indices are not sequential")
-    rerun = group_machines(machines, capacity, algorithm=algorithm)
+        raise OracleFailure("client indices are not sequential")
+    rerun = group_machines(machines, capacity)
     if [g.machine_names for g in rerun] != [g.machine_names for g in groups]:
+        raise OracleFailure("grouping is not deterministic across runs")
+    bound = lower_bound_clients(machines, capacity)
+    if len(groups) < bound:
         raise OracleFailure(
-            f"{algorithm} grouping is not deterministic across runs")
-    return groups
-
-
-def _check_grouping(ctx: TrialContext) -> None:
-    topology = extract_topology(ctx.model)
-    capacity = ctx.options.capacity
-    first_fit = _check_one_grouping(topology.machines, capacity, "first-fit")
-    best_fit = _check_one_grouping(topology.machines, capacity, "best-fit")
-    # the opt-in solver must be equivalent or better, never worse
-    if len(best_fit) > len(first_fit):
-        raise OracleFailure(
-            f"best-fit used more clients than first-fit "
-            f"({len(best_fit)} > {len(first_fit)})")
-    bound = lower_bound_clients(topology.machines, capacity)
-    if len(best_fit) < bound:
-        raise OracleFailure(
-            f"best-fit beat the information-theoretic lower bound "
-            f"({len(best_fit)} < {bound}) — the packing is unsound")
+            f"first-fit beat the information-theoretic lower bound "
+            f"({len(groups)} < {bound}) — the packing is unsound")
 
 
 def _check_sim(ctx: TrialContext) -> None:

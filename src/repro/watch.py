@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .cache import ArtifactCache
 from .codegen.incremental import IncrementalEngine
 from .codegen.options import PipelineOptions
 from .obs import METRICS
@@ -66,6 +67,8 @@ class WatchSession:
         The ``.sysml`` files to watch.
     options:
         Pipeline options for the inner incremental engine.
+    cache:
+        Optional :class:`~repro.cache.ArtifactCache` for the engine.
     out_dir:
         Optional directory for generated files; only changed files are
         rewritten after the first generation.
@@ -79,14 +82,14 @@ class WatchSession:
     """
 
     def __init__(self, paths, *, options: PipelineOptions | None = None,
+                 cache: ArtifactCache | None = None,
                  out_dir: str | Path | None = None, cluster=None,
                  interval: float = 0.5,
                  clock=time.perf_counter, sleep=time.sleep):
         if not paths:
             raise ValueError("watch needs at least one source file")
         self.paths = [str(path) for path in paths]
-        self.engine = IncrementalEngine(
-            options if options is not None else PipelineOptions())
+        self.engine = IncrementalEngine(options, cache=cache)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.cluster = cluster
         self.interval = interval

@@ -41,10 +41,8 @@ def _same_bytes(a, b):
 
 class TestParallelDeterminism:
     def test_jobs_option_is_gone(self):
-        with pytest.raises(TypeError):
-            PipelineOptions(jobs=4)
         with pytest.raises(TypeError, match="jobs"):
-            PipelineOptions.from_dict({"jobs": 4})
+            PipelineOptions(jobs=4)
 
     def test_manifest_insertion_order_preserved(self, serial_result):
         servers = [f"{config['server']}.yaml"
@@ -61,13 +59,13 @@ class TestParallelDeterminism:
 class TestCacheReplay:
     def test_warm_run_replays_identical_bytes(self, model, serial_result,
                                               tmp_path):
-        options = PipelineOptions(namespace="icelab",
-                                  cache_dir=str(tmp_path / "cache"))
-        cold = GenerationPipeline(options).run_on_model(model)
+        options = PipelineOptions(namespace="icelab")
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = GenerationPipeline(options, cache=cache).run_on_model(model)
         _same_bytes(serial_result, cold)
 
         METRICS.reset()
-        warm = GenerationPipeline(options).run_on_model(model)
+        warm = GenerationPipeline(options, cache=cache).run_on_model(model)
         _same_bytes(serial_result, warm)
         snap = METRICS.snapshot()
         assert snap["cache.hits"] > 0
@@ -76,12 +74,12 @@ class TestCacheReplay:
         assert snap["templates.renders"] == 0
 
     def test_option_change_invalidates_replay(self, model, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        GenerationPipeline(PipelineOptions(
-            namespace="icelab", cache_dir=cache_dir)).run_on_model(model)
+        cache = ArtifactCache(tmp_path / "cache")
+        GenerationPipeline(PipelineOptions(namespace="icelab"),
+                           cache=cache).run_on_model(model)
         METRICS.reset()
-        other = GenerationPipeline(PipelineOptions(
-            namespace="otherns", cache_dir=cache_dir)).run_on_model(model)
+        other = GenerationPipeline(PipelineOptions(namespace="otherns"),
+                                   cache=cache).run_on_model(model)
         assert METRICS.snapshot()["cache.misses"] > 0
         assert all("namespace: otherns" in text
                    for text in other.manifests.values())
@@ -91,16 +89,16 @@ class TestCacheReplay:
         # run_on_topology has no source fingerprint to key the topology
         # or whole-result layer on: both runs generate from scratch
         topology = icelab_topology(model)
-        cache_dir = str(tmp_path / "cache")
-        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
-        first = GenerationPipeline(options).run_on_topology(topology)
-        second = GenerationPipeline(options).run_on_topology(topology)
+        pipeline = GenerationPipeline(PipelineOptions(namespace="icelab"),
+                                      cache=ArtifactCache(tmp_path / "c"))
+        first = pipeline.run_on_topology(topology)
+        second = pipeline.run_on_topology(topology)
         _same_bytes(first, second)
-        assert _entries(cache_dir) == 0
+        assert _entries(pipeline.cache) == 0
 
 
-def _entries(cache_dir):
-    return ArtifactCache(cache_dir).stats()["entries"]
+def _entries(cache):
+    return cache.stats()["entries"]
 
 
 #: What a cold ICE-lab run leaves in the cache: one parse tree per
@@ -115,23 +113,24 @@ class TestMachineConfigKey:
     cache holds parse trees, the topology and the whole result."""
 
     def test_session_run_writes_no_per_machine_entry(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
-        cold = IncrementalEngine(options).generate(*icelab_sources())
+        cache = ArtifactCache(tmp_path / "cache")
+        options = PipelineOptions(namespace="icelab")
+        cold = IncrementalEngine(options, cache=cache) \
+            .generate(*icelab_sources())
         assert len(cold.machine_configs) == 10
-        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES
+        assert _entries(cache) == ICELAB_COLD_ENTRIES
         # another namespace shares the parse trees and the topology and
         # adds exactly one whole-result entry
-        IncrementalEngine(options.replace(namespace="other")) \
+        IncrementalEngine(options.replace(namespace="other"), cache=cache) \
             .generate(*icelab_sources())
-        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES + 1
+        assert _entries(cache) == ICELAB_COLD_ENTRIES + 1
 
     def test_only_parse_trees_pickle_front_end_objects(self, tmp_path):
         """A change to a ``repro.sysml`` class layout bumps the
         parse-tree salt alone: the topology and whole-result entries
         never hold such an object."""
         cache_dir = tmp_path / "cache"
-        IncrementalEngine(PipelineOptions(cache_dir=str(cache_dir))) \
+        IncrementalEngine(cache=ArtifactCache(cache_dir)) \
             .generate(*icelab_sources())
         entries = [path.read_bytes() for path in cache_dir.glob("??/*")]
         assert len(entries) == ICELAB_COLD_ENTRIES
@@ -139,23 +138,46 @@ class TestMachineConfigKey:
                    for data in entries) == ICELAB_PARSE_TREES
 
     def test_cold_run_writes_three_layers(self, tmp_path, serial_result):
-        cache_dir = str(tmp_path / "cache")
-        options = PipelineOptions(namespace="icelab", cache_dir=cache_dir)
-        cache = ArtifactCache(cache_dir)
+        options = PipelineOptions(namespace="icelab")
+        cache = ArtifactCache(tmp_path / "cache")
         cold = generate_configuration(
-            load_model(*icelab_sources(), cache=cache), options)
+            load_model(*icelab_sources(), cache=cache), options, cache=cache)
         assert ICELAB_PARSE_TREES == 22
-        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES == 24
+        assert _entries(cache) == ICELAB_COLD_ENTRIES == 24
         _same_bytes(serial_result, cold)
 
         METRICS.reset()
         warm = generate_configuration(
-            load_model(*icelab_sources(), cache=cache), options)
+            load_model(*icelab_sources(), cache=cache), options, cache=cache)
         snap = METRICS.snapshot()
         assert snap["cache.misses"] == 0
         assert snap["templates.renders"] == 0
-        assert _entries(cache_dir) == ICELAB_COLD_ENTRIES
+        assert _entries(cache) == ICELAB_COLD_ENTRIES
         _same_bytes(serial_result, warm)
+
+
+class TestOneSharedCache:
+    """Pipelines handed one :class:`ArtifactCache` share its size
+    estimate, so the bound covers their interleaved puts together."""
+
+    def test_interleaved_puts_stay_under_the_bound(self, tmp_path):
+        bound = 1_000_000
+        cache = ArtifactCache(tmp_path / "cache", max_bytes=bound)
+        pipelines = [GenerationPipeline(PipelineOptions(namespace=f"ns-{i}"),
+                                        cache=cache) for i in range(4)]
+        evictions = METRICS.snapshot().get("cache.evictions", 0)
+        for revision in range(3):
+            # each revision is a new source fingerprint: every run puts
+            # a topology and a whole result (~0.4 MB together)
+            sources = icelab_sources()
+            sources[-1] += f"\n// revision {revision}\n"
+            model = load_model(*sources)
+            for pipeline in pipelines:
+                pipeline.run_on_model(model)
+                on_disk = sum(path.stat().st_size for path
+                              in (tmp_path / "cache").glob("??/*"))
+                assert on_disk <= bound
+        assert METRICS.snapshot()["cache.evictions"] > evictions
 
 
 class TestWriteToSanitization:

@@ -83,12 +83,13 @@ class TestCapacitySweep:
         with pytest.raises(ValueError,
                            match=f"capacity must be positive, got {capacity}"):
             group_machines(ice_machines(), capacity)
-        with pytest.raises(ValueError, match="capacity must be positive"):
-            group_machines(ice_machines(), capacity, algorithm="best-fit")
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(GroupingError, match="unknown grouping algorithm"):
-            group_machines(ice_machines(), 120, algorithm="worst-fit")
+        # first-fit is the only packer; best-fit is gone with the rest
+        for algorithm in ("worst-fit", "best-fit"):
+            with pytest.raises(GroupingError,
+                               match="unknown grouping algorithm"):
+                group_machines(ice_machines(), 120, algorithm=algorithm)
 
 
 class TestEdgeCases:
@@ -170,7 +171,7 @@ class TestStats:
 
 
 @settings(max_examples=100, deadline=None)
-@pytest.mark.parametrize("algorithm", ["first-fit", "best-fit"])
+@pytest.mark.parametrize("algorithm", ["first-fit"])
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 10)),
                 min_size=1, max_size=30),
        st.integers(min_value=5, max_value=200))
@@ -192,67 +193,12 @@ def test_grouping_invariants(algorithm, sizes, capacity):
     assert len(groups) >= lower_bound_clients(machines, capacity) - 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 10)),
-                min_size=1, max_size=30),
-       st.integers(min_value=5, max_value=200))
-def test_best_fit_never_uses_more_clients_than_first_fit(sizes, capacity):
-    machines = [machine(f"m{i}", v, s) for i, (v, s) in enumerate(sizes)]
-    first = group_machines(machines, capacity)
-    best = group_machines(machines, capacity, algorithm="best-fit")
-    assert len(best) <= len(first)
-    # and both stay sound against the information-theoretic bound
-    assert len(best) >= lower_bound_clients(machines, capacity)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 10)),
                 min_size=1, max_size=30),
        st.integers(min_value=5, max_value=200))
-def test_best_fit_deterministic_under_input_order(sizes, capacity):
+def test_first_fit_deterministic_under_input_order(sizes, capacity):
     machines = [machine(f"m{i}", v, s) for i, (v, s) in enumerate(sizes)]
-    a = group_machines(machines, capacity, algorithm="best-fit")
-    b = group_machines(list(reversed(machines)), capacity,
-                       algorithm="best-fit")
+    a = group_machines(machines, capacity)
+    b = group_machines(list(reversed(machines)), capacity)
     assert [g.machine_names for g in a] == [g.machine_names for g in b]
-
-
-class TestBestFit:
-    def test_best_fit_never_worse_on_balanced_pairs(self):
-        # 42+42, 31+31, 27+27 under capacity 100: a shape where greedy
-        # packings are tempted to strand the 27s in a third client
-        machines = [machine("a", 42, 0), machine("b", 42, 0),
-                    machine("c", 31, 0), machine("d", 31, 0),
-                    machine("e", 27, 0), machine("f", 27, 0)]
-        first = group_machines(machines, 100)
-        best = group_machines(machines, 100, algorithm="best-fit")
-        assert len(best) <= len(first)
-
-    def test_best_fit_prefers_tightest_bin(self):
-        # capacity 10, sizes 6/5/4: the 4 goes to the 6-bin (residual 4
-        # is tighter than the 5-bin's residual 5)
-        machines = [machine("x", 6, 0), machine("y", 5, 0),
-                    machine("z", 4, 0)]
-        best = group_machines(machines, 10, algorithm="best-fit")
-        assert [g.machine_names for g in best] == [["x", "z"], ["y"]]
-
-    def test_best_fit_equal_residual_tie_breaks_to_earliest_group(self):
-        # two bins with identical residuals: the earlier-created wins
-        machines = [machine("a", 6, 0), machine("b", 6, 0),
-                    machine("c", 4, 0)]
-        best = group_machines(machines, 10, algorithm="best-fit")
-        assert [g.machine_names for g in best] == [["a", "c"], ["b"]]
-
-    def test_best_fit_oversized_singletons_preserved(self):
-        machines = [machine("big", 15, 0), machine("s1", 4, 0),
-                    machine("s2", 4, 0)]
-        best = group_machines(machines, 10, algorithm="best-fit")
-        oversized = [g for g in best if g.oversized]
-        assert len(oversized) == 1
-        assert oversized[0].machine_names == ["big"]
-        assert len(oversized[0].machines) == 1
-
-    def test_ice_lab_best_fit_matches_paper_client_count(self):
-        best = group_machines(ice_machines(), DEFAULT_CLIENT_CAPACITY,
-                              algorithm="best-fit")
-        assert len(best) == 4  # equivalent-or-better than Table I

@@ -9,6 +9,7 @@ import threading
 
 from fixtures import EMCO_WORKCELL_SOURCE
 
+from repro.cache import ArtifactCache
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.sysml import load_model
 
@@ -56,7 +57,7 @@ class TestPipelineReentrancy:
     def test_concurrent_runs_with_shared_cache(self, tmp_path):
         model = load_model(EMCO_WORKCELL_SOURCE)
         pipeline = GenerationPipeline(
-            PipelineOptions(cache_dir=str(tmp_path / "cache")))
+            cache=ArtifactCache(tmp_path / "cache"))
         expected = serialized(pipeline.run_on_model(model))  # warm it
         results = run_concurrently(
             6, lambda i: pipeline.run_on_model(model))

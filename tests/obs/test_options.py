@@ -1,8 +1,9 @@
 """PipelineOptions: the one configuration object for the pipeline.
 
-Covers the frozen dataclass semantics, dict round-trips, and that the
-pre-``PipelineOptions`` keyword arguments are gone (they raise a plain
-``TypeError``).
+Covers the frozen dataclass semantics, the dict form every service key
+and bundle uses, and that the pre-``PipelineOptions`` keyword arguments
+and the runtime-object fields (cache directory, cache bound, tracer)
+are gone (they raise a plain ``TypeError``).
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import pytest
 
 from repro.codegen import (GenerationPipeline, OptionError,
                            PipelineOptions, generate_configuration)
-from repro.obs import Tracer
+from repro.codegen.options import semantic_options
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,6 @@ class TestValidation:
             PipelineOptions(**changes)
         with pytest.raises(OptionError, match=field):
             PipelineOptions().replace(**changes)
-        with pytest.raises(OptionError, match=field):
-            PipelineOptions.from_dict(changes)
 
     def test_option_error_is_a_value_error(self):
         assert issubclass(OptionError, ValueError)
@@ -55,7 +54,17 @@ class TestDataclassSemantics:
         assert options.capacity == 120
         assert options.namespace == "factory"
         assert options.validate is True
-        assert options.tracer is None
+
+    def test_fields_are_the_output_shaping_values(self):
+        assert [f.name for f in dataclasses.fields(PipelineOptions)] == [
+            "capacity", "namespace", "broker_url", "database_url",
+            "validate"]
+
+    @pytest.mark.parametrize("runtime", [
+        "cache_dir", "cache_max_bytes", "tracer"])
+    def test_runtime_objects_are_not_options(self, runtime):
+        with pytest.raises(TypeError, match=runtime):
+            PipelineOptions(**{runtime: None})
 
     def test_frozen(self):
         options = PipelineOptions()
@@ -69,30 +78,11 @@ class TestDataclassSemantics:
         assert bigger.namespace == "icelab"
         assert options.capacity == 120  # original untouched
 
-    def test_equality_ignores_tracer(self):
-        assert (PipelineOptions(tracer=Tracer())
-                == PipelineOptions(tracer=None))
-
     def test_round_trip(self):
         options = PipelineOptions(capacity=300, namespace="plant",
                                   validate=False)
-        restored = PipelineOptions.from_dict(options.to_dict())
+        restored = PipelineOptions(**semantic_options(options))
         assert restored == options
-
-    def test_to_dict_omits_tracer(self):
-        options = PipelineOptions(tracer=Tracer())
-        assert "tracer" not in options.to_dict()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(TypeError, match="unknown"):
-            PipelineOptions.from_dict({"capicity": 600})
-
-    def test_from_dict_reattaches_tracer(self):
-        tracer = Tracer()
-        options = PipelineOptions.from_dict({"capacity": 60},
-                                            tracer=tracer)
-        assert options.capacity == 60
-        assert options.tracer is tracer
 
 
 class TestPipelineIntegration:
@@ -120,12 +110,11 @@ class TestLegacyShim:
             generate_configuration(model, capacity=600)
 
     def test_grouping_is_not_an_option(self):
-        # every run packs first-fit; best-fit is the grouping oracle's
+        # every run packs first-fit, the only packer
         with pytest.raises(TypeError, match="grouping"):
             PipelineOptions(grouping="best-fit")
-        with pytest.raises(TypeError, match="grouping"):
-            PipelineOptions.from_dict({"grouping": "best-fit"})
-        assert "grouping" not in PipelineOptions().to_dict()
+        assert "grouping" not in semantic_options(PipelineOptions())
+        assert PipelineOptions().grouping == "first-fit"
 
     def test_pipeline_kwargs_raise_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

@@ -97,9 +97,9 @@ class TestDisabledPath:
         result = generate_configuration(icelab_model())
         assert result.trace is None
 
-    def test_options_tracer_enables_tracing(self):
-        options = PipelineOptions(tracer=Tracer())
-        result = generate_configuration(icelab_model(), options=options)
+    def test_active_tracer_enables_tracing(self):
+        with Tracer().activate():
+            result = generate_configuration(icelab_model())
         assert result.trace is not None
         assert result.trace.find("step2") is not None
 

@@ -4,13 +4,7 @@ import time
 
 import pytest
 
-from repro.obs import NULL_SPAN, NULL_TRACER, Tracer, activation, span
-
-
-def current_tracer():
-    """The ambient tracer, as the pipeline's entry points see it."""
-    with activation(None) as tracer:
-        return tracer
+from repro.obs import NULL_SPAN, NULL_TRACER, Tracer, current_tracer, span
 
 
 class TestSpanNesting:
@@ -100,20 +94,6 @@ class TestNoOpMode:
                 assert current_tracer() is inner
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
-
-    def test_activation_helper_prefers_explicit_tracer(self):
-        explicit = Tracer()
-        with activation(explicit) as tracer:
-            assert tracer is explicit
-            assert current_tracer() is explicit
-
-    def test_activation_helper_falls_back_to_ambient(self):
-        ambient = Tracer()
-        with ambient.activate():
-            with activation(None) as tracer:
-                assert tracer is ambient
-        with activation(None) as tracer:
-            assert tracer is NULL_TRACER
 
     def test_null_tracer_trace_is_none(self):
         assert NULL_TRACER.trace() is None

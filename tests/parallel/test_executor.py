@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
-from repro.obs import METRICS, Tracer, activation, span
+from repro.obs import METRICS, Tracer, span
 from repro.parallel import map_ordered
 
 
@@ -151,7 +151,7 @@ class TestCrashResilience:
 class TestSpanFolding:
     def test_pool_span_and_per_item_spans_recorded(self):
         tracer = Tracer()
-        with activation(tracer):
+        with tracer.activate():
             map_ordered(_double, [1, 2, 3], jobs=2,
                         span_label=lambda item, _i: f"unit:{item}",
                         pool_span="test-pool")
@@ -165,7 +165,7 @@ class TestSpanFolding:
 
     def test_folded_spans_carry_worker_durations(self):
         tracer = Tracer()
-        with activation(tracer):
+        with tracer.activate():
             map_ordered(_nap, [1, 2], jobs=2,
                         span_label=lambda item, _i: f"sleep:{item}",
                         pool_span="sleep-pool")
@@ -180,6 +180,6 @@ class TestSpanFolding:
                 return value
 
         tracer = Tracer()
-        with activation(tracer):
+        with tracer.activate():
             map_ordered(unit, [1], jobs=1)
         assert tracer.trace().find("inner") is not None

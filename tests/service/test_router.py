@@ -435,8 +435,7 @@ class TestProcessWorkers:
         for worker in workers:
             worker.wait_ready(60.0)
         router = RouterService(
-            workers, PipelineOptions(namespace="proc",
-                                     cache_dir=str(tmp / "cache")))
+            workers, PipelineOptions(namespace="proc"))
         yield router, workers
         router.close()
         for worker in workers:

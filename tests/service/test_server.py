@@ -17,6 +17,7 @@ from fixtures import (BAD_OPTION_IDS, BAD_OPTIONS, EMCO_WORKCELL_SOURCE,
                       MALFORMED_CONTENT_LENGTHS, OVERSIZED_CONTENT_LENGTHS,
                       post_with_content_length, rejected_revision)
 
+from repro.cache import ArtifactCache
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.obs import METRICS, MetricsRegistry, snapshot_delta
 from repro.service import (BadOption, ConfigurationService, ServiceClient,
@@ -357,18 +358,28 @@ class TestIncrementalServing:
     def test_cached_service_serves_cold_bytes(self, serve, tmp_path):
         # a fresh service over an empty cache, then another one over
         # the cache the first left warm
-        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
         model = load_model(*SOURCES)
         cold = bundle_bytes(
             GenerationPipeline(PipelineOptions()).run_on_model(model),
             model.content_fingerprint, PipelineOptions())
         for _ in range(2):
-            server, _ = serve(options)
+            server, _ = serve(cache=ArtifactCache(tmp_path / "cache"))
             with ServiceClient(port=server.port) as client:
                 status, headers, body = client.generate_raw(SOURCES)
             assert status == 200
             assert body == cold
             assert "x-repro-reused" in headers
+
+    def test_every_engine_holds_the_service_cache(self, tmp_path):
+        service = ConfigurationService(
+            cache=ArtifactCache(tmp_path / "cache"))
+        for number in range(MAX_ENGINES + 2):
+            service.generate(SOURCES, {"namespace": f"tenant-{number}"})
+        engines = [engine for engine, _lock in service._engines.values()]
+        assert len(engines) == MAX_ENGINES
+        for engine in engines:
+            assert engine.pipeline.cache is service.cache
+            assert engine.session.cache is service.cache
 
 
 class TestBackpressureOverHTTP:
@@ -478,8 +489,7 @@ class TestIntrospectionEndpoints:
         plain_server, _ = serve()
         with ServiceClient(port=plain_server.port) as client:
             assert client.cache_stats() == {"cache": None}
-        cached_server, _ = serve(
-            options=PipelineOptions(cache_dir=str(tmp_path / "cache")))
+        cached_server, _ = serve(cache=ArtifactCache(tmp_path / "cache"))
         with ServiceClient(port=cached_server.port) as client:
             client.generate(SOURCES)
             stats = client.cache_stats()

@@ -58,6 +58,42 @@ class TestCli:
         assert lines[0].startswith(f"FRONT-END ERROR: {weird}:1:1: ")
         assert "unknown model file suffix '.xml'" in lines[0]
 
+    @pytest.fixture()
+    def lab_files(self, tmp_path):
+        """The ICE lab as ``.sysml`` and as the ``.json`` convert writes."""
+        text, json_model = tmp_path / "lab.sysml", tmp_path / "lab.json"
+        assert main(["model", "--out", str(text)]) == 0
+        assert main(["convert", str(text), str(json_model)]) == 0
+        return text, json_model
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "7"],
+        ["plan", "--seed", "7", "--problems", "1"]],
+        ids=["simulate", "plan"])
+    def test_json_model_gives_the_sysml_digest(self, argv, lab_files,
+                                               capsys):
+        digests = []
+        for path in lab_files:
+            capsys.readouterr()
+            assert main([*argv, str(path)]) == 0
+            digests.append([line for line in
+                            capsys.readouterr().out.splitlines()
+                            if line.startswith("digest ")])
+        assert len(digests[0]) == 1
+        assert digests[0] == digests[1]
+
+    def test_trace_loads_a_json_model(self, lab_files, capsys):
+        import json
+        summaries = []
+        for path in lab_files:
+            capsys.readouterr()
+            assert main(["trace", "--json", str(path)]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            del result["generation_time_s"]
+            summaries.append(result)
+        assert summaries[0]["opcua_servers"] == 6
+        assert summaries[0] == summaries[1]
+
     def test_generate(self, tmp_path, capsys):
         assert main(["generate", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

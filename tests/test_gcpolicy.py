@@ -155,3 +155,32 @@ def test_update_leaves_no_element_to_the_collector():
         gc.garbage.clear()
         gc.enable()
     assert left == []
+
+
+def _left_to_the_collector(session: ModelSession, sources) -> int:
+    """Unreachable objects one ``session.update(*sources)`` leaves."""
+    gc.collect()
+    gc.disable()
+    try:
+        session.update(*sources)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_dropping_a_package_leaves_no_more_than_a_one_value_edit():
+    """The old subtrees a merge drops are unlinked too: removing a
+    300-definition package leaves the collector no more than editing
+    one value does, where its ``owner`` cycles would leave thousands."""
+    sources = icelab_sources()
+    extra = "package Extra {\n" + "".join(
+        f"    part def D{i} {{ attribute a{i} : Real; "
+        f"part p : D{(i + 1) % 300}; }}\n" for i in range(300)) + "}\n"
+    session = ModelSession(*sources)
+    session.update(*sources, extra)
+    removed = _left_to_the_collector(session, sources)
+    edited = [text.replace("10.197.12.11", "10.197.12.99")
+              for text in sources]
+    assert edited != sources
+    one_value = _left_to_the_collector(session, edited)
+    assert removed <= one_value

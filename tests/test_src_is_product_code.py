@@ -13,6 +13,10 @@ comments and ``__all__`` strings do not. A method of a class derived
 from a class defined outside ``src/`` counts as used: the outside base
 (``BaseHTTPRequestHandler`` calling ``do_GET``, say) may call it by
 name.
+
+A name imported into a ``src/`` module other than an ``__init__.py``
+must also be used in that module: as a ``Name`` node, or inside a
+quoted annotation (the one use a ``TYPE_CHECKING`` import gets).
 """
 
 import ast
@@ -183,3 +187,77 @@ def test_scan_counts_identifier_uses_and_outside_hooks(tmp_path):
         "benchmarks/bench.py": "from pkg.other import main, call\n",
     })
     assert _flagged(root) == {"unused", "also_unused"}
+
+
+def _quoted_names(tree: ast.AST) -> set[str]:
+    """Names inside the string annotations of *tree* (``"FaultPlan"``,
+    ``Callable[["QueuedJob"], tuple]``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Subscript):
+            annotations.append(node.slice)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expression = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(name.id for name in ast.walk(expression)
+                             if isinstance(name, ast.Name))
+    return names
+
+
+def _unused_imports(root: Path = ROOT) -> list[str]:
+    """``path:line name`` for each name imported into a src/ module other
+    than an ``__init__.py`` and not used there."""
+    offenders = []
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _quoted_names(tree)
+        offenders += [f"{path.relative_to(root)}:{line} {name}"
+                      for name, line in imported.items() if name not in used]
+    return offenders
+
+
+def test_no_src_module_imports_a_name_it_does_not_use():
+    offenders = _unused_imports()
+    assert not offenders, (
+        "names imported into src/ modules and never used there:\n"
+        + "\n".join(offenders))
+
+
+def test_import_scan_reads_quoted_annotations(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.mod import unused\n",
+        "src/pkg/mod.py":
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import json as codec\n"
+            "from typing import TYPE_CHECKING, Callable\n"
+            "if TYPE_CHECKING:\n"
+            "    from pkg.other import Quoted, Aliased, Unused\n"
+            "Key = Callable[['Aliased'], tuple]\n"
+            "def f(x: 'Quoted') -> None:\n"
+            "    return os.path.join('Unused', 'codec')\n",
+    })
+    assert _unused_imports(root) == [
+        "src/pkg/mod.py:3 codec", "src/pkg/mod.py:6 Unused"]

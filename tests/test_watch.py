@@ -12,7 +12,7 @@ import pytest
 from fixtures import EMCO_WORKCELL_SOURCE
 
 from repro.cli import main
-from repro.codegen import PipelineOptions
+from repro.cache import ArtifactCache
 from repro.k8s import Cluster
 from repro.watch import WatchSession
 
@@ -176,9 +176,9 @@ class TestRollingDeploy:
             self, source_file, tmp_path):
         # a cold engine over a warm artifact cache reports its
         # manifests reused; the empty cluster still gets all of them
-        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
-        WatchSession([source_file], options=options).poll()
-        session = WatchSession([source_file], options=options,
+        cache = ArtifactCache(tmp_path / "cache")
+        WatchSession([source_file], cache=cache).poll()
+        session = WatchSession([source_file], cache=cache,
                                cluster=Cluster())
         event = session.poll()
         assert event.reused > 0
@@ -191,8 +191,8 @@ class TestRollingDeploy:
         # B renames the enterprise (a full engine run) and moves emco's
         # IP; going back to A replays A's whole result from the cache,
         # yet the cluster runs B's config until the manifest is applied
-        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
-        session = WatchSession([source_file], options=options,
+        session = WatchSession([source_file],
+                               cache=ArtifactCache(tmp_path / "cache"),
                                cluster=Cluster())
         session.poll()
         edit(source_file, "part UniVR :", "part UniVR2 :")
