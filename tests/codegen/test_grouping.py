@@ -85,7 +85,7 @@ class TestCapacitySweep:
             group_machines(ice_machines(), capacity)
 
     def test_unknown_algorithm_rejected(self):
-        # first-fit is the only packer; best-fit is gone with the rest
+        # first-fit is the only packer
         for algorithm in ("worst-fit", "best-fit"):
             with pytest.raises(GroupingError,
                                match="unknown grouping algorithm"):
